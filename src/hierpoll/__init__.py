@@ -47,7 +47,6 @@ from .pomdp import (  # noqa: F401
     PollingModel,
     belief_cost,
     filter_update,
-    freudenthal_interpolate,
     model_distance,
     myopic_policy,
     validate_belief,

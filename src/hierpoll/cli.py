@@ -18,7 +18,7 @@ import numpy as np
 
 from .channels import approximate_blackwell_chain, lecam_deficiency
 from .errors import HierPollError
-from .estimate import em_fit, load_observations
+from .estimate import em_fit, estimate_to_dict, load_observations
 from .fileio import (
     chain_to_dict,
     load_channel,
@@ -126,9 +126,8 @@ def cmd_example1(args) -> int:
               f"myopic bound: {len(report.violations)} violations on "
               f"{report.grid_points}-point grid (M={args.grid_m})", file=sys.stderr)
         ok &= report.holds
-        gvf = value_iteration(model, args.grid_m, tol=args.vi_tol)
         j_bar, j_opt = l1_components(model, args.grid_m, args.runs, args.horizon,
-                                     args.seed, pi0, gvf=gvf)
+                                     args.seed, pi0, gvf=report.solution)
         value = (j_bar.mean - j_opt.mean) / j_opt.mean
         stderr = float(np.hypot(j_bar.stderr, j_opt.stderr) / j_opt.mean)
         rows.append((rho, "L1", value, stderr, args.runs, args.horizon, args.seed))
@@ -265,12 +264,7 @@ def cmd_estimate(args) -> int:
                           "states": args.states, "max_iter": args.max_iter},
                          args.seed)
     if args.format == "json":
-        payload = {"meta": meta,
-                   "transition": est.transition.entries.tolist(),
-                   "emission": est.emission.entries.tolist(),
-                   "log_likelihoods": est.log_likelihoods.tolist(),
-                   "iterations": est.iterations,
-                   "converged": est.converged}
+        payload = {"meta": meta, **estimate_to_dict(est)}
         write_output(json.dumps(payload, indent=2) + "\n", args.out)
     else:
         meta["transition"] = json.dumps(est.transition.entries.tolist())

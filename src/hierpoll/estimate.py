@@ -269,11 +269,12 @@ def load_observations(path, fmt: str | None = None) -> ObservationDataset:
     raise ParseError(f"unknown dataset format {fmt!r}")
 
 
-def estimate_to_json(est: EmEstimate) -> str:
-    return json.dumps({
+def estimate_to_dict(est: EmEstimate) -> dict:
+    """The fitted parameters and EM trace as plain JSON-ready values."""
+    return {
         "transition": est.transition.entries.tolist(),
         "emission": est.emission.entries.tolist(),
         "log_likelihoods": est.log_likelihoods.tolist(),
         "iterations": est.iterations,
         "converged": est.converged,
-    }, indent=2)
+    }

@@ -2,10 +2,17 @@
 
 The hidden state evolves by a known Markov chain; each polling action u
 selects an observation channel O(u) and incurs a belief-dependent concave
-cost. This module provides the Bayesian belief filter, the three cost
-families, the myopic policy, value iteration on a regularly triangulated
-belief simplex, and verifiers for the myopic upper bound, the
-model/policy sensitivity bounds, and ordinal sensitivity across networks.
+cost. This module provides the three cost families, the myopic policy,
+value iteration on a regularly triangulated belief simplex, and verifiers
+for the myopic upper bound, the model/policy sensitivity bounds, and
+ordinal sensitivity across networks.
+
+Two kernels carry all of the planning arithmetic. `bayes_update` is the
+one Bayes step: the belief filter, the planner and the simulator all form
+their posteriors with it. `Lookahead` is the one-step Bellman lookahead
+Q(pi, u) = C(pi, u) + rho sum_y sigma_y(pi, u) V(T_y(pi, u)), with V
+interpolated on the grid; value iteration, fixed-policy evaluation and the
+greedy grid policy all apply it.
 
 Actions are 1-based everywhere (action 1 = most informative channel);
 observation symbols are 0-based indices into a channel's output alphabet.
@@ -13,12 +20,12 @@ observation symbols are 0-based indices into a channel's output alphabet.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .channels import Channel, lecam_deficiency, make_channel
+from .channels import Channel, _compositions, lecam_deficiency, make_channel
 from .errors import (
     GridTooLarge,
     InvalidAction,
@@ -32,6 +39,7 @@ from .errors import (
 from .stochastic import ConvexPolynomial, StochasticMatrix, as_array, validate_stochastic
 
 BELIEF_TOL = 1e-10
+MAX_SWEEPS = 10 ** 5
 
 
 def validate_belief(pi, tol: float = BELIEF_TOL) -> np.ndarray:
@@ -228,6 +236,22 @@ class PollingModel:
         return self.channels[u - 1].matrix.entries
 
 
+def bayes_update(PR: np.ndarray, L: np.ndarray):
+    """Bayes step: the posterior PR * L normalised over the last axis, and
+    its normaliser sigma, the likelihood of the observation.
+
+    PR holds predicted beliefs P' pi and L the likelihoods of the observed
+    symbols per state; the two broadcast against each other. Rows of zero
+    likelihood get the uniform posterior.
+    """
+    unnorm = PR * L
+    sigma = unnorm.sum(axis=-1)
+    seen = sigma > 0
+    post = np.where(seen[..., None], unnorm / np.where(seen, sigma, 1.0)[..., None],
+                    1.0 / unnorm.shape[-1])
+    return post, sigma
+
+
 def filter_update(pi, y: int, u: int, model: PollingModel):
     """Bayesian belief update for observation y under action u.
 
@@ -238,11 +262,10 @@ def filter_update(pi, y: int, u: int, model: PollingModel):
     O = model.observation(u)
     if not 0 <= y < O.shape[1]:
         raise ValueError(f"observation index {y} outside the output alphabet")
-    unnorm = O[:, y] * (model.P.entries.T @ pi)
-    sigma = float(unnorm.sum())
+    post, sigma = bayes_update(model.P.entries.T @ pi, O[:, y])
     if sigma <= 1e-300:
         raise ZeroLikelihood(f"observation {y} has zero likelihood under action {u}")
-    return unnorm / sigma, sigma
+    return post, float(sigma)
 
 
 # -------------------------------------------------- simplex discretization
@@ -262,7 +285,7 @@ class FreudenthalGrid:
             raise ValueError("need M >= 1 and X >= 2")
         self.M = int(M)
         self.X = int(X)
-        self.lattice = np.array(list(_compositions_desc(self.M, self.X)), dtype=np.int64)
+        self.lattice = np.array(list(_compositions(self.M, self.X)), dtype=np.int64)
         self.points = self.lattice / float(M)
         self._powers = (self.M + 1) ** np.arange(self.X, dtype=np.int64)
         keys = self.lattice @ self._powers
@@ -341,15 +364,6 @@ class FreudenthalGrid:
         return allp
 
 
-def _compositions_desc(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions_desc(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def grid_size(M: int, X: int) -> int:
     return math.comb(M + X - 1, X - 1)
 
@@ -378,54 +392,76 @@ class GridValueFunction:
         return float(out[0]) if np.asarray(pi).ndim == 1 else out
 
 
-def freudenthal_interpolate(V: GridValueFunction, pi) -> float:
-    """Barycentric interpolation of a grid value function at one belief."""
-    return float(V.grid.interpolate(V.values, pi)[0])
+class Lookahead:
+    """One-step Bellman lookahead from a fixed set of belief rows PI.
 
+    Holds, per action, the stage costs C, the likelihood sigma of every
+    observation and the grid interpolation data of every posterior, so that
+    q_values(V) = C + rho sum_y sigma_y V(T_y) costs one gather per call.
+    """
 
-class _GridBackup:
-    """Precomputed quantities for repeated Bellman backups on a fixed grid."""
-
-    def __init__(self, model: PollingModel, grid: FreudenthalGrid):
-        self.model = model
+    def __init__(self, model: PollingModel, grid: FreudenthalGrid, PI):
+        PI = np.atleast_2d(np.asarray(PI, dtype=float))
         self.grid = grid
-        PI = grid.points
-        self.C = cost_matrix(PI, model.costs)                 # (G, U)
+        self.rho = model.rho
+        self.C = cost_matrix(PI, model.costs)                 # (n, U)
         PR = PI @ model.P.entries                             # rows of P' pi
         self.sigma, self.idx, self.w = [], [], []
         for u in range(1, model.n_actions + 1):
-            O = model.observation(u)
-            sig = PR @ O                                      # (G, Y)
-            with np.errstate(invalid="ignore"):
-                T = PR[:, None, :] * O.T[None, :, :]          # (G, Y, X)
-                T = T / np.where(sig[:, :, None] > 0, sig[:, :, None], 1.0)
-            T[sig <= 0] = 1.0 / model.n_states
-            G, Y, X = T.shape
-            idx, w = grid.interpolation_data(T.reshape(G * Y, X))
+            T, sig = bayes_update(PR[:, None, :], model.observation(u).T[None])
+            n, Y, X = T.shape                                 # T: (n, Y, X)
+            idx, w = grid.interpolation_data(T.reshape(n * Y, X))
             self.sigma.append(sig)
-            self.idx.append(idx.reshape(G, Y, X))
-            self.w.append(w.reshape(G, Y, X))
+            self.idx.append(idx.reshape(n, Y, X))
+            self.w.append(w.reshape(n, Y, X))
 
     def q_values(self, values: np.ndarray) -> np.ndarray:
-        """One-step lookahead costs, shape (G, U)."""
-        G = self.grid.size
-        Q = np.empty((G, self.model.n_actions))
-        for ui in range(self.model.n_actions):
-            interp = (values[self.idx[ui]] * self.w[ui]).sum(axis=2)  # (G, Y)
-            Q[:, ui] = self.C[:, ui] + self.model.rho * (self.sigma[ui] * interp).sum(axis=1)
+        """Lookahead costs of every belief row and action, shape (n, U)."""
+        Q = np.empty_like(self.C)
+        for ui, (sig, idx, w) in enumerate(zip(self.sigma, self.idx, self.w)):
+            interp = (values[idx] * w).sum(axis=2)            # (n, Y)
+            Q[:, ui] = self.C[:, ui] + self.rho * (sig * interp).sum(axis=1)
         return Q
 
 
-def _check_grid_size(M: int, X: int, max_points: int) -> None:
+def _checked_grid(M: int, X: int, max_points: int) -> FreudenthalGrid:
     size = grid_size(M, X)
     if size > max_points:
         raise GridTooLarge(
             f"grid with {size} points exceeds the cap of {max_points}; "
             f"use a coarser resolution or the simulation-based loss metrics")
+    return FreudenthalGrid(M, X)
+
+
+def _sweep(backup: Lookahead, tol: float, max_sweeps: int, policy=None):
+    """Bellman sweeps from V = 0 until the sup-norm change drops below tol:
+    V <- min_u Q(V), or V <- Q(V)[policy] with a pinned 1-based policy.
+    Returns V and the change of every sweep."""
+    sel = None if policy is None else (np.asarray(policy, dtype=int) - 1)[:, None]
+    V = np.zeros(backup.C.shape[0])
+    deltas = []
+    for _ in range(max_sweeps):
+        Q = backup.q_values(V)
+        V_new = Q.min(axis=1) if sel is None else np.take_along_axis(Q, sel, axis=1)[:, 0]
+        deltas.append(float(np.abs(V_new - V).max()))
+        V = V_new
+        if deltas[-1] < tol:
+            return V, deltas
+    what = "value iteration" if policy is None else "policy evaluation"
+    raise NonConvergence(f"{what} did not converge within {max_sweeps} sweeps")
+
+
+def _solve(backup: Lookahead, tol: float, max_sweeps: int) -> GridValueFunction:
+    """Optimal values on the backup's grid and the greedy policy they induce."""
+    V, deltas = _sweep(backup, tol, max_sweeps)
+    policy = np.argmin(backup.q_values(V), axis=1) + 1
+    return GridValueFunction(grid=backup.grid, values=V, policy=policy,
+                             sweeps=len(deltas), sweep_deltas=np.array(deltas),
+                             converged=True)
 
 
 def value_iteration(model: PollingModel, M: int, tol: float = 1e-8,
-                    max_sweeps: int = 10 ** 5,
+                    max_sweeps: int = MAX_SWEEPS,
                     max_points: int = 300_000) -> GridValueFunction:
     """Discounted value iteration on the triangulated belief simplex.
 
@@ -433,49 +469,18 @@ def value_iteration(model: PollingModel, M: int, tol: float = 1e-8,
     sweep is a monotone rho-contraction up to interpolation slack; sweeps
     stop when the sup-norm change drops below tol.
     """
-    _check_grid_size(M, model.n_states, max_points)
-    grid = FreudenthalGrid(M, model.n_states)
-    backup = _GridBackup(model, grid)
-    V = np.zeros(grid.size)
-    deltas = []
-    converged = False
-    for _ in range(max_sweeps):
-        Q = backup.q_values(V)
-        V_new = Q.min(axis=1)
-        delta = float(np.abs(V_new - V).max())
-        deltas.append(delta)
-        V = V_new
-        if delta < tol:
-            converged = True
-            break
-    if not converged:
-        raise NonConvergence(f"no convergence within {max_sweeps} sweeps")
-    Q = backup.q_values(V)
-    policy = np.argmin(Q, axis=1) + 1
-    return GridValueFunction(grid=grid, values=V, policy=policy,
-                             sweeps=len(deltas), sweep_deltas=np.array(deltas),
-                             converged=converged)
+    grid = _checked_grid(M, model.n_states, max_points)
+    return _solve(Lookahead(model, grid, grid.points), tol, max_sweeps)
 
 
 def evaluate_policy_on_grid(model: PollingModel, policy: np.ndarray, M: int,
-                            tol: float = 1e-8, max_sweeps: int = 10 ** 5,
+                            tol: float = 1e-8, max_sweeps: int = MAX_SWEEPS,
                             max_points: int = 300_000) -> np.ndarray:
     """Fixed-policy discounted value on the grid (same backup, u pinned)."""
-    _check_grid_size(M, model.n_states, max_points)
-    grid = FreudenthalGrid(M, model.n_states)
+    grid = _checked_grid(M, model.n_states, max_points)
     if policy.shape != (grid.size,):
         raise ModelShapeMismatch("policy must assign an action to every grid point")
-    backup = _GridBackup(model, grid)
-    sel = (np.asarray(policy, dtype=int) - 1)[:, None]
-    V = np.zeros(grid.size)
-    for _ in range(max_sweeps):
-        Q = backup.q_values(V)
-        V_new = np.take_along_axis(Q, sel, axis=1)[:, 0]
-        delta = float(np.abs(V_new - V).max())
-        V = V_new
-        if delta < tol:
-            return V
-    raise NonConvergence(f"policy evaluation did not converge in {max_sweeps} sweeps")
+    return _sweep(Lookahead(model, grid, grid.points), tol, max_sweeps, policy)[0]
 
 
 # ------------------------------------------------------------- verifiers
@@ -502,6 +507,7 @@ class MyopicBoundReport:
     coincide_on_action_one: bool
     deficiencies: tuple[float, ...]
     sweeps: int
+    solution: GridValueFunction = field(repr=False)
 
     @property
     def holds(self) -> bool:
@@ -525,7 +531,8 @@ def verify_myopic_bound(model: PollingModel, M: int, cert_tol: float = 1e-7,
     coincide = bool(np.all(gvf.policy[myopic == 1] == 1))
     return MyopicBoundReport(grid_points=gvf.grid.size, violations=violations,
                              coincide_on_action_one=coincide,
-                             deficiencies=deficiencies, sweeps=gvf.sweeps)
+                             deficiencies=deficiencies, sweeps=gvf.sweeps,
+                             solution=gvf)
 
 
 class ModelDistance(NamedTuple):
@@ -578,10 +585,11 @@ def verify_sensitivity_bounds(theta: PollingModel, gamma: PollingModel, M: int,
     """
     dist, G = model_distance(theta, gamma)
     v_gamma = value_iteration(gamma, M, tol=tol)
-    v_theta = value_iteration(theta, M, tol=tol)
-    j_cross = evaluate_policy_on_grid(theta, v_gamma.policy, M, tol=tol)
-
     grid = v_gamma.grid
+    theta_backup = Lookahead(theta, grid, grid.points)
+    v_theta = _solve(theta_backup, tol, MAX_SWEEPS)
+    j_cross, _ = _sweep(theta_backup, tol, MAX_SWEEPS, policy=v_gamma.policy)
+
     lhs_model = float(np.abs(v_gamma.values - j_cross).max())
     lhs_policy = float((j_cross - v_theta.values).max())
     allowance = _interpolation_allowance(grid, v_gamma.values, j_cross, v_theta.values)

@@ -17,7 +17,9 @@ from .errors import UndefinedCTilde
 from .pomdp import (
     CostSpec,
     GridValueFunction,
+    Lookahead,
     PollingModel,
+    bayes_update,
     cost_matrix,
     max_stage_cost,
     value_iteration,
@@ -49,19 +51,7 @@ class GridPolicy:
         self.gvf = gvf
 
     def actions(self, PI: np.ndarray, model: PollingModel) -> np.ndarray:
-        PI = np.atleast_2d(PI)
-        PR = PI @ model.P.entries
-        Q = cost_matrix(PI, model.costs)
-        for ui in range(model.n_actions):
-            O = model.observation(ui + 1)
-            sig = PR @ O
-            with np.errstate(invalid="ignore"):
-                T = PR[:, None, :] * O.T[None, :, :]
-                T = T / np.where(sig[:, :, None] > 0, sig[:, :, None], 1.0)
-            T[sig <= 0] = 1.0 / model.n_states
-            interp = self.gvf.grid.interpolate(
-                self.gvf.values, T.reshape(-1, model.n_states)).reshape(sig.shape)
-            Q[:, ui] += model.rho * (sig * interp).sum(axis=1)
+        Q = Lookahead(model, self.gvf.grid, PI).q_values(self.gvf.values)
         return np.argmin(Q, axis=1) + 1
 
 
@@ -136,10 +126,7 @@ def _rollout(model: PollingModel, policy, pi0: np.ndarray, horizon: int,
             y[mask] = _sample_categorical(cumO[u - 1], x_next[mask],
                                           draws[mask, 2 + 2 * k])
             O_sel[mask] = model.observation(u)[:, y[mask]].T
-        PR = PI @ model.P.entries
-        unnorm = PR * O_sel
-        sigma = unnorm.sum(axis=1)
-        PI = unnorm / sigma[:, None]
+        PI, _ = bayes_update(PI @ model.P.entries, O_sel)
         x = x_next
         if record:
             states[:, k + 1] = x

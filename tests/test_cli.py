@@ -1,4 +1,7 @@
+import csv
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,8 @@ from hierpoll.fileio import (
 from hierpoll.presets import EXAMPLE1_O1, EXAMPLE1_O2, example1_model, example2_model
 
 from conftest import hmm_sample
+
+REFERENCE = json.loads((Path(__file__).parent / "data" / "cli_reference.json").read_text())
 
 
 @pytest.fixture
@@ -212,3 +217,28 @@ class TestEstimateCommand:
         f = tmp_path / "bad.json"
         f.write_text("{broken")
         assert main(["estimate", str(f), "--states", "3"]) == 2
+
+
+def _csv_rows(text):
+    return list(csv.DictReader(l for l in text.splitlines()
+                               if l and not l.startswith("#")))
+
+
+class TestRecordedOutputs:
+    """CSV bodies of small runs match those recorded at an earlier commit:
+    numbers to 1e-12 relative, so that another BLAS build still passes, and
+    the solve action column exactly."""
+
+    @pytest.mark.parametrize("case", ["example1", "example2", "simulate_grid", "solve"])
+    def test_body_matches_recording(self, case, model_config, capsys):
+        ref = REFERENCE[case]
+        assert main([a.replace("{config}", model_config) for a in ref["argv"]]) == 0
+        got = _csv_rows(capsys.readouterr().out)
+        want = _csv_rows(ref["body"])
+        assert len(got) == len(want) and list(got[0]) == list(want[0])
+        for g, w in zip(got, want):
+            for key in w:
+                if key in ("action", "metric"):
+                    assert g[key] == w[key]
+                else:
+                    assert math.isclose(float(g[key]), float(w[key]), rel_tol=1e-12), (key, g, w)

@@ -12,7 +12,7 @@ from hierpoll.errors import (
 from hierpoll.estimate import (
     ObservationDataset,
     em_fit,
-    estimate_to_json,
+    estimate_to_dict,
     load_observations,
     project_ultrametric,
 )
@@ -158,6 +158,6 @@ class TestEmFit:
         y = hmm_sample(EXAMPLE1_P, EXAMPLE1_O1, 500, seed=9)
         ds = ObservationDataset((y,), ("a", "b", "c"))
         est = em_fit(ds, X=3, max_iter=5, seed=0)
-        payload = json.loads(estimate_to_json(est))
+        payload = json.loads(json.dumps(estimate_to_dict(est)))
         assert payload["iterations"] == est.iterations
         assert len(payload["log_likelihoods"]) == est.iterations

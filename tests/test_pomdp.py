@@ -14,11 +14,11 @@ from hierpoll.pomdp import (
     CostSpec,
     FreudenthalGrid,
     PollingModel,
+    bayes_update,
     belief_cost,
     cost_matrix,
     evaluate_policy_on_grid,
     filter_update,
-    freudenthal_interpolate,
     grid_size,
     model_distance,
     myopic_policy,
@@ -150,6 +150,14 @@ class TestFilterUpdate:
         with pytest.raises(ZeroLikelihood):
             filter_update(np.full(3, 1 / 3), 1, 1, model)
 
+    def test_bayes_update_batches_and_zero_rows(self):
+        PR = np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]])
+        L = np.array([[0.0, 0.0, 1.0], [1.0, 0.5, 0.0]])
+        post, sigma = bayes_update(PR, L)
+        assert np.allclose(sigma, [0.0, 0.35])
+        assert np.array_equal(post[0], np.full(3, 1 / 3))
+        assert np.allclose(post[1], [0.2 / 0.35, 0.15 / 0.35, 0.0])
+
     def test_likelihoods_sum_to_one(self, model, rng):
         for _ in range(200):
             pi = rng.dirichlet(np.ones(3))
@@ -231,7 +239,7 @@ class TestFreudenthalGrid:
     def test_freudenthal_interpolate_entry_point(self, model):
         gvf = value_iteration(model, M=10)
         g = 17
-        assert freudenthal_interpolate(gvf, gvf.points[g]) == pytest.approx(
+        assert gvf.interpolate(gvf.points[g]) == pytest.approx(
             float(gvf.values[g]), abs=1e-12)
 
     def test_neighbor_pairs_are_one_move_apart(self):

@@ -148,6 +148,13 @@ class TestGridPolicy:
         assert np.array_equal(GridPolicy(gvf).actions(PI, model),
                               MyopicPolicy().actions(PI, model))
 
+    def test_grid_points_reproduce_vi_policy(self):
+        # the rollout lookahead at grid points is the one VI ended on
+        model = example1_model(rho=0.9)
+        gvf = value_iteration(model, M=12)
+        assert set(gvf.policy.tolist()) == {1, 2}
+        assert np.array_equal(GridPolicy(gvf).actions(gvf.points, model), gvf.policy)
+
 
 class TestLossL1:
     def test_zero_at_rho_zero(self):
