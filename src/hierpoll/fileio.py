@@ -1,5 +1,5 @@
-"""File formats: matrices (CSV/JSON), polynomials, channels, model configs,
-and deterministic tabular output.
+"""File formats: matrices (CSV/JSON), channels, model configs, and
+deterministic tabular output.
 
 CSV bodies are byte-stable across runs: floats are written with shortest
 round-trip repr and metadata lives in '#'-prefixed header comments (config
@@ -64,18 +64,6 @@ def save_matrix(path, matrix, fmt: str | None = None) -> None:
                                   for row in arr) + "\n")
 
 
-def load_polynomial(path) -> ConvexPolynomial:
-    try:
-        coeffs = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read polynomial from {path}: {exc}") from exc
-    return ConvexPolynomial(np.asarray(coeffs, dtype=float))
-
-
-def save_polynomial(path, poly: ConvexPolynomial) -> None:
-    Path(path).write_text(json.dumps(poly.coefficients.tolist()))
-
-
 # ----------------------------------------------------------------- channels
 def channel_to_dict(ch: Channel) -> dict:
     return {"inputs": list(ch.input_labels),
@@ -114,10 +102,6 @@ def load_channel(path) -> Channel:
             return channel_from_dict(payload)
         return make_channel(np.asarray(payload, dtype=float))
     return make_channel(load_matrix(path))
-
-
-def save_channel(path, ch: Channel) -> None:
-    Path(path).write_text(json.dumps(channel_to_dict(ch), indent=2))
 
 
 def chain_to_dict(chain) -> dict:

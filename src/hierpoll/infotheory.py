@@ -11,7 +11,6 @@ under which the divergence is nonnegative on that range.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,16 +130,6 @@ class InfoReport:
                         out.append((u + 1, self.capacities[u], f"{i + 1}-{j + 1}",
                                     self.alphas[a], float(self.divergences[u, i, j, a])))
         return out
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "capacities_bits": list(self.capacities),
-            "alphas": list(self.alphas),
-            "capacity_margins": self.capacity_margins.tolist(),
-            "renyi_margins": self.renyi_margins.tolist(),
-            "capacity_ordering_holds": self.capacity_ordering_holds,
-            "renyi_ordering_holds": self.renyi_ordering_holds,
-        }, indent=2)
 
 
 def channel_divergences(ch, alphas) -> np.ndarray:

@@ -44,8 +44,8 @@ MAX_SWEEPS = 10 ** 5
 
 def validate_belief(pi, tol: float = BELIEF_TOL) -> np.ndarray:
     pi = np.asarray(pi, dtype=float)
-    if pi.ndim != 1 or pi.size < 1:
-        raise ValueError("belief must be a 1-d probability vector")
+    if pi.ndim != 1 or pi.size < 1 or not np.isfinite(pi).all():
+        raise ValueError("belief must be a finite 1-d probability vector")
     if pi.min() < -tol:
         raise ValueError(f"belief has negative mass {pi.min():.3e}")
     if abs(pi.sum() - 1.0) > tol:
@@ -377,7 +377,6 @@ class GridValueFunction:
     policy: np.ndarray          # 1-based actions
     sweeps: int
     sweep_deltas: np.ndarray
-    converged: bool
 
     @property
     def resolution(self) -> int:
@@ -456,8 +455,7 @@ def _solve(backup: Lookahead, tol: float, max_sweeps: int) -> GridValueFunction:
     V, deltas = _sweep(backup, tol, max_sweeps)
     policy = np.argmin(backup.q_values(V), axis=1) + 1
     return GridValueFunction(grid=backup.grid, values=V, policy=policy,
-                             sweeps=len(deltas), sweep_deltas=np.array(deltas),
-                             converged=True)
+                             sweeps=len(deltas), sweep_deltas=np.array(deltas))
 
 
 def value_iteration(model: PollingModel, M: int, tol: float = 1e-8,

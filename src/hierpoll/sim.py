@@ -209,6 +209,13 @@ def uniform_belief(X: int) -> np.ndarray:
     return np.full(X, 1.0 / X)
 
 
+def loss_ratio(j: CostEstimate, j_ref: CostEstimate) -> tuple[float, float]:
+    """Relative excess (J - J_ref) / J_ref and its standard error, the two
+    estimates' errors combined as if independent."""
+    value = (j.mean - j_ref.mean) / j_ref.mean
+    return value, float(np.hypot(j.stderr, j_ref.stderr) / j_ref.mean)
+
+
 def l1_components(model: PollingModel, M: int, runs: int, horizon: int,
                   seed: int, pi0=None, vi_tol: float = 1e-8,
                   gvf: GridValueFunction | None = None):
@@ -237,7 +244,7 @@ def loss_L1(model: PollingModel, M: int, runs: int, horizon: int, seed: int,
         j_star = gvf.interpolate(pi0)
         return (j_myopic.mean - j_star) / j_star
     j_myopic, j_opt = l1_components(model, M, runs, horizon, seed, pi0, vi_tol)
-    return (j_myopic.mean - j_opt.mean) / j_opt.mean
+    return loss_ratio(j_myopic, j_opt)[0]
 
 
 def ctilde_values(PI, costs: CostSpec) -> np.ndarray:
@@ -264,25 +271,21 @@ def ctilde_values(PI, costs: CostSpec) -> np.ndarray:
 
 
 def l2_components(model: PollingModel, runs: int, horizon: int, seed: int,
-                  pi0=None, baseline_policy=None):
+                  pi0=None):
     """Cost estimates behind the proxy-bound ratio: the myopic policy's cost
-    and the piecewise proxy accumulated along baseline-policy trajectories."""
+    and the piecewise proxy accumulated along myopic trajectories."""
     pi0 = uniform_belief(model.n_states) if pi0 is None else np.asarray(pi0, float)
-    baseline = MyopicPolicy() if baseline_policy is None else baseline_policy
     j_myopic = estimate_cost(model, MyopicPolicy(), pi0, horizon, runs, seed)
-    j_tilde = estimate_cost(model, baseline, pi0, horizon, runs, seed,
+    j_tilde = estimate_cost(model, MyopicPolicy(), pi0, horizon, runs, seed,
                             stage_values=lambda PI, a: ctilde_values(PI, model.costs))
     return j_myopic, j_tilde
 
 
 def loss_L2(model: PollingModel, runs: int, horizon: int, seed: int,
-            pi0=None, baseline_policy=None) -> float:
+            pi0=None) -> float:
     """Relative excess of the myopic cost over the piecewise proxy cost.
 
-    The proxy accumulates ctilde along trajectories of the baseline policy
-    (myopic unless stated otherwise), which keeps the metric computable when
-    the grid-optimal policy is out of reach.
+    The proxy accumulates ctilde along myopic trajectories, which keeps the
+    metric computable when the grid-optimal policy is out of reach.
     """
-    j_myopic, j_tilde = l2_components(model, runs, horizon, seed, pi0,
-                                      baseline_policy)
-    return (j_myopic.mean - j_tilde.mean) / j_tilde.mean
+    return loss_ratio(*l2_components(model, runs, horizon, seed, pi0))[0]

@@ -41,8 +41,18 @@ class StochasticMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _readonly(self.entries))
-        _check_stochastic(self.entries, ROW_SUM_TOL, ENTRY_TOL)
+        entries = _readonly(self.entries)
+        object.__setattr__(self, "entries", entries)
+        if entries.ndim != 2 or entries.size == 0:
+            raise RowSumMismatch("matrix must be a non-empty 2-d array")
+        if np.any(entries < -ENTRY_TOL):
+            i, j = np.unravel_index(np.argmin(entries), entries.shape)
+            raise NegativeEntry(f"entry ({i},{j}) = {entries[i, j]:.3e} is negative")
+        sums = entries.sum(axis=1)
+        dev = np.abs(sums - 1.0)
+        if np.any(dev > ROW_SUM_TOL):
+            i = int(np.argmax(dev))
+            raise RowSumMismatch(f"row {i} sums to {sums[i]:.12f} (deviation {dev[i]:.3e})")
 
     @property
     def rows(self) -> int:
@@ -73,27 +83,12 @@ def as_array(m) -> np.ndarray:
     return np.asarray(m, dtype=float)
 
 
-def _check_stochastic(entries: np.ndarray, tol: float, entry_tol: float) -> None:
-    if entries.ndim != 2 or entries.size == 0:
-        raise RowSumMismatch("matrix must be a non-empty 2-d array")
-    if np.any(entries < -entry_tol):
-        i, j = np.unravel_index(np.argmin(entries), entries.shape)
-        raise NegativeEntry(f"entry ({i},{j}) = {entries[i, j]:.3e} is negative")
-    sums = entries.sum(axis=1)
-    dev = np.abs(sums - 1.0)
-    if np.any(dev > tol):
-        i = int(np.argmax(dev))
-        raise RowSumMismatch(f"row {i} sums to {sums[i]:.12f} (deviation {dev[i]:.3e})")
-
-
-def validate_stochastic(entries, tol: float = ROW_SUM_TOL) -> StochasticMatrix:
+def validate_stochastic(entries) -> StochasticMatrix:
     """Validate `entries` as a row-stochastic matrix; never normalizes silently.
 
     Raises NegativeEntry / RowSumMismatch with the offending index.
     """
-    arr = np.asarray(entries, dtype=float)
-    _check_stochastic(arr, tol, ENTRY_TOL)
-    return StochasticMatrix(arr)
+    return StochasticMatrix(np.asarray(entries, dtype=float))
 
 
 def _square(m) -> np.ndarray:

@@ -123,6 +123,12 @@ class TestLeCamDeficiency:
         res = lecam_deficiency(np.eye(2), np.full((2, 2), 0.5))
         assert res.delta == pytest.approx(1.0, abs=1e-8)
 
+    def test_identity_vs_rectangular_uniform_closed_form(self):
+        # H R has equal rows q whatever R is, so delta = min_q max_i 2(1 - q_i) = 1
+        res = lecam_deficiency(np.eye(2), np.full((2, 3), 1 / 3))
+        assert res.delta == pytest.approx(1.0, abs=1e-8)
+        assert res.garbling.entries.shape == (3, 2)
+
     def test_dimension_mismatch(self, O1):
         with pytest.raises(DimensionMismatch):
             lecam_deficiency(O1, np.full((2, 2), 0.5))
@@ -137,6 +143,17 @@ class TestLeCamDeficiency:
             R = random_stochastic(YH, YW, rng)
             res = lecam_deficiency(H @ R, H)
             assert res.delta <= 1e-9
+
+    def test_garbling_attains_delta_on_rectangular_channels(self, rng):
+        # the returned R must realise the reported norm max_i sum_y |W - HR|_iy
+        for _ in range(10):
+            X, YH, YW = (int(v) for v in rng.choice(np.arange(2, 6), 3, replace=False))
+            W = random_stochastic(X, YW, rng)
+            H = random_stochastic(X, YH, rng)
+            res = lecam_deficiency(W, H)
+            assert res.garbling.entries.shape == (YH, YW)
+            norm = np.abs(W - H @ res.garbling.entries).sum(axis=1).max()
+            assert norm == pytest.approx(res.delta, abs=1e-9)
 
 
 class TestBlackwellDominates:

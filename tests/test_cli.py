@@ -183,6 +183,15 @@ class TestSolveSimulate:
         assert main(["simulate", "--config", model_config, "--policy", "fixed:2",
                      "--runs", "10", "--horizon", "5"]) == 0
 
+    @pytest.mark.parametrize("pi0", ["0.5,0.6,0.2", "0.5,x,0.5", "1,0",
+                                     "1.2,-0.2,0", "nan,0.5,0.5"])
+    def test_simulate_rejects_bad_pi0(self, pi0, model_config, capsys):
+        assert main(["simulate", "--config", model_config, "--pi0", pi0,
+                     "--runs", "4", "--horizon", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --pi0")
+
 
 class TestInfoCommands:
     def test_capacity_identity(self, channel_files, capsys):

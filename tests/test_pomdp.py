@@ -7,6 +7,7 @@ from hierpoll.errors import (
     InvalidAction,
     InvalidCostSpec,
     ModelShapeMismatch,
+    NonConvergence,
     UncertifiedDominance,
     ZeroLikelihood,
 )
@@ -266,8 +267,11 @@ class TestValueIteration:
 
     def test_converged_flag_and_tolerance(self, model):
         gvf = value_iteration(model, M=12, tol=1e-8)
-        assert gvf.converged
         assert gvf.sweep_deltas[-1] < 1e-8
+
+    def test_sweep_cap_raises(self, model):
+        with pytest.raises(NonConvergence):
+            value_iteration(model, M=12, max_sweeps=2)
 
     def test_grid_too_large(self, model):
         with pytest.raises(GridTooLarge):
