@@ -53,16 +53,27 @@ from .sim import (
 from .stochastic import is_hurwitz, polynomial_quotient, eval_matrix_polynomial
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not >= 1")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output file (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--threads", type=int, default=os.cpu_count(),
+    p.add_argument("--threads", type=_positive_int, default=os.cpu_count(),
                    help="worker cap; results are independent of it")
 
 
+def _float_list(text: str) -> list[float]:
+    return [float(t) for t in text.split(",") if t.strip() != ""]
+
+
 def _rho_list(text: str) -> list[float]:
-    vals = [float(t) for t in text.split(",") if t.strip() != ""]
+    vals = _float_list(text)
     for v in vals:
         if not 0.0 <= v < 1.0:
             raise argparse.ArgumentTypeError(f"rho {v} outside [0, 1)")
@@ -204,7 +215,11 @@ def _make_policy(name: str, model, grid_m: int, vi_tol: float):
     if name == "myopic":
         return MyopicPolicy()
     if name.startswith("fixed:"):
-        return FixedPolicy(int(name.split(":", 1)[1]))
+        u = name.split(":", 1)[1]
+        if not (u.isdecimal() and 1 <= int(u) <= model.n_actions):
+            raise ParseError(f"--policy {name!r}: the fixed action must be an "
+                             f"integer in 1..{model.n_actions}")
+        return FixedPolicy(int(u))
     if name == "grid":
         return GridPolicy(value_iteration(model, grid_m, tol=vi_tol))
     raise HierPollError(f"unknown policy {name!r}")
@@ -249,17 +264,16 @@ def cmd_capacity(args) -> int:
 
 def cmd_renyi(args) -> int:
     ch = load_channel(args.channel)
-    alphas = [float(t) for t in args.alphas.split(",")]
-    div = channel_divergences(ch, alphas)
+    div = channel_divergences(ch, args.alphas)
     rows = []
     for i in range(div.shape[0]):
         for j in range(div.shape[1]):
             if i == j:
                 continue
-            for a, alpha in enumerate(alphas):
+            for a, alpha in enumerate(args.alphas):
                 rows.append((f"{i + 1}-{j + 1}", alpha, float(div[i, j, a])))
     meta = standard_meta({"cmd": "renyi", "channel": args.channel,
-                          "alphas": alphas}, args.seed)
+                          "alphas": args.alphas}, args.seed)
     write_output(render_table(("pair", "alpha", "divergence"), rows, args.format,
                               meta), args.out)
     return 0
@@ -306,9 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("example1", help="three-state benchmark: myopic-vs-optimal loss sweep")
     p.add_argument("--rho-list", type=_rho_list,
                    default=[round(0.1 * k, 1) for k in range(10)])
-    p.add_argument("--grid-m", type=int, default=60)
-    p.add_argument("--runs", type=int, default=1000)
-    p.add_argument("--horizon", type=int, default=100)
+    p.add_argument("--grid-m", type=_positive_int, default=60)
+    p.add_argument("--runs", type=_positive_int, default=1000)
+    p.add_argument("--horizon", type=_positive_int, default=100)
     p.add_argument("--vi-tol", type=float, default=1e-8)
     _add_common(p)
     p.set_defaults(func=cmd_example1)
@@ -316,17 +330,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("example2", help="large randomized benchmark: proxy-bound loss sweep")
     p.add_argument("--rho-list", type=_rho_list,
                    default=[round(0.1 * k, 1) for k in range(10)])
-    p.add_argument("--states", type=int, default=20)
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--runs", type=int, default=1000)
-    p.add_argument("--horizon", type=int, default=100)
+    p.add_argument("--states", type=_positive_int, default=20)
+    p.add_argument("--pairs", type=_positive_int, default=10)
+    p.add_argument("--runs", type=_positive_int, default=1000)
+    p.add_argument("--horizon", type=_positive_int, default=100)
     p.add_argument("--ctilde-weight", type=float, default=1.0)
     _add_common(p)
     p.set_defaults(func=cmd_example2)
 
     p = sub.add_parser("solve", help="value iteration on a model config")
     p.add_argument("--config", required=True)
-    p.add_argument("--grid-m", type=int, default=60)
+    p.add_argument("--grid-m", type=_positive_int, default=60)
     p.add_argument("--vi-tol", type=float, default=1e-8)
     _add_common(p)
     p.set_defaults(func=cmd_solve)
@@ -334,10 +348,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo cost estimate on a model config")
     p.add_argument("--config", required=True)
     p.add_argument("--policy", default="myopic", help="myopic | fixed:U | grid")
-    p.add_argument("--grid-m", type=int, default=60)
+    p.add_argument("--grid-m", type=_positive_int, default=60)
     p.add_argument("--vi-tol", type=float, default=1e-8)
-    p.add_argument("--runs", type=int, default=1000)
-    p.add_argument("--horizon", type=int, default=100)
+    p.add_argument("--runs", type=_positive_int, default=1000)
+    p.add_argument("--horizon", type=_positive_int, default=100)
     p.add_argument("--pi0", default=None, help="comma-separated initial belief")
     _add_common(p)
     p.set_defaults(func=cmd_simulate)
@@ -350,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("renyi", help="all-pairs row divergences of a channel")
     p.add_argument("channel")
-    p.add_argument("--alphas", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9")
+    p.add_argument("--alphas", type=_float_list, default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9")
     _add_common(p)
     p.set_defaults(func=cmd_renyi)
 

@@ -118,11 +118,11 @@ def cost_spec_to_dict(costs: CostSpec) -> dict:
     if costs.variant == "intent":
         out["level_costs"] = costs.level_costs.tolist()
         out["betas"] = [b.coefficients.tolist() for b in costs.betas]
-        out["gamma1"] = costs.entropy_weights.tolist()
+        out["gamma1"] = costs.weights.tolist()
         out["gamma2"] = costs.offsets.tolist()
     else:
         out["measurement"] = costs.measurement.tolist()
-        out["error_weights"] = costs.error_weights.tolist()
+        out["error_weights"] = costs.weights.tolist()
     if costs.ctilde_weight is not None:
         out["ctilde_weight"] = costs.ctilde_weight
     return out

@@ -34,11 +34,16 @@ def mutual_information(ch, input_dist) -> float:
     if p.shape != (O.shape[0],):
         raise DimensionMismatch(f"input distribution of size {p.size} "
                                 f"for a channel with {O.shape[0]} inputs")
-    q = p @ O
+    return float(p @ _kl_rows(O, p @ O)) / _LOG2
+
+
+def _kl_rows(O: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Relative entropy D(O_x || q) in nats of every row x of O; terms where
+    O or q is zero contribute nothing."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where((O > 0) & (q > 0)[None, :], O / np.maximum(q, 1e-300), 1.0)
-        terms = np.where(O > 0, O * np.log2(ratio), 0.0)
-    return float(p @ terms.sum(axis=1))
+        log_ratio = np.where((O > 0) & (q > 0)[None, :],
+                             np.log(O / np.maximum(q, 1e-300)), 0.0)
+    return (O * log_ratio).sum(axis=1)
 
 
 def shannon_capacity(ch, tol: float = 1e-10, max_iter: int = 10 ** 5):
@@ -53,11 +58,7 @@ def shannon_capacity(ch, tol: float = 1e-10, max_iter: int = 10 ** 5):
     r = np.full(X, 1.0 / X)
     prev = -np.inf
     for _ in range(max_iter):
-        q = r @ O
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_ratio = np.where((O > 0) & (q > 0)[None, :],
-                                 np.log(O / np.maximum(q, 1e-300)), 0.0)
-        D = (O * log_ratio).sum(axis=1)          # nats
+        D = _kl_rows(O, r @ O)                   # nats
         estimate = float(r @ D) / _LOG2
         if abs(estimate - prev) < tol:
             return estimate, r
@@ -73,8 +74,7 @@ def kl_divergence(p, q) -> float:
     q = np.asarray(q, dtype=float)
     if np.any((p > 0) & (q == 0)):
         return float("inf")
-    mask = p > 0
-    return float(np.sum(p[mask] * np.log2(p[mask] / q[mask])))
+    return float(_kl_rows(p[None, :], q)[0]) / _LOG2
 
 
 def renyi_divergence(p, q, alpha: float) -> float:
@@ -111,11 +111,6 @@ class InfoReport:
     renyi_margins: np.ndarray      # worst-case D_u - D_{u+1} per step
     capacity_ordering_holds: bool
     renyi_ordering_holds: bool
-
-    @property
-    def worst_margin(self) -> float:
-        margins = np.concatenate([self.capacity_margins, self.renyi_margins])
-        return float(margins.min()) if margins.size else 0.0
 
     def rows(self):
         """Flat (channel_index, capacity, pair, alpha, divergence) records."""

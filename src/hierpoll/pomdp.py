@@ -53,30 +53,22 @@ def validate_belief(pi, tol: float = BELIEF_TOL) -> np.ndarray:
     return pi
 
 
-def _entropy_bits(PI: np.ndarray) -> np.ndarray:
-    """Shannon entropy of each row, 0 log 0 taken as 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(PI > 0, PI * np.log2(np.maximum(PI, 1e-300)), 0.0)
-    return -t.sum(axis=-1)
-
-
 @dataclass(frozen=True, eq=False)
 class CostSpec:
-    """Per-action polling costs.
+    """Per-action polling costs C(pi, u) = measurement_u + weights_u h(pi) + offsets_u.
 
-    Intent polling charges a level-averaged measurement cost plus a scaled
-    belief entropy with an additive offset; expectation and friendship
-    polling charge a measurement cost plus a weighted quadratic
-    estimation-error term w_u (1 - pi'pi). Monotonicity across actions
-    (cheaper but noisier as u grows) is enforced at construction.
+    The variant only chooses the uncertainty h of the state estimate: the
+    belief entropy in bits for intent polling, the quadratic estimation
+    error 1 - pi'pi for expectation and friendship polling. Offsets are
+    zero except for intent polling. Monotonicity across actions (cheaper
+    but noisier as u grows) is enforced at construction.
     """
 
     variant: str
     measurement: np.ndarray
-    error_weights: np.ndarray | None = None      # expectation / friendship
-    entropy_weights: np.ndarray | None = None    # intent
-    offsets: np.ndarray | None = None            # intent
-    level_costs: np.ndarray | None = None        # intent bookkeeping
+    weights: np.ndarray | None = None
+    offsets: np.ndarray | None = None             # intent; zeros otherwise
+    level_costs: np.ndarray | None = None         # intent bookkeeping
     betas: tuple[ConvexPolynomial, ...] | None = None
     ctilde_weight: float | None = None
 
@@ -89,43 +81,39 @@ class CostSpec:
         if self.variant in ("expectation", "friendship"):
             if np.any(np.diff(self.measurement) > 1e-12):
                 raise InvalidCostSpec("measurement costs must be nonincreasing in u")
-            if self.error_weights is None:
+            if self.weights is None:
                 raise InvalidCostSpec(f"{self.variant} costs need error weights")
-            w = np.asarray(self.error_weights, dtype=float)
-            object.__setattr__(self, "error_weights", w)
+            w = np.asarray(self.weights, dtype=float)
             if w.size != U:
                 raise InvalidCostSpec("one error weight per action required")
             if np.any(np.diff(w) <= 0):
                 raise InvalidCostSpec("error weights must be strictly increasing in u")
+            g2 = np.zeros(U)
         elif self.variant == "intent":
-            if self.entropy_weights is None or self.offsets is None:
+            if self.weights is None or self.offsets is None:
                 raise InvalidCostSpec("intent costs need entropy weights and offsets")
-            g1 = np.asarray(self.entropy_weights, dtype=float)
+            w = np.asarray(self.weights, dtype=float)
             g2 = np.asarray(self.offsets, dtype=float)
-            object.__setattr__(self, "entropy_weights", g1)
-            object.__setattr__(self, "offsets", g2)
-            if g1.size != U or g2.size != U:
+            if w.size != U or g2.size != U:
                 raise InvalidCostSpec("per-action weight vectors must match U")
-            if np.any(g1 <= 0) or np.any(g2 <= 0):
+            if np.any(w <= 0) or np.any(g2 <= 0):
                 raise InvalidCostSpec("intent weights must be positive")
-            if np.any(np.diff(g1) >= 0):
+            if np.any(np.diff(w) >= 0):
                 raise InvalidCostSpec("entropy weights must be strictly decreasing in u")
             if np.any(np.diff(g2) <= 0):
                 raise InvalidCostSpec("offsets must be strictly increasing in u")
         else:
             raise InvalidCostSpec(f"unknown variant {self.variant!r}")
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "offsets", g2)
 
     @classmethod
     def expectation(cls, measurement, error_weights, ctilde_weight=None):
-        return cls("expectation", np.asarray(measurement, float),
-                   error_weights=np.asarray(error_weights, float),
-                   ctilde_weight=ctilde_weight)
+        return cls("expectation", measurement, error_weights, ctilde_weight=ctilde_weight)
 
     @classmethod
     def friendship(cls, measurement, error_weights, ctilde_weight=None):
-        return cls("friendship", np.asarray(measurement, float),
-                   error_weights=np.asarray(error_weights, float),
-                   ctilde_weight=ctilde_weight)
+        return cls("friendship", measurement, error_weights, ctilde_weight=ctilde_weight)
 
     @classmethod
     def intent(cls, level_costs, betas, entropy_weights, offsets, ctilde_weight=None):
@@ -140,39 +128,33 @@ class CostSpec:
             float(np.dot(b.coefficients, s[: b.coefficients.size]))
             for b in betas
         ])
-        return cls("intent", measurement, entropy_weights=np.asarray(entropy_weights, float),
-                   offsets=np.asarray(offsets, float), level_costs=s, betas=betas,
-                   ctilde_weight=ctilde_weight)
+        return cls("intent", measurement, entropy_weights, offsets, level_costs=s,
+                   betas=betas, ctilde_weight=ctilde_weight)
 
     @property
     def num_actions(self) -> int:
         return int(self.measurement.size)
 
+    def uncertainty(self, PI: np.ndarray) -> np.ndarray:
+        """h(pi) of every belief row of the 2-d array PI (0 log 0 taken as 0)."""
+        if self.variant != "intent":
+            return 1.0 - np.einsum("ij,ij->i", PI, PI)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(PI > 0, PI * np.log2(np.maximum(PI, 1e-300)), 0.0)
+        return -t.sum(axis=-1)
+
     def equivalent(self, other: "CostSpec") -> bool:
-        if self.variant != other.variant or self.num_actions != other.num_actions:
-            return False
-        if not np.array_equal(self.measurement, other.measurement):
-            return False
-        for a, b in ((self.error_weights, other.error_weights),
-                     (self.entropy_weights, other.entropy_weights),
-                     (self.offsets, other.offsets)):
-            if (a is None) != (b is None):
-                return False
-            if a is not None and not np.array_equal(a, b):
-                return False
-        return True
+        return self.variant == other.variant and all(
+            np.array_equal(getattr(self, k), getattr(other, k))
+            for k in ("measurement", "weights", "offsets"))
 
 
 def cost_matrix(PI, costs: CostSpec) -> np.ndarray:
     """Stage costs for every belief row and every action, shape (n, U)."""
     PI = np.atleast_2d(np.asarray(PI, dtype=float))
-    if costs.variant == "intent":
-        H = _entropy_bits(PI)
-        return (costs.measurement[None, :]
-                + H[:, None] * costs.entropy_weights[None, :]
-                + costs.offsets[None, :])
-    err = 1.0 - np.einsum("ij,ij->i", PI, PI)
-    return costs.measurement[None, :] + err[:, None] * costs.error_weights[None, :]
+    return (costs.measurement[None, :]
+            + costs.uncertainty(PI)[:, None] * costs.weights[None, :]
+            + costs.offsets[None, :])
 
 
 def belief_cost(pi, u: int, costs: CostSpec) -> float:
@@ -182,18 +164,18 @@ def belief_cost(pi, u: int, costs: CostSpec) -> float:
     return float(cost_matrix(pi, costs)[0, u - 1])
 
 
-def myopic_policy(pi, costs: CostSpec) -> int:
-    """Action minimizing the instantaneous cost; ties go to the smaller index."""
-    return int(np.argmin(cost_matrix(pi, costs)[0])) + 1
+def myopic_policy(PI, costs: CostSpec):
+    """Action minimizing the instantaneous cost of each belief row, ties to
+    the smaller index; a plain int for a single 1-d belief."""
+    actions = np.argmin(cost_matrix(PI, costs), axis=1) + 1
+    return int(actions[0]) if np.asarray(PI).ndim == 1 else actions
 
 
 def max_stage_cost(costs: CostSpec, X: int) -> float:
-    """Upper bound of the stage cost over the belief simplex."""
-    if costs.variant == "intent":
-        worst = costs.measurement + costs.entropy_weights * math.log2(X) + costs.offsets
-    else:
-        worst = costs.measurement + costs.error_weights * (1.0 - 1.0 / X)
-    return float(worst.max())
+    """Upper bound of the stage cost over the belief simplex, where h peaks
+    at the uniform belief: log2 X for the entropy, 1 - 1/X otherwise."""
+    peak = math.log2(X) if costs.variant == "intent" else 1.0 - 1.0 / X
+    return float((costs.measurement + costs.weights * peak + costs.offsets).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -379,10 +361,6 @@ class GridValueFunction:
     sweep_deltas: np.ndarray
 
     @property
-    def resolution(self) -> int:
-        return self.grid.M
-
-    @property
     def points(self) -> np.ndarray:
         return self.grid.points
 
@@ -483,11 +461,13 @@ def evaluate_policy_on_grid(model: PollingModel, policy: np.ndarray, M: int,
 
 # ------------------------------------------------------------- verifiers
 def certify_channel_chain(model: PollingModel, tol: float = 1e-7) -> tuple[float, ...]:
-    """Deficiencies delta(O(u+1), O(u)) for consecutive actions."""
-    out = []
-    for u in range(1, model.n_actions):
-        out.append(lecam_deficiency(model.observation(u + 1), model.observation(u)).delta)
-    return tuple(out)
+    """Deficiencies delta(O(u+1), O(u)) for consecutive actions; raises
+    UncertifiedChain when one exceeds tol."""
+    out = tuple(lecam_deficiency(model.observation(u + 1), model.observation(u)).delta
+                for u in range(1, model.n_actions))
+    if any(d > tol for d in out):
+        raise UncertifiedChain(f"chain deficiencies {out} exceed {tol}")
+    return out
 
 
 def _interpolation_allowance(grid: FreudenthalGrid, *value_arrays) -> float:
@@ -520,11 +500,8 @@ def verify_myopic_bound(model: PollingModel, M: int, cert_tol: float = 1e-7,
     instantaneous costs are concave for all three families by construction.
     """
     deficiencies = certify_channel_chain(model, cert_tol)
-    if any(d > cert_tol for d in deficiencies):
-        raise UncertifiedChain(
-            f"chain deficiencies {deficiencies} exceed {cert_tol}")
     gvf = value_iteration(model, M, tol=tol)
-    myopic = np.argmin(cost_matrix(gvf.points, model.costs), axis=1) + 1
+    myopic = myopic_policy(gvf.points, model.costs)
     violations = tuple(int(i) for i in np.nonzero(gvf.policy > myopic)[0])
     coincide = bool(np.all(gvf.policy[myopic == 1] == 1))
     return MyopicBoundReport(grid_points=gvf.grid.size, violations=violations,

@@ -22,6 +22,7 @@ from .pomdp import (
     bayes_update,
     cost_matrix,
     max_stage_cost,
+    myopic_policy,
     value_iteration,
 )
 
@@ -31,7 +32,7 @@ class MyopicPolicy:
     """Minimize the instantaneous cost; ties go to the smaller action."""
 
     def actions(self, PI: np.ndarray, model: PollingModel) -> np.ndarray:
-        return np.argmin(cost_matrix(PI, model.costs), axis=1) + 1
+        return myopic_policy(PI, model.costs)
 
 
 class FixedPolicy:
@@ -71,10 +72,6 @@ class Trajectory:
     def horizon(self) -> int:
         return self.actions.size
 
-    @property
-    def discounted_cost(self) -> float:
-        return float(self.costs @ self.discounts)
-
 
 def _uniform_streams(seed: int, runs: int, horizon: int) -> np.ndarray:
     draws = np.empty((runs, 1 + 2 * horizon))
@@ -95,6 +92,8 @@ def _rollout(model: PollingModel, policy, pi0: np.ndarray, horizon: int,
     stage_values(PI, actions) overrides the recorded per-step cost (used by
     the proxy-bound metric); the dynamics are unaffected.
     """
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
     X = model.n_states
     draws = _uniform_streams(seed, runs, horizon)
     cumP = np.cumsum(model.P.entries, axis=1)
@@ -144,8 +143,6 @@ def _rollout(model: PollingModel, policy, pi0: np.ndarray, horizon: int,
 def simulate(model: PollingModel, policy, pi0, horizon: int, seed: int,
              run_index: int = 0) -> Trajectory:
     """Single reproducible rollout; identical to run `run_index` of a batch."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
     pi0 = np.asarray(pi0, dtype=float)
     data = _rollout(model, policy, pi0, horizon, seed, runs=run_index + 1,
                     record=True)
@@ -256,17 +253,11 @@ def ctilde_values(PI, costs: CostSpec) -> np.ndarray:
     if costs.num_actions == 1:
         return allc[:, 0]
     in_s1 = allc[:, 0] < allc[:, 1:].min(axis=1)
-    if costs.variant == "intent":
-        if costs.ctilde_weight is None:
-            raise UndefinedCTilde(
-                "intent costs need an explicit ctilde_weight for the proxy bound")
-        weight = float(costs.ctilde_weight)
-        from .pomdp import _entropy_bits
-        eta1 = costs.entropy_weights[0] * _entropy_bits(PI) + costs.offsets[0]
-    else:
-        weight = float(costs.ctilde_weight) if costs.ctilde_weight is not None \
-            else float(costs.error_weights[0])
-        eta1 = costs.error_weights[0] * (1.0 - np.einsum("ij,ij->i", PI, PI))
+    if costs.ctilde_weight is None and costs.variant == "intent":
+        raise UndefinedCTilde(
+            "intent costs need an explicit ctilde_weight for the proxy bound")
+    weight = float(costs.weights[0] if costs.ctilde_weight is None else costs.ctilde_weight)
+    eta1 = costs.weights[0] * costs.uncertainty(PI) + costs.offsets[0]
     return np.where(in_s1, allc[:, 0], allc[:, -1] + weight * eta1)
 
 

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +41,13 @@ def channel_files(tmp_path):
 def model_config(tmp_path):
     p = tmp_path / "model.json"
     p.write_text(json.dumps(model_to_dict(example1_model(0.5))))
+    return str(p)
+
+
+@pytest.fixture
+def intent_config(tmp_path):
+    p = tmp_path / "intent.json"
+    p.write_text(json.dumps(model_to_dict(example2_model(0.7, X=4, seed=3))))
     return str(p)
 
 
@@ -192,6 +202,30 @@ class TestSolveSimulate:
         assert captured.out == ""
         assert captured.err.startswith("error: --pi0")
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--config", "{config}", "--policy", "fixed:x"],
+        ["simulate", "--config", "{config}", "--policy", "fixed:9"],
+        ["simulate", "--config", "{config}", "--runs", "0"],
+        ["simulate", "--config", "{config}", "--horizon", "0"],
+        ["renyi", "{o1}", "--alphas", "0.5,x"],
+        ["example1", "--grid-m", "0"],
+        ["example2", "--pairs", "0"],
+        ["example2", "--states", "0"],
+        ["dominance", "{o1}", "{o1}", "--threads", "0"],
+    ], ids=["fixed-not-int", "fixed-out-of-range", "runs-0", "horizon-0",
+            "alphas-not-float", "grid-m-0", "pairs-0", "states-0", "threads-0"])
+    def test_bad_options_exit_two(self, argv, model_config, channel_files, capsys):
+        argv = [a.replace("{config}", model_config).replace("{o1}", channel_files[0])
+                for a in argv]
+        try:
+            rc = main(argv)
+        except SystemExit as exc:      # argparse rejects an option's value
+            rc = exc.code
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err and "Traceback" not in captured.err
+
 
 class TestInfoCommands:
     def test_capacity_identity(self, channel_files, capsys):
@@ -207,6 +241,20 @@ class TestInfoCommands:
         lines = [l for l in capsys.readouterr().out.splitlines()
                  if not l.startswith("#")]
         assert len(lines) - 1 == 6 * 2
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # importing scipy.optimize at start-up more than doubles the resident
+    # memory of every CLI run; the library keeps numpy as its only import
+    import hierpoll
+    src = str(Path(hierpoll.__file__).resolve().parents[1])
+    code = ("import sys, hierpoll.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestEstimateCommand:
@@ -238,10 +286,12 @@ class TestRecordedOutputs:
     numbers to 1e-12 relative, so that another BLAS build still passes, and
     the solve action column exactly."""
 
-    @pytest.mark.parametrize("case", ["example1", "example2", "simulate_grid", "solve"])
-    def test_body_matches_recording(self, case, model_config, capsys):
+    @pytest.mark.parametrize("case", ["example1", "example2", "simulate_grid", "solve",
+                                      "solve_intent", "simulate_intent"])
+    def test_body_matches_recording(self, case, model_config, intent_config, capsys):
         ref = REFERENCE[case]
-        assert main([a.replace("{config}", model_config) for a in ref["argv"]]) == 0
+        assert main([a.replace("{config}", model_config)
+                     .replace("{intent_config}", intent_config) for a in ref["argv"]]) == 0
         got = _csv_rows(capsys.readouterr().out)
         want = _csv_rows(ref["body"])
         assert len(got) == len(want) and list(got[0]) == list(want[0])

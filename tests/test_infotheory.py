@@ -23,7 +23,28 @@ def entropy_bits(p):
     return float(-(p * np.log2(p)).sum())
 
 
+def _zeroed_distribution(counts):
+    """Normalised nonnegative integer counts, or None when all are zero."""
+    counts = np.asarray(counts, dtype=float)
+    return counts / counts.sum() if counts.sum() > 0 else None
+
+
 class TestMutualInformation:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 5), st.data())
+    def test_is_mean_row_divergence_with_zeroed_entries(self, X, Y, data):
+        # integer weights with zeros give channels and inputs with zeroed
+        # entries but no underflow
+        counts = st.lists(st.integers(0, 4), min_size=Y, max_size=Y).filter(any)
+        O = np.array([_zeroed_distribution(data.draw(counts)) for _ in range(X)])
+        p = _zeroed_distribution(data.draw(
+            st.lists(st.integers(0, 4), min_size=X, max_size=X).filter(any)))
+        info = mutual_information(O, p)
+        q = p @ O
+        rows = sum(p[x] * kl_divergence(O[x], q) for x in range(X) if p[x] > 0)
+        assert info == pytest.approx(rows, rel=1e-12, abs=1e-15)
+        assert shannon_capacity(O)[0] >= info - 1e-9
+
     def test_identity_channel_one_bit(self):
         assert mutual_information(np.eye(2), [0.5, 0.5]) == pytest.approx(1.0)
 

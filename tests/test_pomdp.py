@@ -8,6 +8,7 @@ from hierpoll.errors import (
     InvalidCostSpec,
     ModelShapeMismatch,
     NonConvergence,
+    UncertifiedChain,
     UncertifiedDominance,
     ZeroLikelihood,
 )
@@ -17,10 +18,12 @@ from hierpoll.pomdp import (
     PollingModel,
     bayes_update,
     belief_cost,
+    certify_channel_chain,
     cost_matrix,
     evaluate_policy_on_grid,
     filter_update,
     grid_size,
+    max_stage_cost,
     model_distance,
     myopic_policy,
     validate_belief,
@@ -30,7 +33,7 @@ from hierpoll.pomdp import (
     verify_sensitivity_bounds,
 )
 from hierpoll.presets import example1_costs, example1_model
-from hierpoll.stochastic import matrix_power
+from hierpoll.stochastic import ConvexPolynomial, matrix_power
 
 from conftest import random_stochastic
 
@@ -59,6 +62,27 @@ class TestCostSpec:
         betas = (ConvexPolynomial([0.5, 0.5]),)
         spec = CostSpec.intent([1.0, 0.5], betas, entropy_weights=[1.0], offsets=[1.0])
         assert spec.measurement[0] == pytest.approx(0.75)
+
+
+def _cost_specs():
+    betas = (ConvexPolynomial([1.0]), ConvexPolynomial([0.0, 1.0]))
+    return {
+        "expectation": example1_costs(),
+        "friendship": CostSpec.friendship([0.5, 0.3, 0.25], [0.2, 0.6, 1.5]),
+        "intent": CostSpec.intent([0.5, 0.25], betas, entropy_weights=[2.0, 1.0],
+                                  offsets=[1.0, 2.0]),
+    }
+
+
+class TestMaxStageCost:
+    @pytest.mark.parametrize("variant", ["expectation", "friendship", "intent"])
+    def test_peak_is_attained_at_uniform_belief(self, variant, rng):
+        spec = _cost_specs()[variant]
+        for X in (2, 3, 5):
+            peak = max_stage_cost(spec, X)
+            assert peak == pytest.approx(cost_matrix(np.full(X, 1 / X), spec).max(), rel=1e-12)
+            beliefs = rng.dirichlet(np.full(X, 0.5), size=200)
+            assert cost_matrix(beliefs, spec).max() <= peak + 1e-12
 
 
 class TestBeliefCost:
@@ -116,6 +140,13 @@ class TestMyopicPolicy:
     def test_tie_breaks_to_action_one(self):
         spec = CostSpec.expectation([0.5, 0.5], [0.5, 1.0])
         assert myopic_policy(np.array([1.0, 0.0, 0.0]), spec) == 1
+
+    def test_batch_matches_single_beliefs(self, rng):
+        for spec in _cost_specs().values():
+            PI = rng.dirichlet(np.ones(3), size=40)
+            got = myopic_policy(PI, spec)
+            assert isinstance(got, np.ndarray)
+            assert got.tolist() == [myopic_policy(pi, spec) for pi in PI]
 
 
 class TestFilterUpdate:
@@ -297,6 +328,16 @@ class TestMyopicBound:
         gvf = value_iteration(model, M=18)
         myopic = np.argmin(cost_matrix(gvf.points, model.costs), axis=1) + 1
         assert np.array_equal(gvf.policy, myopic)
+
+    def test_reversed_chain_rejected(self, O1, O2, P3):
+        # O2 is a garbling of O1, so O1 listed as the less informative
+        # action is not a dominance chain
+        model = PollingModel(P3, (O2, O1), example1_costs(), rho=0.5)
+        with pytest.raises(UncertifiedChain):
+            certify_channel_chain(model, 1e-7)
+        with pytest.raises(UncertifiedChain):
+            verify_myopic_bound(model, M=6)
+        assert max(certify_channel_chain(model, tol=1.0)) > 1e-3
 
     def test_inverted_costs_unconstructible(self):
         with pytest.raises(InvalidCostSpec):

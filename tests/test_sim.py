@@ -88,6 +88,11 @@ class TestEstimateCost:
         assert est.mean == pytest.approx(c * (1 - rho ** H) / (1 - rho), abs=1e-12)
         assert est.stderr == pytest.approx(0.0, abs=1e-15)
 
+    @pytest.mark.parametrize("horizon", [0, -1])
+    def test_rejects_empty_horizon(self, model, horizon):
+        with pytest.raises(ValueError, match="horizon"):
+            estimate_cost(model, MyopicPolicy(), uniform_belief(3), horizon, 10, 0)
+
     def test_truncation_bias_bound(self, model):
         est = estimate_cost(model, MyopicPolicy(), uniform_belief(3),
                             horizon=100, runs=2, seed=0)
