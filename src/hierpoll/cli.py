@@ -371,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="EM fit of (P, B) from an observation dataset")
     p.add_argument("data")
     p.add_argument("--states", type=int, required=True)
-    p.add_argument("--max-iter", type=int, default=100)
+    p.add_argument("--max-iter", type=_positive_int, default=100)
     p.add_argument("--tol", type=float, default=1e-6)
     _add_common(p)
     p.set_defaults(func=cmd_estimate)

@@ -1,13 +1,23 @@
 """Maximum-likelihood estimation of (P, B) from observation sequences.
 
-Standard scaled forward-backward expectation steps; the transition update is
-the usual row-normalized expected count. The emission update is constrained
-to ultrametric stochastic matrices: the unconstrained count estimate is
-projected by cyclic corrections (symmetrize, raise min-condition violations,
-shift mass onto weak diagonals, renormalize), and an ascent guard bisects
-back toward the previous estimate whenever the projected step would lower
-the expected-count objective, which keeps the data log-likelihood
-nondecreasing unconditionally.
+The expectation step is one scaled forward-backward pass per sequence
+(Rabiner, "A tutorial on hidden Markov models and selected applications in
+speech recognition", Proc. IEEE 1989), run as a chunked scan
+(`_forward_backward`): a sequence of T symbols is cut into about sqrt(T)
+chunks whose transfer matrices are formed for all chunks at once, the
+boundary messages are carried from chunk to chunk, and both recursions are
+then finished inside all chunks at once. This is the associative-scan view
+of the HMM smoother of Saerkkae and Garcia-Fernandez, "Temporal
+Parallelization of Bayesian Smoothers" (IEEE Trans. Automatic Control,
+2021), and takes about 5 sqrt(T) steps in Python instead of two per symbol.
+
+The transition update is the usual row-normalized expected count. The
+emission update is constrained to ultrametric stochastic matrices: the
+unconstrained count estimate is projected by cyclic corrections (symmetrize,
+raise min-condition violations, shift mass onto weak diagonals,
+renormalize), and an ascent guard bisects back toward the previous estimate
+whenever the projected step would lower the expected-count objective, which
+keeps the data log-likelihood nondecreasing unconditionally.
 """
 from __future__ import annotations
 
@@ -25,6 +35,7 @@ from .errors import (
     ParseError,
     ProjectionStalled,
     UnknownSymbol,
+    ZeroLikelihood,
 )
 from .stochastic import StochasticMatrix, as_array, is_ultrametric, validate_stochastic
 
@@ -105,32 +116,95 @@ def project_ultrametric(M_raw, margin: float = 1e-6, tol: float = 1e-9,
 
 
 def _forward_backward(P, B, pi0, y):
-    """Scaled forward-backward pass over one symbol sequence.
+    """Scaled forward-backward pass over one symbol sequence, as a chunked scan.
 
     Returns (log-likelihood, expected transition counts, expected emission
-    counts).
+    counts); raises ZeroLikelihood when y cannot occur under (P, B).
+
+    The T symbols are cut into K chunks of L = ceil(sqrt(T)), stored
+    step-major as (L, K, X) so that step j of every chunk is one contiguous
+    slice. The last chunk is padded with fewer than L steps of likelihood one,
+    plain P steps with scale one, so the batch holds fewer than T + L steps.
+    Five phases:
+
+    1. fill the likelihoods B[:, y_t] of every step;
+    2. form each chunk's transfer matrix diag(b_0) P diag(b_1) ... P diag(b_{L-1}),
+       normalised at every step, across all chunks at once;
+    3. carry the boundary messages from chunk to chunk: forward from pi0 at
+       the first chunk, backward from ones at the last;
+    4. run the scaled recursions of Rabiner (1989) inside all chunks at once
+       from those messages: alpha with its exact per-step scales, then beta
+       from the scales, the backward message of each chunk fixed by
+       alpha . beta = 1 at its last step;
+    5. form the expected counts and the log-likelihood.
+
+    That is about 5L steps in Python instead of two per symbol. The chunk
+    transfer matrices are the elements of the associative scan of Saerkkae
+    and Garcia-Fernandez, "Temporal Parallelization of Bayesian Smoothers"
+    (IEEE TAC, 2021), combined sequentially over the chunks. Sums run in
+    another order than a per-symbol loop, so results agree with one to
+    rounding.
     """
-    T = y.size
-    alpha = np.empty((T, P.shape[0]))
-    scale = np.empty(T)
-    a = pi0 * B[:, y[0]]
-    scale[0] = a.sum()
-    alpha[0] = a / scale[0]
-    for t in range(1, T):
-        a = (alpha[t - 1] @ P) * B[:, y[t]]
-        scale[t] = a.sum()
-        alpha[t] = a / scale[t]
-    beta = np.empty_like(alpha)
-    beta[-1] = 1.0
-    for t in range(T - 2, -1, -1):
-        beta[t] = (P @ (B[:, y[t + 1]] * beta[t + 1])) / scale[t + 1]
-    gamma = alpha * beta
-    # xi_t(i,j) = alpha_t(i) P_ij B_{j,y_{t+1}} beta_{t+1}(j) / scale_{t+1}
-    weights = B[:, y[1:]].T * beta[1:] / scale[1:, None]
-    trans = P * (alpha[:-1].T @ weights)
-    emit = np.zeros((B.shape[1], P.shape[0]))
-    np.add.at(emit, y, gamma)
-    return float(np.log(scale).sum()), trans, emit.T
+    T, X = y.size, P.shape[0]
+    L = int(np.ceil(np.sqrt(T)))
+    K = -(-T // L)
+    pad = slice(T - (K - 1) * L, None)   # padded tail of the last chunk
+    steps = np.zeros(K * L, dtype=y.dtype)
+    steps[:T] = y
+    steps = steps.reshape(K, L).T.ravel()
+    lik = np.empty((L, K, X))
+    np.take(B.T, steps, axis=0, out=lik.reshape(-1, X))
+    lik[pad, -1] = 1.0
+    alpha = np.empty_like(lik)
+    scale = np.empty((L, K))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        A = np.zeros((K, X, X))
+        A[:, np.arange(X), np.arange(X)] = lik[0]
+        for j in range(1, L):
+            A = (A.reshape(-1, X) @ P).reshape(K, X, X)
+            A *= lik[j, :, None, :]
+            A /= A.reshape(K, -1).sum(axis=1)[:, None, None]
+        # predicted message entering each chunk: alpha of the step before, times P
+        prior = np.empty((K, X))
+        prior[0] = pi0
+        for k in range(1, K):
+            a = prior[k - 1] @ A[k - 1]
+            prior[k] = (a / a.sum()) @ P
+        for j in range(L):
+            a = prior * lik[j]
+            scale[j] = a.sum(axis=1)
+            np.divide(a, scale[j, :, None], out=alpha[j])
+            prior = alpha[j] @ P
+    if not (scale > 0).all():
+        raise ZeroLikelihood("zero likelihood under the current (P, B)")
+    scale[pad, -1] = 1.0
+
+    # backward message at each chunk's last step, up to scale
+    end = np.empty((K, X))
+    end[-1] = 1.0
+    for k in range(K - 2, -1, -1):
+        b = (A[k + 1] @ end[k + 1]) @ P.T
+        end[k] = b / b.sum()
+    beta = np.empty_like(lik)
+    beta[-1] = end / np.einsum("ki,ki->k", alpha[-1], end)[:, None]
+    # lik becomes the xi weights B_{j,y_t} beta_t(j) / scale_t in place
+    for j in range(L - 1, 0, -1):
+        lik[j] *= beta[j] / scale[j, :, None]
+        np.matmul(lik[j], P.T, out=beta[j - 1])
+    lik[0] *= beta[0] / scale[0, :, None]
+    lik[pad, -1] = 0.0
+
+    # xi_t(i,j) = alpha_t(i) P_ij B_{j,y_{t+1}} beta_{t+1}(j) / scale_{t+1},
+    # summed within chunks, then across each chunk's last step
+    trans = alpha[:-1].reshape(-1, X).T @ lik[1:].reshape(-1, X)
+    trans += alpha[-1, :-1].T @ lik[0, 1:]
+    trans *= P
+    gamma = alpha
+    gamma *= beta
+    gamma[pad, -1] = 0.0
+    emit = np.stack([np.bincount(steps, weights=g, minlength=B.shape[1])
+                     for g in gamma.reshape(-1, X).T])
+    return float(np.log(scale).sum()), trans, emit
 
 
 def _emission_objective(counts, B):
@@ -177,8 +251,11 @@ def em_fit(data: ObservationDataset, X: int, init=None, max_iter: int = 100,
     """EM for the transition matrix and an ultrametric emission matrix.
 
     The observation alphabet must have exactly X symbols (square confusion
-    setting). The log-likelihood trace is nondecreasing by construction of
-    the guarded emission step.
+    setting). Each iteration sums the expected counts of one chunked
+    forward-backward scan per sequence (`_forward_backward`). The
+    log-likelihood trace is nondecreasing by construction of the guarded
+    emission step. Raises ZeroLikelihood when some sequence cannot occur
+    under the current (P, B), for instance under a degenerate `init`.
     """
     if len(data.alphabet) != X:
         raise AlphabetMismatch(
@@ -197,8 +274,12 @@ def em_fit(data: ObservationDataset, X: int, init=None, max_iter: int = 100,
         loglik = 0.0
         trans = np.zeros((X, X))
         emit = np.zeros((X, X))
-        for y in data.sequences:
-            ll, tr, em = _forward_backward(P, B, pi0, y)
+        for i, y in enumerate(data.sequences):
+            try:
+                ll, tr, em = _forward_backward(P, B, pi0, y)
+            except ZeroLikelihood:
+                raise ZeroLikelihood(f"sequence {i} has zero likelihood "
+                                     "under the current (P, B)") from None
             loglik += ll
             trans += tr
             emit += em

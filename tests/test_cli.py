@@ -275,6 +275,18 @@ class TestEstimateCommand:
         f.write_text("{broken")
         assert main(["estimate", str(f), "--states", "3"]) == 2
 
+    @pytest.mark.parametrize("max_iter", ["0", "-3"])
+    def test_max_iter_must_be_positive(self, max_iter, tmp_path, capsys):
+        # with no iteration the non-decreasing-trace verdict would be vacuous
+        f = tmp_path / "obs.csv"
+        f.write_text("a,b\na,b,a\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", str(f), "--states", "2", "--max-iter", max_iter])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err and "Traceback" not in captured.err
+
 
 def _csv_rows(text):
     return list(csv.DictReader(l for l in text.splitlines()

@@ -1,16 +1,21 @@
 import json
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from hierpoll import estimate
 from hierpoll.errors import (
     AlphabetMismatch,
     EmptyData,
     ParseError,
     UnknownSymbol,
+    ZeroLikelihood,
 )
 from hierpoll.estimate import (
     ObservationDataset,
+    _forward_backward,
     em_fit,
     estimate_to_dict,
     load_observations,
@@ -24,6 +29,40 @@ from conftest import hmm_sample, random_stochastic
 
 def row_tv(A, B):
     return 0.5 * np.abs(np.asarray(A) - np.asarray(B)).sum(axis=1)
+
+
+def loop_forward_backward(P, B, pi0, y):
+    """Reference scaled forward-backward, one Python step per symbol.
+
+    Returns (log-likelihood, expected transition counts, expected emission
+    counts) of one sequence.
+    """
+    T = y.size
+    alpha = np.empty((T, P.shape[0]))
+    scale = np.empty(T)
+    a = pi0 * B[:, y[0]]
+    scale[0] = a.sum()
+    alpha[0] = a / scale[0]
+    for t in range(1, T):
+        a = (alpha[t - 1] @ P) * B[:, y[t]]
+        scale[t] = a.sum()
+        alpha[t] = a / scale[t]
+    beta = np.empty_like(alpha)
+    beta[-1] = 1.0
+    for t in range(T - 2, -1, -1):
+        beta[t] = (P @ (B[:, y[t + 1]] * beta[t + 1])) / scale[t + 1]
+    gamma = alpha * beta
+    weights = B[:, y[1:]].T * beta[1:] / scale[1:, None]
+    trans = P * (alpha[:-1].T @ weights)
+    emit = np.zeros((B.shape[1], P.shape[0]))
+    np.add.at(emit, y, gamma)
+    return float(np.log(scale).sum()), trans, emit.T
+
+
+def summed(forward_backward, P, B, pi0, sequences):
+    """(log-likelihood, transition counts, emission counts) of a dataset."""
+    parts = [forward_backward(P, B, pi0, y) for y in sequences]
+    return tuple(sum(p[i] for p in parts) for i in range(3))
 
 
 class TestProjectUltrametric:
@@ -104,7 +143,78 @@ class TestLoadObservations:
             load_observations(f)
 
 
+class TestChunkedScan:
+    """The chunked scan against the per-symbol reference. Lengths 48, 49 and
+    50 give L = 7, 7 and 8: a padded last chunk, whole chunks, and a last
+    chunk of two symbols and six padded steps."""
+
+    @pytest.mark.parametrize("X", [2, 3, 5])
+    @pytest.mark.parametrize("lengths", [
+        (1,), (2,), (48,), (49,), (50,), (50_000,),
+        (1, 2, 7, 48, 49, 50, 99, 1000, 3),
+    ], ids=["1", "2", "L2-1", "L2", "L2+1", "50k", "unequal"])
+    def test_counts_match_per_symbol_loop(self, X, lengths):
+        rng = np.random.default_rng(100 * X + len(lengths))
+        P, B = random_stochastic(X, X, rng), random_stochastic(X, X, rng)
+        pi0 = rng.dirichlet(np.ones(X))
+        seqs = [hmm_sample(P, B, n, seed=i) for i, n in enumerate(lengths)]
+        want = summed(loop_forward_backward, P, B, pi0, seqs)
+        got = summed(_forward_backward, P, B, pi0, seqs)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=0)
+
+    def test_memory_follows_symbol_count(self):
+        # 2000 two-symbol sequences and one of 40 000: padding every sequence
+        # to chunks of sqrt(40 000) symbols would hold 440 000 steps
+        ys = [hmm_sample(EXAMPLE1_P, EXAMPLE1_O1, 2, seed=s) for s in range(2000)]
+        ys.append(hmm_sample(EXAMPLE1_P, EXAMPLE1_O1, 40_000, seed=7))
+        ds = ObservationDataset(tuple(ys), ("a", "b", "c"))
+        per_symbol = 3 * 8  # one float64 message over X = 3 states
+        tracemalloc.start()
+        try:
+            em_fit(ds, X=3, max_iter=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * per_symbol * ds.n_symbols
+
+    @pytest.mark.parametrize("sequences, culprit", [
+        ([[0, 1, 0, 1]], 0),
+        ([[0, 0, 0], [1, 1], [0, 1, 0, 1]], 2),
+    ])
+    def test_zero_likelihood_names_sequence(self, sequences, culprit):
+        ds = ObservationDataset(tuple(np.array(s) for s in sequences), ("a", "b"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ZeroLikelihood, match=f"sequence {culprit} "):
+                em_fit(ds, X=2, init=(np.eye(2), np.eye(2)))
+
+
 class TestEmFit:
+    def test_trace_matches_per_symbol_loop(self, monkeypatch):
+        y = hmm_sample(EXAMPLE1_P, EXAMPLE1_O1, 50_000, seed=42)
+        ds = ObservationDataset((y,), ("a", "b", "c"))
+        fast = em_fit(ds, X=3, max_iter=8, tol=0.0, seed=0)
+        monkeypatch.setattr(estimate, "_forward_backward", loop_forward_backward)
+        slow = em_fit(ds, X=3, max_iter=8, tol=0.0, seed=0)
+        assert fast.iterations == slow.iterations == 8
+        np.testing.assert_allclose(fast.log_likelihoods, slow.log_likelihoods,
+                                   rtol=1e-9, atol=0)
+
+    def test_mixed_lengths_match_per_symbol_loop(self, monkeypatch):
+        lengths = [2] * 200 + [1, 3, 7, 48, 49, 50, 99, 1000, 20_000]
+        ys = tuple(hmm_sample(EXAMPLE1_P, EXAMPLE1_O1, n, seed=i)
+                   for i, n in enumerate(lengths))
+        ds = ObservationDataset(ys, ("a", "b", "c"))
+        fast = em_fit(ds, X=3, max_iter=4, tol=0.0, seed=0)
+        monkeypatch.setattr(estimate, "_forward_backward", loop_forward_backward)
+        slow = em_fit(ds, X=3, max_iter=4, tol=0.0, seed=0)
+        np.testing.assert_allclose(fast.log_likelihoods, slow.log_likelihoods,
+                                   rtol=1e-9, atol=0)
+        for got, want in ((fast.transition, slow.transition),
+                          (fast.emission, slow.emission)):
+            np.testing.assert_allclose(got.entries, want.entries, rtol=1e-9, atol=0)
+
     def test_alphabet_mismatch(self):
         ds = ObservationDataset((np.array([0, 1]),), ("a", "b"))
         with pytest.raises(AlphabetMismatch):
