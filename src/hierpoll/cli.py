@@ -129,24 +129,26 @@ RESULT_COLUMNS = ("rho", "metric", "value", "stderr", "runs", "horizon", "seed")
 def cmd_example1(args) -> int:
     meta_src = {"cmd": "example1", "rho": args.rho_list, "grid_m": args.grid_m,
                 "runs": args.runs, "horizon": args.horizon}
-    ok = True
-    rows = []
-    pi0 = uniform_belief(3)
-    for rho in args.rho_list:
-        model = example1_model(rho)
+    holds = []
+
+    def solve(model):
         report = verify_myopic_bound(model, args.grid_m, tol=args.vi_tol)
-        print(f"# rho={rho}: chain deficiencies {['%.2e' % d for d in report.deficiencies]}, "
+        print(f"# rho={model.rho}: chain deficiencies {['%.2e' % d for d in report.deficiencies]}, "
               f"myopic bound: {len(report.violations)} violations on "
               f"{report.grid_points}-point grid (M={args.grid_m})", file=sys.stderr)
-        ok &= report.holds
-        value, stderr = loss_ratio(*l1_components(
-            model, args.grid_m, args.runs, args.horizon, args.seed, pi0,
-            gvf=report.solution))
-        rows.append((rho, "L1", value, stderr, args.runs, args.horizon, args.seed))
+        holds.append(report.holds)
+        return report.solution
+
+    # rollouts read no discount: l1_components applies each rho of the sweep
+    components = l1_components(example1_model(0.0), args.rho_list, args.grid_m,
+                               args.runs, args.horizon, args.seed, uniform_belief(3),
+                               solve=solve)
+    rows = [(rho, "L1", *loss_ratio(*pair), args.runs, args.horizon, args.seed)
+            for rho, pair in zip(args.rho_list, components)]
     text = render_table(RESULT_COLUMNS, rows, args.format,
                         standard_meta(meta_src, args.seed))
     write_output(text, args.out)
-    return 0 if ok else 1
+    return 0 if all(holds) else 1
 
 
 def cmd_example2(args) -> int:
@@ -173,12 +175,10 @@ def cmd_example2(args) -> int:
             garbling = eval_matrix_polynomial(quotients[u], B).entries
             diff = channels[u + 1].matrix.entries - channels[u].matrix.entries @ garbling
             residual = max(residual, float(np.abs(diff).sum(axis=1).max()))
-        losses = []
-        for rho in args.rho_list:
-            model = PollingModel(P=P, channels=channels, costs=costs, rho=rho)
-            losses.append(loss_ratio(*l2_components(
-                model, args.runs, args.horizon, _pair_seed(args.seed, p), pi0=pi0)))
-        return residual, losses
+        # rollouts read no discount: one per draw serves every rho
+        model = PollingModel(P=P, channels=channels, costs=costs, rho=0.0)
+        return residual, [loss_ratio(*pair) for pair in l2_components(
+            model, args.rho_list, args.runs, args.horizon, _pair_seed(args.seed, p), pi0=pi0)]
 
     with ThreadPoolExecutor(max_workers=args.threads) as ex:
         results = list(ex.map(run_pair, range(args.pairs)))

@@ -1,19 +1,21 @@
 """Monte Carlo rollout of the controlled hidden-Markov process and the
 optimality-loss metrics.
 
-Discounting follows the planning convention: the stage cost at step k is
-C(pi_k, u_k) with u_k = policy(pi_k) charged before the transition, weighted
-by rho^k from k = 0. Every run draws its uniforms from a stream keyed by
-(seed, run index), so runs are individually reproducible and independent of
-batch size or execution order.
+A rollout reads no discount factor: it records the stage cost C(pi_k, u_k),
+with u_k = policy(pi_k) charged before the transition, and on request the
+piecewise proxy ctilde(pi_k) of the same step. rho enters only in the summary,
+which weights step k by rho^k from k = 0, so one rollout serves every rho.
+Every run draws its uniforms from a stream keyed by (seed, run index), so
+runs are individually reproducible and independent of batch size or
+execution order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import UndefinedCTilde
+from .errors import InvalidAction, UndefinedCTilde
 from .pomdp import (
     CostSpec,
     GridValueFunction,
@@ -41,7 +43,7 @@ class FixedPolicy:
 
     def actions(self, PI: np.ndarray, model: PollingModel) -> np.ndarray:
         if not 1 <= self.u <= model.n_actions:
-            raise ValueError(f"fixed action {self.u} outside 1..{model.n_actions}")
+            raise InvalidAction(f"fixed action {self.u} outside 1..{model.n_actions}")
         return np.full(PI.shape[0], self.u, dtype=int)
 
 
@@ -73,10 +75,10 @@ class Trajectory:
         return self.actions.size
 
 
-def _uniform_streams(seed: int, runs: int, horizon: int) -> np.ndarray:
-    draws = np.empty((runs, 1 + 2 * horizon))
-    for r in range(runs):
-        draws[r] = np.random.default_rng([int(seed), r]).random(1 + 2 * horizon)
+def _uniform_streams(seed: int, run_ids, horizon: int) -> np.ndarray:
+    draws = np.empty((len(run_ids), 1 + 2 * horizon))
+    for i, r in enumerate(run_ids):
+        draws[i] = np.random.default_rng([int(seed), r]).random(1 + 2 * horizon)
     return draws
 
 
@@ -86,37 +88,40 @@ def _sample_categorical(cum_rows: np.ndarray, row_idx: np.ndarray,
 
 
 def _rollout(model: PollingModel, policy, pi0: np.ndarray, horizon: int,
-             seed: int, runs: int, stage_values=None, record: bool = False):
-    """Vectorized simulation of `runs` independent rollouts.
-
-    stage_values(PI, actions) overrides the recorded per-step cost (used by
-    the proxy-bound metric); the dynamics are unaffected.
+             seed: int, runs, proxy: bool = False, record: bool = False):
+    """Vectorized simulation of independent rollouts, `runs` being a run
+    count or the run indices to draw. Reads no discount factor: returns the
+    (runs, horizon) stage costs, with `proxy` also ctilde at the same steps.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    X = model.n_states
-    draws = _uniform_streams(seed, runs, horizon)
+    draws = _uniform_streams(seed, range(runs) if np.isscalar(runs) else runs,
+                             horizon)
+    runs, X = draws.shape[0], model.n_states
+    if runs < 1:
+        raise ValueError("runs must be >= 1")
     cumP = np.cumsum(model.P.entries, axis=1)
     cumO = [np.cumsum(model.observation(u), axis=1) for u in range(1, model.n_actions + 1)]
 
     x = (np.cumsum(pi0)[None, :] < draws[:, 0:1]).sum(axis=1)
     PI = np.tile(pi0, (runs, 1))
-    costs = np.empty((runs, horizon))
+    out = {"costs": np.empty((runs, horizon))}
+    if proxy:
+        out["ctilde"] = np.empty((runs, horizon))
     if record:
-        states = np.empty((runs, horizon + 1), dtype=int)
-        actions = np.empty((runs, horizon), dtype=int)
-        observations = np.empty((runs, horizon), dtype=int)
-        beliefs = np.empty((runs, horizon + 1, X))
-        states[:, 0] = x
-        beliefs[:, 0] = PI
+        out.update(states=np.empty((runs, horizon + 1), dtype=int),
+                   actions=np.empty((runs, horizon), dtype=int),
+                   observations=np.empty((runs, horizon), dtype=int),
+                   beliefs=np.empty((runs, horizon + 1, X)))
+        out["states"][:, 0] = x
+        out["beliefs"][:, 0] = PI
 
     for k in range(horizon):
         a = policy.actions(PI, model)
-        if stage_values is None:
-            allc = cost_matrix(PI, model.costs)
-            costs[:, k] = np.take_along_axis(allc, (a - 1)[:, None], axis=1)[:, 0]
-        else:
-            costs[:, k] = stage_values(PI, a)
+        allc = cost_matrix(PI, model.costs)
+        out["costs"][:, k] = np.take_along_axis(allc, (a - 1)[:, None], axis=1)[:, 0]
+        if proxy:
+            out["ctilde"][:, k] = ctilde_values(PI, model.costs)
         x_next = _sample_categorical(cumP, x, draws[:, 1 + 2 * k])
         y = np.empty(runs, dtype=int)
         O_sel = np.empty((runs, X))
@@ -128,33 +133,20 @@ def _rollout(model: PollingModel, policy, pi0: np.ndarray, horizon: int,
         PI, _ = bayes_update(PI @ model.P.entries, O_sel)
         x = x_next
         if record:
-            states[:, k + 1] = x
-            actions[:, k] = a
-            observations[:, k] = y
-            beliefs[:, k + 1] = PI
-
-    out = {"costs": costs}
-    if record:
-        out.update(states=states, actions=actions, observations=observations,
-                   beliefs=beliefs)
+            out["states"][:, k + 1] = x
+            out["actions"][:, k] = a
+            out["observations"][:, k] = y
+            out["beliefs"][:, k + 1] = PI
     return out
 
 
 def simulate(model: PollingModel, policy, pi0, horizon: int, seed: int,
              run_index: int = 0) -> Trajectory:
     """Single reproducible rollout; identical to run `run_index` of a batch."""
-    pi0 = np.asarray(pi0, dtype=float)
-    data = _rollout(model, policy, pi0, horizon, seed, runs=run_index + 1,
-                    record=True)
-    r = run_index
-    return Trajectory(
-        states=data["states"][r],
-        actions=data["actions"][r],
-        observations=data["observations"][r],
-        beliefs=data["beliefs"][r],
-        costs=data["costs"][r],
-        discounts=model.rho ** np.arange(horizon),
-    )
+    data = _rollout(model, policy, np.asarray(pi0, dtype=float), horizon, seed,
+                    runs=[run_index], record=True)
+    return Trajectory(**{name: rows[0] for name, rows in data.items()},
+                      discounts=model.rho ** np.arange(horizon))
 
 
 @dataclass(frozen=True)
@@ -175,30 +167,28 @@ class CostEstimate:
             raise ValueError("standard error must be nonnegative")
 
 
-def _discounted_totals(model, costs: np.ndarray) -> np.ndarray:
-    weights = model.rho ** np.arange(costs.shape[1])
-    return costs @ weights
-
-
-def estimate_cost(model: PollingModel, policy, pi0, horizon: int, runs: int,
-                  seed: int, stage_values=None) -> CostEstimate:
-    """Mean discounted cost over seeded independent rollouts.
+def _summary(model: PollingModel, costs: np.ndarray, rho: float,
+             seed: int) -> CostEstimate:
+    """Mean discounted total of (runs, horizon) stage costs at discount rho.
 
     The reported truncation bias bounds the discarded tail:
     rho^horizon * max stage cost / (1 - rho).
     """
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
-    pi0 = np.asarray(pi0, dtype=float)
-    data = _rollout(model, policy, pi0, horizon, seed, runs,
-                    stage_values=stage_values)
-    totals = _discounted_totals(model, data["costs"])
+    runs, horizon = costs.shape
+    totals = costs @ rho ** np.arange(horizon)
     mean = float(totals.mean())
     stderr = float(totals.std(ddof=1) / np.sqrt(runs)) if runs > 1 else 0.0
-    bias = (model.rho ** horizon) * max_stage_cost(model.costs, model.n_states) \
-        / (1.0 - model.rho)
+    bias = (rho ** horizon) * max_stage_cost(model.costs, model.n_states) / (1.0 - rho)
     return CostEstimate(mean=mean, stderr=stderr, runs=runs, horizon=horizon,
                         seed=seed, truncation_bias=float(bias))
+
+
+def estimate_cost(model: PollingModel, policy, pi0, horizon: int, runs: int,
+                  seed: int) -> CostEstimate:
+    """Mean discounted cost over seeded independent rollouts."""
+    costs = _rollout(model, policy, np.asarray(pi0, dtype=float), horizon, seed,
+                     runs)["costs"]
+    return _summary(model, costs, model.rho, seed)
 
 
 # -------------------------------------------------------------- loss metrics
@@ -213,18 +203,23 @@ def loss_ratio(j: CostEstimate, j_ref: CostEstimate) -> tuple[float, float]:
     return value, float(np.hypot(j.stderr, j_ref.stderr) / j_ref.mean)
 
 
-def l1_components(model: PollingModel, M: int, runs: int, horizon: int,
-                  seed: int, pi0=None, vi_tol: float = 1e-8,
-                  gvf: GridValueFunction | None = None):
-    """The two cost estimates behind the optimality-loss ratio: the myopic
-    policy and the grid-optimal policy, simulated with common random numbers
-    so the Monte Carlo noise largely cancels."""
+def l1_components(model: PollingModel, rhos, M: int, runs: int, horizon: int,
+                  seed: int, pi0=None, vi_tol: float = 1e-8, solve=None):
+    """Per rho in `rhos`, the myopic and grid-optimal cost estimates behind
+    the optimality-loss ratio, on common random numbers so the Monte Carlo
+    noise largely cancels. One rho-free myopic rollout serves every rho, which
+    enters only in the discounting; the grid policy, solved per rho by
+    `solve(model)` (value iteration by default), is rolled out once per rho."""
     pi0 = uniform_belief(model.n_states) if pi0 is None else np.asarray(pi0, float)
-    if gvf is None:
-        gvf = value_iteration(model, M, tol=vi_tol)
-    j_myopic = estimate_cost(model, MyopicPolicy(), pi0, horizon, runs, seed)
-    j_star = estimate_cost(model, GridPolicy(gvf), pi0, horizon, runs, seed)
-    return j_myopic, j_star
+    costs = _rollout(model, MyopicPolicy(), pi0, horizon, seed, runs)["costs"]
+    j_myopic = [_summary(model, costs, rho, seed) for rho in rhos]
+    del costs  # freed before value iteration runs
+    out = []
+    for rho, jb in zip(rhos, j_myopic):
+        at_rho = replace(model, rho=rho)
+        gvf = value_iteration(at_rho, M, tol=vi_tol) if solve is None else solve(at_rho)
+        out.append((jb, estimate_cost(at_rho, GridPolicy(gvf), pi0, horizon, runs, seed)))
+    return out
 
 
 def loss_L1(model: PollingModel, M: int, runs: int, horizon: int, seed: int,
@@ -240,8 +235,8 @@ def loss_L1(model: PollingModel, M: int, runs: int, horizon: int, seed: int,
         j_myopic = estimate_cost(model, MyopicPolicy(), pi0, horizon, runs, seed)
         j_star = gvf.interpolate(pi0)
         return (j_myopic.mean - j_star) / j_star
-    j_myopic, j_opt = l1_components(model, M, runs, horizon, seed, pi0, vi_tol)
-    return loss_ratio(j_myopic, j_opt)[0]
+    (components,) = l1_components(model, [model.rho], M, runs, horizon, seed, pi0, vi_tol)
+    return loss_ratio(*components)[0]
 
 
 def ctilde_values(PI, costs: CostSpec) -> np.ndarray:
@@ -261,15 +256,16 @@ def ctilde_values(PI, costs: CostSpec) -> np.ndarray:
     return np.where(in_s1, allc[:, 0], allc[:, -1] + weight * eta1)
 
 
-def l2_components(model: PollingModel, runs: int, horizon: int, seed: int,
+def l2_components(model: PollingModel, rhos, runs: int, horizon: int, seed: int,
                   pi0=None):
-    """Cost estimates behind the proxy-bound ratio: the myopic policy's cost
-    and the piecewise proxy accumulated along myopic trajectories."""
+    """Per rho in `rhos`, the myopic policy's cost and the piecewise proxy
+    accumulated along the same trajectories, behind the proxy-bound ratio.
+    One rho-free myopic rollout records both; rho enters only in the
+    discounting."""
     pi0 = uniform_belief(model.n_states) if pi0 is None else np.asarray(pi0, float)
-    j_myopic = estimate_cost(model, MyopicPolicy(), pi0, horizon, runs, seed)
-    j_tilde = estimate_cost(model, MyopicPolicy(), pi0, horizon, runs, seed,
-                            stage_values=lambda PI, a: ctilde_values(PI, model.costs))
-    return j_myopic, j_tilde
+    data = _rollout(model, MyopicPolicy(), pi0, horizon, seed, runs, proxy=True)
+    return [(_summary(model, data["costs"], rho, seed),
+             _summary(model, data["ctilde"], rho, seed)) for rho in rhos]
 
 
 def loss_L2(model: PollingModel, runs: int, horizon: int, seed: int,
@@ -279,4 +275,5 @@ def loss_L2(model: PollingModel, runs: int, horizon: int, seed: int,
     The proxy accumulates ctilde along myopic trajectories, which keeps the
     metric computable when the grid-optimal policy is out of reach.
     """
-    return loss_ratio(*l2_components(model, runs, horizon, seed, pi0))[0]
+    (components,) = l2_components(model, [model.rho], runs, horizon, seed, pi0)
+    return loss_ratio(*components)[0]

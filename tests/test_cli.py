@@ -170,6 +170,37 @@ class TestExampleCommands:
         assert np.isfinite(rows[0.5])
 
 
+    @pytest.mark.parametrize("argv, rollouts", [
+        (["example2", "--states", "5", "--pairs", "2", "--rho-list", "0.1,0.5,0.9"], 2),
+        (["example1", "--rho-list", "0.3,0.6", "--grid-m", "12", "--runs", "50",
+          "--horizon", "20"], 3),
+    ], ids=["example2-one-per-pair", "example1-one-myopic-one-grid-per-rho"])
+    def test_each_trajectory_set_is_rolled_out_once(self, argv, rollouts, tmp_path,
+                                                    monkeypatch):
+        from hierpoll import sim
+        calls = []
+        rollout = sim._rollout
+
+        def counted(*args, **kwargs):
+            calls.append(type(args[1]).__name__)
+            return rollout(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "_rollout", counted)
+        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
+        assert len(calls) == rollouts
+        if argv[0] == "example1":
+            assert calls == ["MyopicPolicy", "GridPolicy", "GridPolicy"]
+
+    def test_example2_bytes_independent_of_threads(self, tmp_path):
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}.csv"
+            assert main(["example2", "--states", "5", "--pairs", "2",
+                         "--threads", threads, "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+
 class TestSolveSimulate:
     def test_solve_emits_grid(self, model_config, capsys):
         assert main(["solve", "--config", model_config, "--grid-m", "6"]) == 0

@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 
 from hierpoll.channels import make_channel
-from hierpoll.errors import UndefinedCTilde
+from hierpoll.errors import InvalidAction, UndefinedCTilde
 from hierpoll.pomdp import CostSpec, PollingModel, belief_cost, myopic_policy, value_iteration
 from hierpoll.presets import example1_model, example2_model
 from hierpoll.sim import (
     FixedPolicy,
     GridPolicy,
     MyopicPolicy,
+    _rollout,
     ctilde_values,
     estimate_cost,
+    l1_components,
+    l2_components,
     loss_L1,
     loss_L2,
     simulate,
@@ -48,13 +51,27 @@ class TestSimulate:
         assert np.array_equal(t1.beliefs, t2.beliefs)
 
     def test_run_index_matches_batch(self, model):
-        from hierpoll.sim import _rollout
         batch = _rollout(model, MyopicPolicy(), uniform_belief(3), 30,
                          seed=5, runs=4, record=True)
         solo = simulate(model, MyopicPolicy(), uniform_belief(3), 30,
                         seed=5, run_index=2)
         assert np.array_equal(solo.states, batch["states"][2])
         assert np.array_equal(solo.costs, batch["costs"][2])
+
+    def test_run_index_draws_only_that_run(self, model):
+        seen = []
+
+        class Spy(MyopicPolicy):
+            def actions(self, PI, model):
+                seen.append(PI.shape[0])
+                return super().actions(PI, model)
+
+        simulate(model, Spy(), uniform_belief(3), 10, seed=5, run_index=7)
+        assert seen == [1] * 10
+
+    def test_fixed_action_out_of_range_is_invalid_action(self, model):
+        with pytest.raises(InvalidAction, match="fixed action 3"):
+            FixedPolicy(3).actions(uniform_belief(3)[None, :], model)
 
     def test_actions_follow_myopic_threshold(self, model):
         traj = simulate(model, MyopicPolicy(), uniform_belief(3), 100, seed=7)
@@ -215,3 +232,50 @@ class TestLossL2:
         err = 1 - np.einsum("ij,ij->i", PI, PI)
         want = np.where(inner, allc[:, 0], allc[:, 1] + 0.5 * (0.5 * err))
         assert np.allclose(vals, want)
+
+
+def intent_model():
+    return example2_model(rho=0.7, X=4, seed=3)
+
+
+def at_rho(model, rho):
+    return PollingModel(model.P, model.channels, model.costs, rho)
+
+
+RHOS = [0.0, 0.5, 0.9]
+
+
+class TestSharedRollouts:
+    """One rho-free rollout, discounted per rho, equals a rollout per rho."""
+
+    @pytest.mark.parametrize("make", [lambda: example1_model(0.3), intent_model],
+                             ids=["example1", "intent-x4"])
+    def test_l2_components_match_per_rho_oracles(self, make):
+        model, runs, horizon, seed = make(), 40, 25, 11
+        X = model.n_states
+        pi0 = uniform_belief(X)
+        traj = _rollout(model, MyopicPolicy(), pi0, horizon, seed, runs, record=True)
+        ctilde = ctilde_values(traj["beliefs"][:, :-1].reshape(-1, X),
+                               model.costs).reshape(runs, horizon)
+        components = l2_components(model, RHOS, runs, horizon, seed)
+        assert len(components) == len(RHOS)
+        for rho, (j_bar, j_tilde) in zip(RHOS, components):
+            assert j_bar == estimate_cost(at_rho(model, rho), MyopicPolicy(), pi0,
+                                          horizon, runs, seed)
+            totals = ctilde @ rho ** np.arange(horizon)
+            assert j_tilde.mean == pytest.approx(totals.mean(), rel=1e-12, abs=1e-12)
+            assert j_tilde.stderr == pytest.approx(totals.std(ddof=1) / np.sqrt(runs),
+                                                   rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("make", [lambda: example1_model(0.3), intent_model],
+                             ids=["example1", "intent-x4"])
+    def test_l1_components_match_per_rho_oracles(self, make):
+        model, M, runs, horizon, seed = make(), 6, 30, 15, 4
+        pi0 = uniform_belief(model.n_states)
+        components = l1_components(model, RHOS, M, runs, horizon, seed)
+        assert len(components) == len(RHOS)
+        for rho, (j_bar, j_star) in zip(RHOS, components):
+            exact = at_rho(model, rho)
+            assert j_bar == estimate_cost(exact, MyopicPolicy(), pi0, horizon, runs, seed)
+            gvf = value_iteration(exact, M)
+            assert j_star == estimate_cost(exact, GridPolicy(gvf), pi0, horizon, runs, seed)
