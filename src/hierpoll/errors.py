@@ -118,6 +118,10 @@ class UncertifiedDominance(HierPollError, ValueError):
     pass
 
 
+class BeliefOffGrid(HierPollError, ValueError):
+    pass
+
+
 # --------------------------------------------------------------- sim / L2
 class UndefinedCTilde(HierPollError, ValueError):
     pass

@@ -21,12 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
 from .channels import Channel, _compositions, lecam_deficiency, make_channel
 from .errors import (
+    BeliefOffGrid,
     GridTooLarge,
     InvalidAction,
     InvalidCostSpec,
@@ -40,6 +42,7 @@ from .stochastic import ConvexPolynomial, StochasticMatrix, as_array, validate_s
 
 BELIEF_TOL = 1e-10
 MAX_SWEEPS = 10 ** 5
+OFF_GRID = -(1 << 40)      # rank-table sentinel; exceeds any grid size
 
 
 def validate_belief(pi, tol: float = BELIEF_TOL) -> np.ndarray:
@@ -260,6 +263,17 @@ class FreudenthalGrid:
     the containing simplex of the standard (Freudenthal / Kuhn)
     triangulation and double as barycentric weights. Interpolation is exact
     on grid points and reproduces affine functions.
+
+    Points are listed in lexicographically descending order, so the index
+    of a lattice point has a closed form in its cumulative coordinates
+    (xi_0 = M): rank(xi) = sum_{j=1}^{X-1} C(xi_j + X-1-j, X-j). The
+    containing simplex is a walk from the base vertex floor(xi): vertex k
+    adds one to xi at the coordinate of the k-th largest fractional part,
+    and each coordinate takes that step exactly once. So the vertex indices
+    are rank(floor(xi)) plus a cumulative sum of per-coordinate steps, read
+    from the (X-1, M+2) table of the terms above. The table's last column
+    is a large negative sentinel: a step past xi_0 = M leaves the grid and
+    drives that vertex's index, and all later ones, negative.
     """
 
     def __init__(self, M: int, X: int):
@@ -269,10 +283,9 @@ class FreudenthalGrid:
         self.X = int(X)
         self.lattice = np.array(list(_compositions(self.M, self.X)), dtype=np.int64)
         self.points = self.lattice / float(M)
-        self._powers = (self.M + 1) ** np.arange(self.X, dtype=np.int64)
-        keys = self.lattice @ self._powers
-        self._key_order = np.argsort(keys)
-        self._sorted_keys = keys[self._key_order]
+        self._terms = np.array([[math.comb(c + X - 1 - j, X - j) for c in range(M + 1)]
+                                + [OFF_GRID] for j in range(1, X)], dtype=np.int64)
+        self._columns = (self.M + 2) * np.arange(X - 1)[:, None]
 
     @property
     def size(self) -> int:
@@ -281,44 +294,52 @@ class FreudenthalGrid:
     def index_of(self, compositions: np.ndarray) -> np.ndarray:
         """Grid index of each integer composition row; -1 where invalid."""
         comps = np.atleast_2d(compositions)
-        keys = comps @ self._powers
-        pos = np.searchsorted(self._sorted_keys, keys)
-        pos = np.clip(pos, 0, self._sorted_keys.size - 1)
-        found = self._sorted_keys[pos] == keys
-        valid = found & (comps >= 0).all(axis=1)
-        idx = np.where(valid, self._key_order[pos], -1)
-        return idx
+        xi = np.cumsum(comps[:, ::-1], axis=1)[:, ::-1]
+        valid = (comps >= 0).all(axis=1) & (xi[:, 0] == self.M)
+        cols = np.where(valid, xi[:, 1:].T, 0) + self._columns
+        return np.where(valid, np.take(self._terms, cols).sum(axis=0), -1)
 
     def interpolation_data(self, PI) -> tuple[np.ndarray, np.ndarray]:
-        """Vertex indices and barycentric weights for each query belief."""
+        """Vertex indices and barycentric weights for each query belief.
+
+        Raises BeliefOffGrid for a non-finite row and where a vertex of
+        weight above 1e-12 lies off the grid; a lighter off-grid vertex
+        gets index 0 and keeps its weight.
+        """
         PI = np.atleast_2d(np.asarray(PI, dtype=float))
         n, X = PI.shape
         if X != self.X:
             raise ValueError(f"belief dimension {X} != grid dimension {self.X}")
-        xi = self.M * np.cumsum(PI[:, ::-1], axis=1)[:, ::-1]
+        if not np.isfinite(PI).all():
+            raise BeliefOffGrid("belief rows must be finite")
+        # coordinate-major layout (X, n): every step is a vector op over beliefs
+        xi = self.M * _accumulate(np.ascontiguousarray(PI.T[::-1]))[::-1]
         v = np.floor(xi + 1e-9)
-        d = np.clip(xi - v, 0.0, None)
-        order = np.argsort(-d[:, 1:], axis=1, kind="stable") + 1      # (n, X-1)
-        dsort = np.take_along_axis(d, order, axis=1)                  # descending
-        w = np.empty((n, X))
-        w[:, 0] = 1.0 - dsort[:, 0]
-        if X > 2:
-            w[:, 1:X - 1] = dsort[:, :X - 2] - dsort[:, 1:X - 1]
-        w[:, X - 1] = dsort[:, X - 2]
-        # vertex k of the containing simplex: v plus the k largest fractional steps
-        verts = np.repeat(v[:, None, :], X, axis=1)                   # (n, X, X)
-        rows = np.arange(n)[:, None]
-        for k in range(1, X):
-            verts[rows, np.arange(k, X)[None, :], order[:, k - 1:k]] += 1.0
-        comps = np.rint(verts - np.concatenate(
-            [verts[:, :, 1:], np.zeros((n, X, 1))], axis=2)).astype(np.int64)
-        idx = self.index_of(comps.reshape(-1, X)).reshape(n, X)
-        bad = (idx < 0) & (w > 1e-12)
-        if np.any(bad):
-            raise RuntimeError("interpolation vertex fell outside the grid")
-        idx = np.where(idx < 0, 0, idx)
-        w = np.clip(w, 0.0, None)
-        return idx, w
+        # base vertex on the grid: xi_0 = M and xi nonincreasing down to >= 0
+        if not ((v[0] == self.M).all() and (v[:-1] >= v[1:]).all() and (v[-1] >= 0).all()):
+            raise BeliefOffGrid("interpolation vertex fell outside the grid")
+        d = np.maximum(xi[1:] - v[1:], 0.0)
+        cols = v[1:].astype(np.int64) + self._columns
+        low = np.take(self._terms, cols)
+        step = np.take(self._terms, cols + 1) - low                   # per coordinate
+        # equal base coordinates stepped out of order (negative mass) leave the
+        # grid from the later coordinate's step until the earlier one's
+        tie = (v[1:-1] == v[2:]) & (d[:-1] < d[1:])
+        step[1:] += OFF_GRID * tie
+        step[:-1] -= OFF_GRID * tie
+        # place of each coordinate in the stable descending order of d
+        place = np.tile(np.arange(n), (X - 1, 1))      # flat, into (X-1, n) rows
+        for a, b in combinations(range(X - 1), 2):
+            b_first = n * (d[b] > d[a])
+            place[a] += b_first
+            place[b] += n - b_first
+        dsort, walk = np.empty_like(d, order="C"), np.empty_like(step, order="C")
+        dsort.ravel()[place], walk.ravel()[place] = d, step
+        w = np.concatenate([1.0 - dsort[:1], dsort[:-1] - dsort[1:], dsort[-1:]])
+        idx = _accumulate(np.concatenate([low.sum(axis=0, keepdims=True), walk]))
+        if np.any((idx < 0) & (w > 1e-12)):
+            raise BeliefOffGrid("interpolation vertex fell outside the grid")
+        return np.ascontiguousarray(np.maximum(idx, 0).T), np.ascontiguousarray(w.T)
 
     def interpolate(self, values: np.ndarray, PI) -> np.ndarray:
         idx, w = self.interpolation_data(PI)
@@ -344,6 +365,14 @@ class FreudenthalGrid:
                 pairs.append(np.stack([lo, hi], axis=1))
         allp = np.unique(np.vstack(pairs), axis=0)
         return allp
+
+
+def _accumulate(a: np.ndarray) -> np.ndarray:
+    """In-place cumulative sum down the first axis, one vector op per row;
+    np.cumsum is far slower over a few coordinates of many beliefs."""
+    for k in range(1, a.shape[0]):
+        a[k] += a[k - 1]
+    return a
 
 
 def grid_size(M: int, X: int) -> int:
@@ -372,9 +401,11 @@ class GridValueFunction:
 class Lookahead:
     """One-step Bellman lookahead from a fixed set of belief rows PI.
 
-    Holds, per action, the stage costs C, the likelihood sigma of every
-    observation and the grid interpolation data of every posterior, so that
-    q_values(V) = C + rho sum_y sigma_y V(T_y) costs one gather per call.
+    Holds the stage costs C, and for the observations of every action side
+    by side (columns ends[u-1]:ends[u] belong to action u) their
+    likelihoods sigma and the grid interpolation data of their posteriors,
+    so that q_values(V) = C + rho sum_y sigma_y V(T_y) costs one gather per
+    call. All posteriors are interpolated in one pass.
     """
 
     def __init__(self, model: PollingModel, grid: FreudenthalGrid, PI):
@@ -382,23 +413,19 @@ class Lookahead:
         self.grid = grid
         self.rho = model.rho
         self.C = cost_matrix(PI, model.costs)                 # (n, U)
-        PR = PI @ model.P.entries                             # rows of P' pi
-        self.sigma, self.idx, self.w = [], [], []
-        for u in range(1, model.n_actions + 1):
-            T, sig = bayes_update(PR[:, None, :], model.observation(u).T[None])
-            n, Y, X = T.shape                                 # T: (n, Y, X)
-            idx, w = grid.interpolation_data(T.reshape(n * Y, X))
-            self.sigma.append(sig)
-            self.idx.append(idx.reshape(n, Y, X))
-            self.w.append(w.reshape(n, Y, X))
+        O = [model.observation(u) for u in range(1, model.n_actions + 1)]
+        self.ends = np.cumsum([0] + [o.shape[1] for o in O])
+        # T: (n, Y, X) posteriors of P' pi over every action's Y_u symbols
+        T, self.sigma = bayes_update((PI @ model.P.entries)[:, None, :], np.hstack(O).T[None])
+        idx, w = grid.interpolation_data(T.reshape(-1, T.shape[2]))
+        self.idx, self.w = idx.reshape(T.shape), w.reshape(T.shape)
 
     def q_values(self, values: np.ndarray) -> np.ndarray:
         """Lookahead costs of every belief row and action, shape (n, U)."""
-        Q = np.empty_like(self.C)
-        for ui, (sig, idx, w) in enumerate(zip(self.sigma, self.idx, self.w)):
-            interp = (values[idx] * w).sum(axis=2)            # (n, Y)
-            Q[:, ui] = self.C[:, ui] + self.rho * (sig * interp).sum(axis=1)
-        return Q
+        interp = (values[self.idx] * self.w).sum(axis=2)      # (n, Y)
+        expected = [(self.sigma[:, a:b] * interp[:, a:b]).sum(axis=1)
+                    for a, b in zip(self.ends[:-1], self.ends[1:])]
+        return self.C + self.rho * np.stack(expected, axis=1)
 
 
 def _checked_grid(M: int, X: int, max_points: int) -> FreudenthalGrid:

@@ -1,8 +1,12 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
 from hierpoll.channels import make_channel
 from hierpoll.errors import (
+    BeliefOffGrid,
     GridTooLarge,
     InvalidAction,
     InvalidCostSpec,
@@ -15,6 +19,7 @@ from hierpoll.errors import (
 from hierpoll.pomdp import (
     CostSpec,
     FreudenthalGrid,
+    Lookahead,
     PollingModel,
     bayes_update,
     belief_cost,
@@ -202,7 +207,110 @@ class TestFilterUpdate:
             assert total == pytest.approx(1.0, abs=1e-10)
 
 
+def searchsorted_interpolation_data(grid, PI):
+    """Reference lookup by search: every simplex vertex is built as an
+    explicit composition and found among the sorted lattice keys. Raises
+    RuntimeError where the grid code raises BeliefOffGrid for a vertex off
+    the grid."""
+    M, X = grid.M, grid.X
+    powers = (M + 1) ** np.arange(X, dtype=np.int64)
+    keys = grid.lattice @ powers
+    key_order = np.argsort(keys)
+    sorted_keys = keys[key_order]
+
+    def index_of(comps):
+        k = comps @ powers
+        pos = np.clip(np.searchsorted(sorted_keys, k), 0, sorted_keys.size - 1)
+        found = (sorted_keys[pos] == k) & (comps >= 0).all(axis=1)
+        return np.where(found, key_order[pos], -1)
+
+    PI = np.atleast_2d(np.asarray(PI, dtype=float))
+    n = PI.shape[0]
+    xi = M * np.cumsum(PI[:, ::-1], axis=1)[:, ::-1]
+    v = np.floor(xi + 1e-9)
+    d = np.clip(xi - v, 0.0, None)
+    order = np.argsort(-d[:, 1:], axis=1, kind="stable") + 1
+    dsort = np.take_along_axis(d, order, axis=1)
+    w = np.empty((n, X))
+    w[:, 0] = 1.0 - dsort[:, 0]
+    if X > 2:
+        w[:, 1:X - 1] = dsort[:, :X - 2] - dsort[:, 1:X - 1]
+    w[:, X - 1] = dsort[:, X - 2]
+    verts = np.repeat(v[:, None, :], X, axis=1)
+    rows = np.arange(n)[:, None]
+    for k in range(1, X):
+        verts[rows, np.arange(k, X)[None, :], order[:, k - 1:k]] += 1.0
+    comps = np.rint(verts - np.concatenate(
+        [verts[:, :, 1:], np.zeros((n, X, 1))], axis=2)).astype(np.int64)
+    idx = index_of(comps.reshape(-1, X)).reshape(n, X)
+    if np.any((idx < 0) & (w > 1e-12)):
+        raise RuntimeError("interpolation vertex fell outside the grid")
+    return np.where(idx < 0, 0, idx), np.clip(w, 0.0, None)
+
+
+ORACLE_GRIDS = [(60, 3), (12, 3), (20, 4), (10, 5), (2, 2), (60, 2), (6, 8)]
+
+
 class TestFreudenthalGrid:
+    @pytest.mark.parametrize("M, X", ORACLE_GRIDS, ids=[f"M{m}-X{x}" for m, x in ORACLE_GRIDS])
+    def test_closed_form_matches_searchsorted_reference(self, M, X, rng):
+        grid = FreudenthalGrid(M, X)
+        faces = rng.dirichlet(np.ones(X), 400) * (rng.random((400, X)) < 0.5)
+        faces = faces[faces.sum(axis=1) > 0]
+        faces /= faces.sum(axis=1, keepdims=True)
+        assert (faces == 0).any(axis=1).mean() > 0.2
+        # zeros nudged to -1e-14: vertices stepped out of order, too light to reject
+        nudged = np.where(faces == 0, -1e-14, faces)
+        for beliefs in (grid.points, rng.dirichlet(np.ones(X), 2000), faces,
+                        grid.points * (1 + 4e-16), nudged):
+            want_idx, want_w = searchsorted_interpolation_data(grid, beliefs)
+            idx, w = grid.interpolation_data(beliefs)
+            assert np.array_equal(idx, want_idx)
+            assert np.array_equal(w, want_w)
+
+    @pytest.mark.parametrize("M, X", ORACLE_GRIDS, ids=[f"M{m}-X{x}" for m, x in ORACLE_GRIDS])
+    def test_index_of_ranks_lattice_and_rejects_invalid(self, M, X):
+        grid = FreudenthalGrid(M, X)
+        assert np.array_equal(grid.index_of(grid.lattice), np.arange(grid.size))
+        negative = grid.lattice[-1].copy()
+        negative[0] -= 1
+        negative[1] += 1
+        heavy = grid.lattice[0].copy()
+        heavy[-1] += 1
+        light = grid.lattice[0].copy()
+        light[0] -= 1
+        assert np.array_equal(grid.index_of(np.stack([negative, heavy, light])), [-1] * 3)
+
+    @pytest.mark.parametrize("belief", [[np.nan, 0.5, 0.5], [-0.2, 0.6, 0.6],
+                                        [0.0, 0.5, 0.5 + 1e-9]],
+                             ids=["nan", "negative", "mass-above-one"])
+    def test_off_grid_belief_raises_typed_error(self, belief):
+        grid = FreudenthalGrid(10, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BeliefOffGrid):
+                grid.interpolation_data(np.array([belief]))
+
+    def test_negligible_off_grid_weight_is_accepted(self):
+        # the off-grid vertex weighs about M * 1e-14, below the 1e-12 cut
+        grid = FreudenthalGrid(10, 3)
+        idx, w = grid.interpolation_data(np.array([[0.0, 0.5, 0.5 + 1e-14]]))
+        assert np.array_equal(idx, searchsorted_interpolation_data(
+            grid, [[0.0, 0.5, 0.5 + 1e-14]])[0])
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_memory_stays_near_the_lattice(self, rng):
+        # rules out a dense key -> index table, (M+2)^(X-1) entries (~7x here)
+        beliefs = rng.dirichlet(np.ones(6), 1000)
+        tracemalloc.start()
+        try:
+            grid = FreudenthalGrid(15, 6)
+            grid.interpolation_data(beliefs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * (grid.lattice.nbytes + grid.points.nbytes)
+
     def test_grid_size_formula(self):
         assert FreudenthalGrid(60, 3).size == grid_size(60, 3) == 1891
 
@@ -279,6 +387,25 @@ class TestFreudenthalGrid:
         pairs = grid.neighbor_pairs()
         for a, b in pairs:
             assert np.abs(grid.lattice[a] - grid.lattice[b]).sum() == 2
+
+
+class TestLookahead:
+    def test_one_pass_matches_per_action_passes_with_unequal_alphabets(self, P3, rng):
+        # channels of 4, 2 and 3 symbols share one interpolation pass
+        channels = tuple(make_channel(random_stochastic(3, Y, rng)) for Y in (4, 2, 3))
+        model = PollingModel(P3, channels, CostSpec.expectation(
+            [0.5, 0.3, 0.1], [0.2, 0.6, 1.0]), rho=0.8)
+        grid = FreudenthalGrid(9, 3)
+        PI = np.vstack([grid.points, rng.dirichlet(np.ones(3), 200)])
+        values = rng.normal(size=grid.size)
+        Q = Lookahead(model, grid, PI).q_values(values)
+        C = cost_matrix(PI, model.costs)
+        for u in range(1, 4):
+            T, sig = bayes_update((PI @ P3)[:, None, :], model.observation(u).T[None])
+            n, Y, X = T.shape
+            idx, w = grid.interpolation_data(T.reshape(n * Y, X))
+            interp = (values[idx.reshape(n, Y, X)] * w.reshape(n, Y, X)).sum(axis=2)
+            assert np.array_equal(Q[:, u - 1], C[:, u - 1] + 0.8 * (sig * interp).sum(axis=1))
 
 
 class TestValueIteration:
