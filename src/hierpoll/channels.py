@@ -3,9 +3,12 @@
 A channel maps hidden states to observation symbols via a row-stochastic
 likelihood matrix. Three constructors cover the polling mechanisms
 (level-sampling polynomial channels, fractional-power channels, multinomial
-fraction-reporting channels). Dominance between channels is decided exactly
-by a garbling linear program and approximately through the Le Cam
-deficiency; chains of channels are certified step by step.
+fraction-reporting channels). Dominance between channels is decided through
+the Le Cam deficiency delta, always reported as the residual of a returned
+garbling. For a square invertible stronger channel H, the closed-form
+garbling H^-1 W certifies dominance when its residual is within tolerance;
+every other pair is settled by a garbling linear program, whose optimum is
+the deficiency. Chains of channels are certified step by step.
 
 Convention: delta(W, H) = 0 certifies H >=_B W, i.e. the deficiency is
 measured for the weaker channel W relative to the stronger H.
@@ -35,6 +38,7 @@ from .stochastic import (
     fractional_power,
     is_ultrametric,
     matrix_power,
+    require_finite,
     validate_stochastic,
 )
 
@@ -181,53 +185,83 @@ class LeCamResult(NamedTuple):
     garbling: StochasticMatrix
 
 
+def _residual(Wm: np.ndarray, Hm: np.ndarray, R: np.ndarray) -> float:
+    """||W - H R||_inf, the maximum absolute row sum."""
+    return float(np.abs(Wm - Hm @ R).sum(axis=1).max())
+
+
+def _stochastic_rows(R: np.ndarray) -> np.ndarray:
+    R = np.clip(R, 0.0, None)
+    return R / R.sum(axis=1, keepdims=True)
+
+
+def _inverse_garbling(Wm: np.ndarray, Hm: np.ndarray) -> np.ndarray | None:
+    """H^-1 W clipped to a stochastic matrix, or None when H is not square,
+    is singular, or the solve overflows."""
+    if Hm.shape[0] != Hm.shape[1]:
+        return None
+    try:
+        R = np.linalg.solve(Hm, Wm)
+    except np.linalg.LinAlgError:
+        return None
+    return _stochastic_rows(R) if np.isfinite(R).all() else None
+
+
+def _garbling_lp(Wm: np.ndarray, Hm: np.ndarray, tol: float) -> np.ndarray:
+    """The garbling minimising ||W - H R||_inf, by an equality-form LP.
+
+    Variables: R (row-major), the parts P, N >= 0 of W - H R = P - N, and an
+    epigraph variable t. Constraints: (HR)_iy + P_iy - N_iy = W_iy, the rows
+    of R sum to 1, and sum_y (P + N)_iy <= t for every row i.
+    """
+    X, YW = Wm.shape
+    YH = Hm.shape[1]
+    n_R, n_E = YH * YW, X * YW
+    eye_E = np.eye(n_E)
+    A_eq = np.block([
+        [np.kron(Hm, np.eye(YW)), eye_E, -eye_E, np.zeros((n_E, 1))],
+        [np.kron(np.eye(YH), np.ones(YW)), np.zeros((YH, 2 * n_E + 1))],
+    ])
+    b_eq = np.concatenate([Wm.ravel(), np.ones(YH)])
+    row_sums = np.kron(np.eye(X), np.ones(YW))
+    A_ub = np.hstack([np.zeros((X, n_R)), row_sums, row_sums, -np.ones((X, 1))])
+    c = np.zeros(A_eq.shape[1])
+    c[-1] = 1.0
+    try:
+        sol = lp.solve_lp(c, A_ub, np.zeros(X), A_eq, b_eq, tol=tol)
+    except LPSolverFailure:
+        raise
+    except Exception as exc:  # defensive: wrap numerical blowups
+        raise LPSolverFailure(str(exc)) from exc
+    # basic solutions satisfy the constraints to pivot precision; tidy fp dust
+    return _stochastic_rows(sol.x[:n_R].reshape(YH, YW))
+
+
 def lecam_deficiency(W, H, tol: float = 1e-9) -> LeCamResult:
     """min over stochastic R of the induced infinity-norm of W - H R.
 
-    The infinity norm is the maximum absolute row sum. Solved as a linear
-    program over R (row-stochastic, entrywise nonnegative), per-entry slack
-    variables E >= |W - HR|, and an epigraph variable t >= sum_y E_iy for
-    every row i. delta <= tol certifies H >=_B W.
+    The infinity norm is the maximum absolute row sum. Any stochastic R
+    bounds the deficiency from above by ||W - HR||_inf, and the reported
+    delta is always that residual of the returned garbling, so the garbling
+    attains it. delta <= tol certifies H >=_B W.
+
+    - Certificate: when H is square and invertible, H^-1 W is the only
+      matrix with HR = W. Clipped at 0 and renormalised, it is returned
+      when its residual is <= tol; delta is then an upper bound, below tol.
+    - Otherwise the garbling LP is solved (`_garbling_lp`) and delta is the
+      LP optimum, up to pivot precision.
+    Non-finite entries in W or H raise NonFiniteEntry.
     """
     Wm, Hm = as_array(W), as_array(H)
     if Wm.ndim != 2 or Hm.ndim != 2 or Wm.shape[0] != Hm.shape[0]:
         raise DimensionMismatch(
             f"channels must share the input alphabet: {Wm.shape} vs {Hm.shape}")
-    X, YW = Wm.shape
-    YH = Hm.shape[1]
-    n_R, n_E = YH * YW, X * YW
-    n = n_R + n_E + 1             # columns: R and E row-major, then t
-    E = slice(n_R, n_R + n_E)
-    A_ub = np.zeros((2 * n_E + X, n))
-    b_ub = np.zeros(2 * n_E + X)
-    # per (i, y): (HR)_iy - E_iy <= W_iy, then -(HR)_iy - E_iy <= -W_iy
-    upper, lower = A_ub[0:2 * n_E:2], A_ub[1:2 * n_E:2]
-    upper[:, :n_R] = np.kron(Hm, np.eye(YW))
-    np.fill_diagonal(upper[:, E], -1.0)
-    lower[:] = -upper
-    np.fill_diagonal(lower[:, E], -1.0)
-    b_ub[0:2 * n_E:2] = Wm.ravel()
-    b_ub[1:2 * n_E:2] = -Wm.ravel()
-    # per i: sum_y E_iy - t <= 0
-    A_ub[2 * n_E:, E] = np.kron(np.eye(X), np.ones(YW))
-    A_ub[2 * n_E:, -1] = -1.0
-    A_eq = np.zeros((YH, n))
-    A_eq[:, :n_R] = np.kron(np.eye(YH), np.ones(YW))
-    b_eq = np.ones(YH)
-    c = np.zeros(n)
-    c[-1] = 1.0
-
-    try:
-        sol = lp.solve_lp(c, A_ub, b_ub, A_eq, b_eq, tol=tol)
-    except LPSolverFailure:
-        raise
-    except Exception as exc:  # defensive: wrap numerical blowups
-        raise LPSolverFailure(str(exc)) from exc
-    R = sol.x[:n_R].reshape(YH, YW)
-    # basic solutions satisfy the constraints to pivot precision; tidy fp dust
-    R = np.clip(R, 0.0, None)
-    R /= R.sum(axis=1, keepdims=True)
-    return LeCamResult(delta=max(0.0, sol.value), garbling=validate_stochastic(R))
+    require_finite(Wm)
+    require_finite(Hm)
+    R = _inverse_garbling(Wm, Hm)
+    if R is None or _residual(Wm, Hm, R) > tol:
+        R = _garbling_lp(Wm, Hm, tol)
+    return LeCamResult(delta=_residual(Wm, Hm, R), garbling=validate_stochastic(R))
 
 
 def blackwell_dominates(A, B_ch, tol: float = 1e-7) -> bool:

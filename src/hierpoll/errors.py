@@ -18,6 +18,10 @@ class NegativeEntry(StochasticMatrixError):
     pass
 
 
+class NonFiniteEntry(StochasticMatrixError):
+    pass
+
+
 class RowSumMismatch(StochasticMatrixError):
     pass
 

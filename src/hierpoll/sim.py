@@ -121,7 +121,7 @@ def _rollout(model: PollingModel, policy, pi0: np.ndarray, horizon: int,
         allc = cost_matrix(PI, model.costs)
         out["costs"][:, k] = np.take_along_axis(allc, (a - 1)[:, None], axis=1)[:, 0]
         if proxy:
-            out["ctilde"][:, k] = ctilde_values(PI, model.costs)
+            out["ctilde"][:, k] = ctilde_values(PI, model.costs, allc)
         x_next = _sample_categorical(cumP, x, draws[:, 1 + 2 * k])
         y = np.empty(runs, dtype=int)
         O_sel = np.empty((runs, X))
@@ -239,12 +239,13 @@ def loss_L1(model: PollingModel, M: int, runs: int, horizon: int, seed: int,
     return loss_ratio(*components)[0]
 
 
-def ctilde_values(PI, costs: CostSpec) -> np.ndarray:
+def ctilde_values(PI, costs: CostSpec, allc=None) -> np.ndarray:
     """Piecewise stage proxy: the action-1 cost where action 1 is strictly
     cheapest, otherwise the action-U cost plus a weighted action-1
-    uncertainty term."""
+    uncertainty term. `allc`, when given, is cost_matrix(PI, costs)."""
     PI = np.atleast_2d(np.asarray(PI, dtype=float))
-    allc = cost_matrix(PI, costs)
+    if allc is None:
+        allc = cost_matrix(PI, costs)
     if costs.num_actions == 1:
         return allc[:, 0]
     in_s1 = allc[:, 0] < allc[:, 1:].min(axis=1)

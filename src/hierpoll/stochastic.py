@@ -17,6 +17,7 @@ from .errors import (
     NegativeEigenvalue,
     NegativeEntry,
     NegativeQuotientCoefficient,
+    NonFiniteEntry,
     NonzeroRemainder,
     NotSquare,
     NotUltrametric,
@@ -26,6 +27,14 @@ from .errors import (
 
 ROW_SUM_TOL = 1e-10
 ENTRY_TOL = 1e-12
+
+
+def require_finite(a: np.ndarray) -> None:
+    """Raise NonFiniteEntry naming the first NaN or infinite entry of a 2-d array."""
+    bad = ~np.isfinite(a)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise NonFiniteEntry(f"entry ({i},{j}) = {a[i, j]} is not finite")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -45,6 +54,7 @@ class StochasticMatrix:
         object.__setattr__(self, "entries", entries)
         if entries.ndim != 2 or entries.size == 0:
             raise RowSumMismatch("matrix must be a non-empty 2-d array")
+        require_finite(entries)
         if np.any(entries < -ENTRY_TOL):
             i, j = np.unravel_index(np.argmin(entries), entries.shape)
             raise NegativeEntry(f"entry ({i},{j}) = {entries[i, j]:.3e} is negative")
@@ -86,7 +96,8 @@ def as_array(m) -> np.ndarray:
 def validate_stochastic(entries) -> StochasticMatrix:
     """Validate `entries` as a row-stochastic matrix; never normalizes silently.
 
-    Raises NegativeEntry / RowSumMismatch with the offending index.
+    Raises NonFiniteEntry / NegativeEntry / RowSumMismatch with the
+    offending index.
     """
     return StochasticMatrix(np.asarray(entries, dtype=float))
 

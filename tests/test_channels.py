@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from hierpoll import lp
 from hierpoll.channels import (
     DominanceChain,
     HierarchyModel,
@@ -12,10 +15,18 @@ from hierpoll.channels import (
     lecam_deficiency,
     make_channel,
 )
-from hierpoll.errors import AlphabetTooLarge, DegreeExceedsLevels, DimensionMismatch
-from hierpoll.presets import example2_polynomials, intent_weight_polynomial
+from hierpoll.cli import main
+from hierpoll.errors import (
+    AlphabetTooLarge,
+    DegreeExceedsLevels,
+    DimensionMismatch,
+    NonFiniteEntry,
+)
+from hierpoll.pomdp import certify_channel_chain
+from hierpoll.presets import example1_model, example2_polynomials, intent_weight_polynomial
 from hierpoll.stochastic import (
     ConvexPolynomial,
+    StochasticMatrix,
     eval_matrix_polynomial,
     fractional_power,
     matrix_power,
@@ -27,6 +38,54 @@ from conftest import random_stochastic, random_ultrametric
 
 def hier(O1, N=1):
     return HierarchyModel(validate_stochastic(O1), N)
+
+
+def inequality_form_deficiency(W, H, tol=1e-9):
+    """Reference LP: min t over stochastic R with E >= |W - HR| entrywise by
+    two inequality rows per (i, y) and sum_y E_iy <= t per row i."""
+    Wm, Hm = np.asarray(W, float), np.asarray(H, float)
+    X, YW = Wm.shape
+    YH = Hm.shape[1]
+    n_R, n_E = YH * YW, X * YW
+    n = n_R + n_E + 1
+    E = slice(n_R, n_R + n_E)
+    A_ub = np.zeros((2 * n_E + X, n))
+    b_ub = np.zeros(2 * n_E + X)
+    upper, lower = A_ub[0:2 * n_E:2], A_ub[1:2 * n_E:2]
+    upper[:, :n_R] = np.kron(Hm, np.eye(YW))
+    np.fill_diagonal(upper[:, E], -1.0)
+    lower[:] = -upper
+    np.fill_diagonal(lower[:, E], -1.0)
+    b_ub[0:2 * n_E:2] = Wm.ravel()
+    b_ub[1:2 * n_E:2] = -Wm.ravel()
+    A_ub[2 * n_E:, E] = np.kron(np.eye(X), np.ones(YW))
+    A_ub[2 * n_E:, -1] = -1.0
+    A_eq = np.zeros((YH, n))
+    A_eq[:, :n_R] = np.kron(np.eye(YH), np.ones(YW))
+    c = np.zeros(n)
+    c[-1] = 1.0
+    return max(0.0, lp.solve_lp(c, A_ub, b_ub, A_eq, np.ones(YH), tol=tol).value)
+
+
+@pytest.fixture(scope="module")
+def intent_chain_10():
+    """Five 10-state intent channels B f_u(B), each garbling to the next."""
+    B = np.random.default_rng(7).dirichlet(np.ones(10), size=10)
+    return [B @ eval_matrix_polynomial(f, B).entries for f in example2_polynomials()]
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Counts lp.solve_lp calls made through the module attribute."""
+    calls = []
+    solve = lp.solve_lp
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "solve_lp", counting)
+    return calls
 
 
 class TestIntentChannel:
@@ -112,11 +171,13 @@ class TestLeCamDeficiency:
         res = lecam_deficiency(O1, O1)
         assert res.delta <= 1e-10
 
-    def test_square_against_base(self, O1):
+    def test_square_against_base(self, O1, lp_calls):
+        # certified by the closed-form garbling O1^-1 O1^2 = O1, with no LP
         W = matrix_power(O1, 2)
         res = lecam_deficiency(W, O1)
-        assert res.delta <= 1e-8
-        assert np.abs(res.garbling.entries - O1).max() < 1e-6
+        assert res.delta <= 1e-12
+        assert np.abs(res.garbling.entries - O1).max() < 1e-12
+        assert lp_calls == []
 
     def test_identity_vs_uniform_closed_form(self):
         # oracle: min over r of max(2(1-r), 2r) = 1 at r = 1/2
@@ -144,16 +205,106 @@ class TestLeCamDeficiency:
             res = lecam_deficiency(H @ R, H)
             assert res.delta <= 1e-9
 
-    def test_garbling_attains_delta_on_rectangular_channels(self, rng):
-        # the returned R must realise the reported norm max_i sum_y |W - HR|_iy
+    def test_garbling_attains_delta_on_rectangular_channels(self, rng, O1):
+        # the returned R must realise the reported norm max_i sum_y |W - HR|_iy,
+        # on the LP path (rectangular, or O1 not garbling to I) and the certificate
+        pairs = [(np.eye(3), O1), (matrix_power(O1, 2).entries, O1)]
         for _ in range(10):
             X, YH, YW = (int(v) for v in rng.choice(np.arange(2, 6), 3, replace=False))
-            W = random_stochastic(X, YW, rng)
-            H = random_stochastic(X, YH, rng)
+            pairs.append((random_stochastic(X, YW, rng), random_stochastic(X, YH, rng)))
+        for W, H in pairs:
             res = lecam_deficiency(W, H)
-            assert res.garbling.entries.shape == (YH, YW)
+            assert res.garbling.entries.shape == (H.shape[1], W.shape[1])
             norm = np.abs(W - H @ res.garbling.entries).sum(axis=1).max()
-            assert norm == pytest.approx(res.delta, abs=1e-9)
+            assert norm == res.delta
+
+
+class TestDeficiencyPaths:
+    """The closed-form certificate H^-1 W first, the equality-form LP otherwise."""
+
+    def test_matches_inequality_form_oracle_on_random_pairs(self, rng):
+        for _ in range(12):
+            X = int(rng.integers(2, 5))
+            YH = X if rng.random() < 0.5 else int(rng.integers(2, 5))
+            W = random_stochastic(X, int(rng.integers(2, 5)), rng)
+            H = random_stochastic(X, YH, rng)
+            assert lecam_deficiency(W, H).delta == pytest.approx(
+                inequality_form_deficiency(W, H), abs=1e-9)
+
+    def test_matches_oracle_both_ways_along_an_intent_chain(self, intent_chain_10):
+        for strong, weak in zip(intent_chain_10, intent_chain_10[1:]):
+            forward = lecam_deficiency(weak, strong).delta
+            assert forward <= 1e-9
+            assert forward == pytest.approx(inequality_form_deficiency(weak, strong), abs=1e-9)
+            backward = lecam_deficiency(strong, weak).delta
+            assert backward > 1e-3
+            assert backward == pytest.approx(inequality_form_deficiency(strong, weak), abs=1e-9)
+
+    def test_negative_inverse_garbling_falls_back_to_lp(self, O1, lp_calls):
+        # O1^-1 I = O1^-1 has negative entries: no garbling of O1 gives I
+        W = np.eye(3)
+        assert np.linalg.solve(O1, W).min() < 0
+        res = lecam_deficiency(W, O1)
+        assert len(lp_calls) == 1
+        assert res.delta == pytest.approx(inequality_form_deficiency(W, O1), abs=1e-9)
+        assert res.delta > 0.1
+
+    def test_singular_square_channel_takes_lp_path(self, rng, lp_calls):
+        H = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.2, 0.3, 0.5]])
+        W = random_stochastic(3, 3, rng)
+        res = lecam_deficiency(W, H)
+        assert len(lp_calls) == 1
+        assert res.delta == pytest.approx(inequality_form_deficiency(W, H), abs=1e-9)
+
+    def test_rectangular_channel_takes_lp_path(self, rng, lp_calls):
+        H = random_stochastic(3, 4, rng)
+        R = random_stochastic(4, 3, rng)
+        res = lecam_deficiency(H @ R, H)
+        assert len(lp_calls) == 1
+        assert res.delta <= 1e-9
+
+    def test_perturbed_garbling_is_not_certified(self, O1):
+        # W = H (R + E) with R + E just outside the simplex: H^-1 W has an
+        # entry of -1e-6, so H garbles to W only approximately
+        R = np.array([[0.6, 0.4, 0.0], [0.1, 0.5, 0.4], [0.3, 0.3, 0.4]])
+        E = np.zeros((3, 3))
+        E[0, 1], E[0, 2] = 1e-6, -1e-6
+        W = O1 @ (R + E)
+        res = lecam_deficiency(W, O1)
+        assert res.delta > 1e-9
+        assert res.delta == pytest.approx(inequality_form_deficiency(W, O1), abs=1e-12)
+        assert not blackwell_dominates(O1, W, tol=1e-9)
+
+    def test_dominance_on_ordered_chain_runs_one_lp_per_reverse_pair(
+            self, intent_chain_10, lp_calls, tmp_path, capsys):
+        files = []
+        for k, M in enumerate(intent_chain_10):
+            path = tmp_path / f"c{k}.json"
+            path.write_text(json.dumps(M.tolist()))
+            files.append(str(path))
+        assert main(["dominance", *files, "--format", "json", "--threads", "1"]) == 0
+        n = len(files)
+        assert len(lp_calls) == n * (n - 1) // 2
+        pairwise = np.array(json.loads(capsys.readouterr().out)["pairwise_deficiency"])
+        assert pairwise[np.triu_indices(n, 1)].max() <= 1e-9
+        assert pairwise[np.tril_indices(n, -1)].min() > 1e-3
+
+    def test_example1_chain_needs_no_lp(self, lp_calls):
+        assert max(certify_channel_chain(example1_model(0.9))) <= 1e-12
+        assert lp_calls == []
+
+
+class TestNonFiniteEntries:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_stochastic_matrix_names_the_entry(self, bad):
+        with pytest.raises(NonFiniteEntry, match=r"\(1,0\)"):
+            StochasticMatrix(np.array([[0.5, 0.5], [bad, 0.5]]))
+
+    def test_deficiency_rejects_raw_arrays(self):
+        with pytest.raises(NonFiniteEntry, match=r"\(0,1\)"):
+            lecam_deficiency(np.eye(2), [[1.0, np.inf], [0.5, 0.5]])
+        with pytest.raises(NonFiniteEntry):
+            lecam_deficiency([[np.nan, 1.0], [0.5, 0.5]], np.eye(2))
 
 
 class TestBlackwellDominates:

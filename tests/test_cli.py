@@ -130,6 +130,17 @@ class TestDominanceCommand:
         assert flat.max() <= 1e-9
 
 
+    def test_non_finite_channel_exits_two_naming_the_entry(self, channel_files, tmp_path,
+                                                            capsys):
+        bad = tmp_path / "nan.json"
+        bad.write_text('[[0.2, 0.3, 0.5], [NaN, 0.5, 0.5], [0.1, 0.1, 0.8]]')
+        assert main(["dominance", channel_files[0], str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: entry (1,0) = nan is not finite" in captured.err
+        assert "infeasible" not in captured.err
+
+
 class TestExampleCommands:
     def test_example1_small_sweep(self, tmp_path, capsys):
         out = tmp_path / "l1.csv"

@@ -232,6 +232,7 @@ class TestLossL2:
         err = 1 - np.einsum("ij,ij->i", PI, PI)
         want = np.where(inner, allc[:, 0], allc[:, 1] + 0.5 * (0.5 * err))
         assert np.allclose(vals, want)
+        assert np.array_equal(ctilde_values(PI, model.costs, allc), vals)
 
 
 def intent_model():
