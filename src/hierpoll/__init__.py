@@ -29,6 +29,7 @@ from .channels import (  # noqa: F401
     blackwell_dominates,
     expectation_channel,
     friendship_channel,
+    garbling_residual,
     intent_channel,
     lecam_deficiency,
     make_channel,

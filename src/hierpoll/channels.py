@@ -27,7 +27,7 @@ from .errors import (
     AlphabetTooLarge,
     DegreeExceedsLevels,
     DimensionMismatch,
-    LPSolverFailure,
+    InvalidTolerance,
     NotUltrametric,
 )
 from .stochastic import (
@@ -185,9 +185,9 @@ class LeCamResult(NamedTuple):
     garbling: StochasticMatrix
 
 
-def _residual(Wm: np.ndarray, Hm: np.ndarray, R: np.ndarray) -> float:
+def garbling_residual(W, H, R) -> float:
     """||W - H R||_inf, the maximum absolute row sum."""
-    return float(np.abs(Wm - Hm @ R).sum(axis=1).max())
+    return float(np.abs(W - H @ R).sum(axis=1).max())
 
 
 def _stochastic_rows(R: np.ndarray) -> np.ndarray:
@@ -210,29 +210,48 @@ def _inverse_garbling(Wm: np.ndarray, Hm: np.ndarray) -> np.ndarray | None:
 def _garbling_lp(Wm: np.ndarray, Hm: np.ndarray, tol: float) -> np.ndarray:
     """The garbling minimising ||W - H R||_inf, by an equality-form LP.
 
-    Variables: R (row-major), the parts P, N >= 0 of W - H R = P - N, and an
-    epigraph variable t. Constraints: (HR)_iy + P_iy - N_iy = W_iy, the rows
-    of R sum to 1, and sum_y (P + N)_iy <= t for every row i.
+    Variables: R (row-major), the parts P, N >= 0 of W - H R = P - N, an
+    epigraph variable t and one slack s_i per row. Constraints:
+    (HR)_iy + P_iy - N_iy = W_iy, the rows of R sum to 1, and
+    sum_y (P + N)_iy - t + s_i = 0 for every row i.
+
+    The simplex starts at a closed-form vertex. Row h of R puts all its
+    mass on the column y maximising (H'W)_hy / sum_i W_iy, the symbol of W
+    most over-represented where H emits h; on intent channels this start
+    needs about half the pivots of the plain argmax of H'W. P_iy or N_iy
+    carries |W - H R|_iy by sign, t is basic on the row with the largest
+    residual and the other rows' slacks are basic. The basis matrix is
+    block-triangular (identity, then +-identity, then the t/slack block),
+    so it is nonsingular, and every basic value is nonnegative, for any
+    finite W and H.
     """
     X, YW = Wm.shape
     YH = Hm.shape[1]
     n_R, n_E = YH * YW, X * YW
+    t_col = n_R + 2 * n_E
     eye_E = np.eye(n_E)
-    A_eq = np.block([
-        [np.kron(Hm, np.eye(YW)), eye_E, -eye_E, np.zeros((n_E, 1))],
-        [np.kron(np.eye(YH), np.ones(YW)), np.zeros((YH, 2 * n_E + 1))],
-    ])
-    b_eq = np.concatenate([Wm.ravel(), np.ones(YH)])
     row_sums = np.kron(np.eye(X), np.ones(YW))
-    A_ub = np.hstack([np.zeros((X, n_R)), row_sums, row_sums, -np.ones((X, 1))])
+    A_eq = np.block([
+        [np.kron(Hm, np.eye(YW)), eye_E, -eye_E, np.zeros((n_E, 1 + X))],
+        [np.kron(np.eye(YH), np.ones(YW)), np.zeros((YH, 2 * n_E + 1 + X))],
+        [np.zeros((X, n_R)), row_sums, row_sums, -np.ones((X, 1)), np.eye(X)],
+    ])
+    b_eq = np.concatenate([Wm.ravel(), np.ones(YH), np.zeros(X)])
     c = np.zeros(A_eq.shape[1])
-    c[-1] = 1.0
-    try:
-        sol = lp.solve_lp(c, A_ub, np.zeros(X), A_eq, b_eq, tol=tol)
-    except LPSolverFailure:
-        raise
-    except Exception as exc:  # defensive: wrap numerical blowups
-        raise LPSolverFailure(str(exc)) from exc
+    c[t_col] = 1.0
+
+    support = np.argmax(Hm.T @ Wm / np.maximum(Wm.sum(axis=0), np.finfo(float).tiny),
+                        axis=1)
+    R0 = np.zeros((YH, YW))
+    R0[np.arange(YH), support] = 1.0
+    D = Wm - Hm @ R0
+    basis = np.concatenate([
+        n_R + np.arange(n_E) + np.where(D.ravel() >= 0, 0, n_E),  # P or N
+        np.arange(YH) * YW + support,                              # R0's ones
+        t_col + 1 + np.arange(X),                                  # slacks
+    ])
+    basis[n_E + YH + int(np.argmax(np.abs(D).sum(axis=1)))] = t_col
+    sol = lp.solve_lp(c, A_eq, b_eq, basis, tol=tol)
     # basic solutions satisfy the constraints to pivot precision; tidy fp dust
     return _stochastic_rows(sol.x[:n_R].reshape(YH, YW))
 
@@ -250,8 +269,11 @@ def lecam_deficiency(W, H, tol: float = 1e-9) -> LeCamResult:
       when its residual is <= tol; delta is then an upper bound, below tol.
     - Otherwise the garbling LP is solved (`_garbling_lp`) and delta is the
       LP optimum, up to pivot precision.
-    Non-finite entries in W or H raise NonFiniteEntry.
+    Non-finite entries in W or H raise NonFiniteEntry, and a tol that is
+    not a finite value >= 0 raises InvalidTolerance.
     """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InvalidTolerance(f"tol must be a finite value >= 0, got {tol}")
     Wm, Hm = as_array(W), as_array(H)
     if Wm.ndim != 2 or Hm.ndim != 2 or Wm.shape[0] != Hm.shape[0]:
         raise DimensionMismatch(
@@ -259,9 +281,9 @@ def lecam_deficiency(W, H, tol: float = 1e-9) -> LeCamResult:
     require_finite(Wm)
     require_finite(Hm)
     R = _inverse_garbling(Wm, Hm)
-    if R is None or _residual(Wm, Hm, R) > tol:
+    if R is None or garbling_residual(Wm, Hm, R) > tol:
         R = _garbling_lp(Wm, Hm, tol)
-    return LeCamResult(delta=_residual(Wm, Hm, R), garbling=validate_stochastic(R))
+    return LeCamResult(delta=garbling_residual(Wm, Hm, R), garbling=validate_stochastic(R))
 
 
 def blackwell_dominates(A, B_ch, tol: float = 1e-7) -> bool:

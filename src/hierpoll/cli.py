@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .channels import approximate_blackwell_chain, lecam_deficiency
+from .channels import approximate_blackwell_chain, garbling_residual, lecam_deficiency
 from .errors import HierPollError, ParseError
 from .estimate import em_fit, estimate_to_dict, load_observations
 from .fileio import (
@@ -68,8 +69,18 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="worker cap; results are independent of it")
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"{text} is not a finite value >= 0")
+    return value
+
+
 def _float_list(text: str) -> list[float]:
-    return [float(t) for t in text.split(",") if t.strip() != ""]
+    vals = [float(t) for t in text.split(",") if t.strip() != ""]
+    if not vals:
+        raise argparse.ArgumentTypeError("need at least one value")
+    return vals
 
 
 def _rho_list(text: str) -> list[float]:
@@ -170,11 +181,10 @@ def cmd_example2(args) -> int:
     def run_pair(p):
         P, B, channels, costs = example2_parts(args.states, [args.seed, p],
                                                ctilde_weight=args.ctilde_weight)
-        residual = 0.0
-        for u in range(4):
-            garbling = eval_matrix_polynomial(quotients[u], B).entries
-            diff = channels[u + 1].matrix.entries - channels[u].matrix.entries @ garbling
-            residual = max(residual, float(np.abs(diff).sum(axis=1).max()))
+        residual = max(garbling_residual(channels[u + 1].matrix.entries,
+                                         channels[u].matrix.entries,
+                                         eval_matrix_polynomial(quotients[u], B).entries)
+                       for u in range(4))
         # rollouts read no discount: one per draw serves every rho
         model = PollingModel(P=P, channels=channels, costs=costs, rho=0.0)
         return residual, [loss_ratio(*pair) for pair in l2_components(
@@ -311,8 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dominance", help="certify a dominance chain from channel files")
     p.add_argument("channels", nargs="+", help="channel JSON/CSV files, most informative first")
-    p.add_argument("--tol", type=float, default=1e-9, help="LP pivot tolerance")
-    p.add_argument("--cert-tol", type=float, default=1e-7,
+    p.add_argument("--tol", type=_tolerance, default=1e-9,
+                   help="residual bound for accepting the closed-form garbling "
+                        "H^-1 W without an LP, and the LP pivot tolerance")
+    p.add_argument("--cert-tol", type=_tolerance, default=1e-7,
                    help="deficiency below which a step counts as certified")
     _add_common(p)
     p.set_defaults(func=cmd_dominance)
@@ -323,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-m", type=_positive_int, default=60)
     p.add_argument("--runs", type=_positive_int, default=1000)
     p.add_argument("--horizon", type=_positive_int, default=100)
-    p.add_argument("--vi-tol", type=float, default=1e-8)
+    p.add_argument("--vi-tol", type=_tolerance, default=1e-8)
     _add_common(p)
     p.set_defaults(func=cmd_example1)
 
@@ -341,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="value iteration on a model config")
     p.add_argument("--config", required=True)
     p.add_argument("--grid-m", type=_positive_int, default=60)
-    p.add_argument("--vi-tol", type=float, default=1e-8)
+    p.add_argument("--vi-tol", type=_tolerance, default=1e-8)
     _add_common(p)
     p.set_defaults(func=cmd_solve)
 
@@ -349,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--policy", default="myopic", help="myopic | fixed:U | grid")
     p.add_argument("--grid-m", type=_positive_int, default=60)
-    p.add_argument("--vi-tol", type=float, default=1e-8)
+    p.add_argument("--vi-tol", type=_tolerance, default=1e-8)
     p.add_argument("--runs", type=_positive_int, default=1000)
     p.add_argument("--horizon", type=_positive_int, default=100)
     p.add_argument("--pi0", default=None, help="comma-separated initial belief")
@@ -358,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("capacity", help="channel capacities in bits")
     p.add_argument("channels", nargs="+")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_tolerance, default=1e-10)
     _add_common(p)
     p.set_defaults(func=cmd_capacity)
 
@@ -372,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data")
     p.add_argument("--states", type=int, required=True)
     p.add_argument("--max-iter", type=_positive_int, default=100)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_tolerance, default=1e-6)
     _add_common(p)
     p.set_defaults(func=cmd_estimate)
     return parser

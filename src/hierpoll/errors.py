@@ -76,6 +76,10 @@ class DimensionMismatch(ChannelError):
     pass
 
 
+class InvalidTolerance(ChannelError):
+    pass
+
+
 class LPSolverFailure(HierPollError, RuntimeError):
     pass
 

@@ -1,14 +1,17 @@
-"""Dense two-phase primal simplex for small linear programs.
+"""Dense single-phase primal simplex for small linear programs.
 
-Solves   min c'x   s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0
-with a full-tableau implementation. The entering variable follows Dantzig's
-rule (most negative reduced cost, lowest index on ties); after a run of
-degenerate pivots the loop switches to Bland's rule, whose lowest-index
-entering/leaving choices guarantee termination. Leaving-row ties are broken
-toward the largest pivot element for numerical stability. The pivot
-sequence, and hence the reported optimum, is deterministic. Problem sizes
-here are at most a few thousand variables, where the dense tableau is both
-simple and fast enough.
+Solves   min c'x   s.t.  A_eq x = b_eq,  x >= 0
+with a full-tableau implementation, starting from a feasible basis that
+the caller supplies (one column index per row). There is no phase 1: the
+caller writes its starting vertex down in closed form, and the tableau is
+put in canonical form once by solving with the basis columns. The entering
+variable follows Dantzig's rule (most negative reduced cost, lowest index
+on ties); after a run of degenerate pivots the loop switches to Bland's
+rule, whose lowest-index entering/leaving choices guarantee termination.
+Leaving-row ties are broken toward the largest pivot element for numerical
+stability. The pivot sequence, and hence the reported optimum, is
+deterministic. Problem sizes here are at most a few thousand variables,
+where the dense tableau is both simple and fast enough.
 """
 from __future__ import annotations
 
@@ -19,6 +22,8 @@ import numpy as np
 from .errors import LPSolverFailure
 
 _DEGENERATE_RUN_LIMIT = 30  # consecutive zero-progress pivots before Bland
+_MAX_PIVOTS = 50_000
+_FEASIBILITY_TOL = 1e-7  # a basic value below -this is not a feasible start
 
 
 @dataclass(frozen=True)
@@ -38,15 +43,14 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _iterate(T: np.ndarray, basis: np.ndarray, allowed: np.ndarray,
-             tol: float, max_iter: int, on_leave=None) -> int:
+def _iterate(T: np.ndarray, basis: np.ndarray, tol: float) -> int:
     """Run simplex pivots on tableau T (last row = objective, last col = rhs)."""
     m = T.shape[0] - 1
     degenerate_run = 0
     bland = False
-    for it in range(max_iter):
+    for it in range(_MAX_PIVOTS):
         reduced = T[-1, :-1]
-        eligible = np.nonzero(allowed & (reduced < -tol))[0]
+        eligible = np.nonzero(reduced < -tol)[0]
         if eligible.size == 0:
             return it
         if bland:
@@ -66,85 +70,31 @@ def _iterate(T: np.ndarray, basis: np.ndarray, allowed: np.ndarray,
             row = int(ties[np.argmax(column[ties])])
         degenerate_run = degenerate_run + 1 if best <= 1e-12 else 0
         bland = degenerate_run >= _DEGENERATE_RUN_LIMIT
-        if on_leave is not None:
-            on_leave(int(basis[row]))
         _pivot(T, basis, row, col)
-    raise LPSolverFailure(f"simplex did not terminate within {max_iter} pivots")
+    raise LPSolverFailure(f"simplex did not terminate within {_MAX_PIVOTS} pivots")
 
 
-def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
-             tol: float = 1e-9, max_iter: int = 50_000) -> LPSolution:
+def solve_lp(c, A_eq, b_eq, basis, tol: float = 1e-9) -> LPSolution:
+    """Minimise c'x over {A_eq x = b_eq, x >= 0} from the given basis.
+
+    basis[r] is the column basic in row r of the starting tableau, one per
+    row. A basis whose columns are singular (or not square), or whose basic
+    solution has a negative entry, raises LPSolverFailure.
+    """
     c = np.asarray(c, dtype=float)
-    n = c.size
-    A_ub = np.zeros((0, n)) if A_ub is None else np.asarray(A_ub, dtype=float)
-    b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float)
-    A_eq = np.zeros((0, n)) if A_eq is None else np.asarray(A_eq, dtype=float)
-    b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float)
-    m_ub, m_eq = A_ub.shape[0], A_eq.shape[0]
-    m = m_ub + m_eq
-
-    # standard form: slacks on inequality rows, then flip rows to make b >= 0
-    A = np.zeros((m, n + m_ub))
-    A[:m_ub, :n] = A_ub
-    A[:m_ub, n:] = np.eye(m_ub)
-    A[m_ub:, :n] = A_eq
-    b = np.concatenate([b_ub, b_eq])
-    neg = b < 0
-    A[neg] *= -1.0
-    b[neg] *= -1.0
-
-    # rows whose slack survived the flip start basic; the rest get artificials
-    slack_basic = np.nonzero(~neg[:m_ub])[0]
-    needs_art = np.setdiff1d(np.arange(m), slack_basic)
-    n_cols = A.shape[1]
-    n_art = needs_art.size
-    T = np.zeros((m + 1, n_cols + n_art + 1))
-    T[:m, :n_cols] = A
-    T[:m, -1] = b
-    basis = np.empty(m, dtype=int)
-    basis[slack_basic] = n + slack_basic
-    for k, r in enumerate(needs_art):
-        T[r, n_cols + k] = 1.0
-        basis[r] = n_cols + k
-
-    # phase 1: minimize the sum of artificials; once one leaves it stays out
-    art_cols = np.arange(n_cols, n_cols + n_art)
-    T[-1, art_cols] = 1.0
-    for r in needs_art:
-        T[-1] -= T[r]
-    allowed = np.ones(n_cols + n_art, dtype=bool)
-
-    def forbid_artificial(var):
-        if var >= n_cols:
-            allowed[var] = False
-
-    it1 = _iterate(T, basis, allowed, tol, max_iter, on_leave=forbid_artificial)
-    if -T[-1, -1] > 1e-7:
-        raise LPSolverFailure(f"infeasible: phase-1 objective {-T[-1, -1]:.3e}")
-
-    # drive any zero-level artificial out of the basis, or drop its row
-    keep = np.ones(m, dtype=bool)
-    for r in range(m):
-        if basis[r] >= n_cols:
-            pivot_candidates = np.nonzero(np.abs(T[r, :n_cols]) > tol)[0]
-            if pivot_candidates.size:
-                _pivot(T, basis, r, int(pivot_candidates[0]))
-            else:
-                keep[r] = False  # redundant constraint
-    if not keep.all():
-        T = np.vstack([T[:m][keep], T[-1:]])
-        basis = basis[keep]
-        m = int(keep.sum())
-
-    # phase 2: restore the real objective, forbid artificial columns
-    T[-1, :] = 0.0
-    T[-1, :n] = c
-    for r in range(m):
-        T[-1] -= T[-1, basis[r]] * T[r]
-    allowed = np.zeros(T.shape[1] - 1, dtype=bool)
-    allowed[:n_cols] = True
-    it2 = _iterate(T, basis, allowed, tol, max_iter)
-
-    x = np.zeros(T.shape[1] - 1)
+    A = np.asarray(A_eq, dtype=float)
+    basis = np.array(basis, dtype=int)  # a copy: pivots rewrite it
+    m = A.shape[0]
+    T = np.empty((m + 1, c.size + 1))
+    try:
+        T[:m] = np.linalg.solve(A[:, basis], np.column_stack([A, b_eq]))
+    except np.linalg.LinAlgError as exc:
+        raise LPSolverFailure(f"singular starting basis: {exc}") from exc
+    worst = T[:m, -1].min(initial=0.0)
+    if worst < -_FEASIBILITY_TOL:
+        raise LPSolverFailure(f"infeasible starting basis: basic value {worst:.3e}")
+    T[-1] = np.append(c, 0.0) - c[basis] @ T[:m]
+    iterations = _iterate(T, basis, tol)
+    x = np.zeros(c.size)
     x[basis] = T[:m, -1]
-    return LPSolution(x=x[:n], value=float(c @ x[:n]), iterations=it1 + it2)
+    return LPSolution(x=x, value=float(c @ x), iterations=iterations)

@@ -81,6 +81,8 @@ class CostSpec:
         U = self.measurement.size
         if U < 1:
             raise InvalidCostSpec("need at least one action")
+        if self.ctilde_weight is not None and not math.isfinite(self.ctilde_weight):
+            raise InvalidCostSpec(f"ctilde_weight must be finite, got {self.ctilde_weight}")
         if self.variant in ("expectation", "friendship"):
             if np.any(np.diff(self.measurement) > 1e-12):
                 raise InvalidCostSpec("measurement costs must be nonincreasing in u")

@@ -1,9 +1,13 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
-from hierpoll import lp
+from hierpoll import channels, lp
 from hierpoll.channels import (
     DominanceChain,
     HierarchyModel,
@@ -11,6 +15,7 @@ from hierpoll.channels import (
     blackwell_dominates,
     expectation_channel,
     friendship_channel,
+    garbling_residual,
     intent_channel,
     lecam_deficiency,
     make_channel,
@@ -20,6 +25,7 @@ from hierpoll.errors import (
     AlphabetTooLarge,
     DegreeExceedsLevels,
     DimensionMismatch,
+    InvalidTolerance,
     NonFiniteEntry,
 )
 from hierpoll.pomdp import certify_channel_chain
@@ -40,9 +46,10 @@ def hier(O1, N=1):
     return HierarchyModel(validate_stochastic(O1), N)
 
 
-def inequality_form_deficiency(W, H, tol=1e-9):
-    """Reference LP: min t over stochastic R with E >= |W - HR| entrywise by
-    two inequality rows per (i, y) and sum_y E_iy <= t per row i."""
+def inequality_form_deficiency(W, H):
+    """Reference LP, solved by HiGHS: min t over stochastic R with
+    E >= |W - HR| entrywise by two inequality rows per (i, y) and
+    sum_y E_iy <= t per row i."""
     Wm, Hm = np.asarray(W, float), np.asarray(H, float)
     X, YW = Wm.shape
     YH = Hm.shape[1]
@@ -64,7 +71,10 @@ def inequality_form_deficiency(W, H, tol=1e-9):
     A_eq[:, :n_R] = np.kron(np.eye(YH), np.ones(YW))
     c = np.zeros(n)
     c[-1] = 1.0
-    return max(0.0, lp.solve_lp(c, A_ub, b_ub, A_eq, np.ones(YH), tol=tol).value)
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=np.ones(YH),
+                  bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return max(0.0, res.fun)
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +204,11 @@ class TestLeCamDeficiency:
         with pytest.raises(DimensionMismatch):
             lecam_deficiency(O1, np.full((2, 2), 0.5))
 
+    @pytest.mark.parametrize("tol", [np.nan, -1e-9, np.inf])
+    def test_tolerance_must_be_finite_and_nonnegative(self, O1, tol):
+        with pytest.raises(InvalidTolerance):
+            lecam_deficiency(O1, O1, tol=tol)
+
     def test_certificate_completeness(self, rng):
         # delta = 0 whenever W = H R for a constructed stochastic R
         for _ in range(10):
@@ -239,6 +254,30 @@ class TestDeficiencyPaths:
             backward = lecam_deficiency(strong, weak).delta
             assert backward > 1e-3
             assert backward == pytest.approx(inequality_form_deficiency(strong, weak), abs=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5), st.data())
+    def test_closed_form_start_is_feasible_and_reaches_the_optimum(self, X, YW, YH, data):
+        # integer weights put zeros in W and H; a zero residual entry is a
+        # basic value of 0, so such starts are degenerate
+        def channel(Y):
+            counts = st.lists(st.integers(0, 6), min_size=Y, max_size=Y).filter(any)
+            rows = np.array([data.draw(counts) for _ in range(X)], dtype=float)
+            return rows / rows.sum(axis=1, keepdims=True)
+
+        W, H = channel(YW), channel(YH)
+        starts = []
+        solve = lp.solve_lp
+
+        def recording(c, A_eq, b_eq, basis, tol):
+            starts.append(np.linalg.solve(A_eq[:, basis], b_eq))
+            return solve(c, A_eq, b_eq, basis, tol=tol)
+
+        with mock.patch.object(lp, "solve_lp", recording):
+            R = channels._garbling_lp(W, H, 1e-9)
+        assert len(starts) == 1 and starts[0].min() >= -1e-12
+        assert garbling_residual(W, H, R) == pytest.approx(
+            inequality_form_deficiency(W, H), abs=1e-9)
 
     def test_negative_inverse_garbling_falls_back_to_lp(self, O1, lp_calls):
         # O1^-1 I = O1^-1 has negative entries: no garbling of O1 gives I

@@ -55,6 +55,11 @@ class TestCostSpec:
         with pytest.raises(InvalidCostSpec):
             CostSpec.expectation([0.5, 0.25], [1.0, 0.5])  # w decreasing
 
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
+    def test_non_finite_ctilde_weight_rejected(self, weight):
+        with pytest.raises(InvalidCostSpec, match="ctilde_weight"):
+            CostSpec.expectation([0.5, 0.25], [0.5, 1.0], ctilde_weight=weight)
+
     def test_intent_monotonicity(self):
         from hierpoll.stochastic import ConvexPolynomial
         betas = (ConvexPolynomial([1.0]), ConvexPolynomial([0.5, 0.5]))
