@@ -27,7 +27,6 @@ from .errors import (
     AlphabetTooLarge,
     DegreeExceedsLevels,
     DimensionMismatch,
-    InvalidTolerance,
     NotUltrametric,
 )
 from .stochastic import (
@@ -41,6 +40,9 @@ from .stochastic import (
     require_finite,
     validate_stochastic,
 )
+
+CERT_TOL = 1e-7        # deficiency at or below which dominance counts as certified
+_CERT_RESIDUAL = 1e-9  # residual at or below which H^-1 W is accepted without an LP
 
 
 @dataclass(frozen=True)
@@ -110,7 +112,7 @@ class DominanceChain:
         if any(d < 0 for d in self.deficiencies):
             raise ValueError("deficiencies must be nonnegative")
 
-    def is_certified(self, tol: float = 1e-7) -> bool:
+    def is_certified(self, tol: float = CERT_TOL) -> bool:
         return all(d <= tol for d in self.deficiencies)
 
 
@@ -207,7 +209,7 @@ def _inverse_garbling(Wm: np.ndarray, Hm: np.ndarray) -> np.ndarray | None:
     return _stochastic_rows(R) if np.isfinite(R).all() else None
 
 
-def _garbling_lp(Wm: np.ndarray, Hm: np.ndarray, tol: float) -> np.ndarray:
+def _garbling_lp(Wm: np.ndarray, Hm: np.ndarray) -> np.ndarray:
     """The garbling minimising ||W - H R||_inf, by an equality-form LP.
 
     Variables: R (row-major), the parts P, N >= 0 of W - H R = P - N, an
@@ -251,29 +253,27 @@ def _garbling_lp(Wm: np.ndarray, Hm: np.ndarray, tol: float) -> np.ndarray:
         t_col + 1 + np.arange(X),                                  # slacks
     ])
     basis[n_E + YH + int(np.argmax(np.abs(D).sum(axis=1)))] = t_col
-    sol = lp.solve_lp(c, A_eq, b_eq, basis, tol=tol)
+    sol = lp.solve_lp(c, A_eq, b_eq, basis)
     # basic solutions satisfy the constraints to pivot precision; tidy fp dust
     return _stochastic_rows(sol.x[:n_R].reshape(YH, YW))
 
 
-def lecam_deficiency(W, H, tol: float = 1e-9) -> LeCamResult:
+def lecam_deficiency(W, H) -> LeCamResult:
     """min over stochastic R of the induced infinity-norm of W - H R.
 
     The infinity norm is the maximum absolute row sum. Any stochastic R
     bounds the deficiency from above by ||W - HR||_inf, and the reported
     delta is always that residual of the returned garbling, so the garbling
-    attains it. delta <= tol certifies H >=_B W.
+    attains it. delta <= CERT_TOL certifies H >=_B W.
 
     - Certificate: when H is square and invertible, H^-1 W is the only
       matrix with HR = W. Clipped at 0 and renormalised, it is returned
-      when its residual is <= tol; delta is then an upper bound, below tol.
+      when its residual is <= _CERT_RESIDUAL; delta is then an upper bound,
+      below _CERT_RESIDUAL.
     - Otherwise the garbling LP is solved (`_garbling_lp`) and delta is the
       LP optimum, up to pivot precision.
-    Non-finite entries in W or H raise NonFiniteEntry, and a tol that is
-    not a finite value >= 0 raises InvalidTolerance.
+    Non-finite entries in W or H raise NonFiniteEntry.
     """
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise InvalidTolerance(f"tol must be a finite value >= 0, got {tol}")
     Wm, Hm = as_array(W), as_array(H)
     if Wm.ndim != 2 or Hm.ndim != 2 or Wm.shape[0] != Hm.shape[0]:
         raise DimensionMismatch(
@@ -281,17 +281,17 @@ def lecam_deficiency(W, H, tol: float = 1e-9) -> LeCamResult:
     require_finite(Wm)
     require_finite(Hm)
     R = _inverse_garbling(Wm, Hm)
-    if R is None or garbling_residual(Wm, Hm, R) > tol:
-        R = _garbling_lp(Wm, Hm, tol)
+    if R is None or garbling_residual(Wm, Hm, R) > _CERT_RESIDUAL:
+        R = _garbling_lp(Wm, Hm)
     return LeCamResult(delta=garbling_residual(Wm, Hm, R), garbling=validate_stochastic(R))
 
 
-def blackwell_dominates(A, B_ch, tol: float = 1e-7) -> bool:
+def blackwell_dominates(A, B_ch, tol: float = CERT_TOL) -> bool:
     """True iff A >=_B B_ch, i.e. some garbling of A reproduces B_ch."""
-    return lecam_deficiency(B_ch, A, tol=min(tol, 1e-9)).delta <= tol
+    return lecam_deficiency(B_ch, A).delta <= tol
 
 
-def approximate_blackwell_chain(channels, tol: float = 1e-9) -> DominanceChain:
+def approximate_blackwell_chain(channels) -> DominanceChain:
     """Build a dominance-ordered surrogate chain from arbitrary channels.
 
     The first channel is kept; each next surrogate is the best garbling of
@@ -309,7 +309,7 @@ def approximate_blackwell_chain(channels, tol: float = 1e-9) -> DominanceChain:
     garblings: list[StochasticMatrix] = []
     deficiencies: list[float] = []
     for nxt in chs[1:]:
-        delta, R = lecam_deficiency(nxt, approx[-1], tol=tol)
+        delta, R = lecam_deficiency(nxt, approx[-1])
         garbled = validate_stochastic(approx[-1].matrix.entries @ R.entries)
         approx.append(Channel(garbled, nxt.input_labels, nxt.output_labels))
         garblings.append(R)

@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .channels import approximate_blackwell_chain, garbling_residual, lecam_deficiency
+from .channels import CERT_TOL, approximate_blackwell_chain, garbling_residual, lecam_deficiency
 from .errors import HierPollError, ParseError
 from .estimate import em_fit, estimate_to_dict, load_observations
 from .fileio import (
@@ -105,7 +105,7 @@ def cmd_dominance(args) -> int:
 
     def deficiency(pair):
         i, j = pair
-        return i, j, lecam_deficiency(channels[j], channels[i], tol=args.tol).delta
+        return i, j, lecam_deficiency(channels[j], channels[i]).delta
 
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     with ThreadPoolExecutor(max_workers=args.threads) as ex:
@@ -113,14 +113,14 @@ def cmd_dominance(args) -> int:
     pairwise = np.zeros((n, n))
     for i, j, d in results:
         pairwise[i, j] = d
-    chain = approximate_blackwell_chain(channels, tol=args.tol)
+    chain = approximate_blackwell_chain(channels)
     certified = chain.is_certified(args.cert_tol)
     for u, d in enumerate(chain.deficiencies):
         mark = "certified" if d <= args.cert_tol else "NOT certified"
         print(f"# O({u + 1}) >= O({u + 2}): deficiency {d:.3e} ({mark})",
               file=sys.stderr)
     report = {
-        "meta": standard_meta({"channels": args.channels, "tol": args.tol}, args.seed),
+        "meta": standard_meta({"channels": args.channels}, args.seed),
         "pairwise_deficiency": pairwise.tolist(),
         "chain": chain_to_dict(chain),
         "certified": certified,
@@ -321,10 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dominance", help="certify a dominance chain from channel files")
     p.add_argument("channels", nargs="+", help="channel JSON/CSV files, most informative first")
-    p.add_argument("--tol", type=_tolerance, default=1e-9,
-                   help="residual bound for accepting the closed-form garbling "
-                        "H^-1 W without an LP, and the LP pivot tolerance")
-    p.add_argument("--cert-tol", type=_tolerance, default=1e-7,
+    p.add_argument("--cert-tol", type=_tolerance, default=CERT_TOL,
                    help="deficiency below which a step counts as certified")
     _add_common(p)
     p.set_defaults(func=cmd_dominance)

@@ -76,10 +76,6 @@ class DimensionMismatch(ChannelError):
     pass
 
 
-class InvalidTolerance(ChannelError):
-    pass
-
-
 class LPSolverFailure(HierPollError, RuntimeError):
     pass
 

@@ -40,6 +40,11 @@ from .errors import (
 from .stochastic import StochasticMatrix, as_array, is_ultrametric, validate_stochastic
 
 _COUNT_FLOOR = 1e-12  # keeps emission/transition rows strictly positive
+_MARGIN = 1e-6        # how far each diagonal must exceed its row's off-diagonal maximum
+_PROJECTION_TOL = 1e-9
+_MAX_CYCLES = 1000    # projection cycles before ProjectionStalled
+_MAX_HALVINGS = 30    # ascent-guard bisections before the previous estimate is kept
+_INIT_NOISE = 0.01
 
 
 @dataclass(frozen=True)
@@ -73,14 +78,14 @@ class EmEstimate:
     converged: bool
 
 
-def project_ultrametric(M_raw, margin: float = 1e-6, tol: float = 1e-9,
-                        max_cycles: int = 1000) -> StochasticMatrix:
+def project_ultrametric(M_raw) -> StochasticMatrix:
     """Nearest practically-ultrametric stochastic matrix by cyclic corrections.
 
     Each cycle symmetrizes, lifts entries violating Q_ij >= min(Q_ik, Q_kj),
     shifts row mass from off-diagonal onto any insufficiently dominant
-    diagonal (strictness margin `margin`), and renormalizes rows. Inputs
-    already satisfying the conditions pass through unchanged.
+    diagonal (strictness margin `_MARGIN`), and renormalizes rows, until
+    every condition holds within `_PROJECTION_TOL`. Inputs already
+    satisfying the conditions pass through unchanged.
     """
     Q = np.array(as_array(M_raw), dtype=float)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
@@ -89,14 +94,15 @@ def project_ultrametric(M_raw, margin: float = 1e-6, tol: float = 1e-9,
     if n == 1:
         return validate_stochastic(np.ones((1, 1)))
     eye = np.eye(n, dtype=bool)
-    for _ in range(max_cycles):
+    for _ in range(_MAX_CYCLES):
         sym_gap = np.abs(Q - Q.T).max()
         lb = np.max(np.minimum(Q[:, None, :], Q.T[None, :, :]), axis=2)
         min_gap = float((lb - Q).max())
         off_max = np.where(eye, -np.inf, Q).max(axis=1)
-        diag_gap = float((off_max + margin - np.diag(Q)).max())
+        diag_gap = float((off_max + _MARGIN - np.diag(Q)).max())
         row_gap = float(np.abs(Q.sum(axis=1) - 1.0).max())
-        if sym_gap <= tol and min_gap <= tol and diag_gap <= tol and row_gap <= 1e-12:
+        if (sym_gap <= _PROJECTION_TOL and min_gap <= _PROJECTION_TOL
+                and diag_gap <= _PROJECTION_TOL and row_gap <= 1e-12):
             return validate_stochastic(Q)
         Q = 0.5 * (Q + Q.T)
         lb = np.max(np.minimum(Q[:, None, :], Q.T[None, :, :]), axis=2)
@@ -104,7 +110,7 @@ def project_ultrametric(M_raw, margin: float = 1e-6, tol: float = 1e-9,
         # shift off-diagonal mass onto the diagonal until it dominates by margin
         off_max = np.where(eye, -np.inf, Q).max(axis=1)
         off_sum = Q.sum(axis=1) - np.diag(Q)
-        need = off_max + margin - np.diag(Q)
+        need = off_max + _MARGIN - np.diag(Q)
         denom = off_sum + off_max
         s = np.clip(np.where(denom > 0, need / denom, 0.0), 0.0, 1.0)
         scale = 1.0 - s
@@ -112,7 +118,7 @@ def project_ultrametric(M_raw, margin: float = 1e-6, tol: float = 1e-9,
         Q = Q * scale[:, None]
         Q[eye] = d_new
         Q /= Q.sum(axis=1, keepdims=True)
-    raise ProjectionStalled(f"constraints not met after {max_cycles} cycles")
+    raise ProjectionStalled(f"constraints not met after {_MAX_CYCLES} cycles")
 
 
 def _forward_backward(P, B, pi0, y):
@@ -214,7 +220,7 @@ def _emission_objective(counts, B):
     return float(vals.sum())
 
 
-def _guarded_emission_step(B_old, counts, margin, max_halvings: int = 30):
+def _guarded_emission_step(B_old, counts):
     """Projected emission update with a monotonicity guard.
 
     Accepts the projected candidate only if it does not decrease the
@@ -223,10 +229,10 @@ def _guarded_emission_step(B_old, counts, margin, max_halvings: int = 30):
     """
     raw = counts + _COUNT_FLOOR
     raw /= raw.sum(axis=1, keepdims=True)
-    candidate = project_ultrametric(raw, margin=margin).entries
+    candidate = project_ultrametric(raw).entries
     baseline = _emission_objective(counts, B_old)
     t = 1.0
-    for _ in range(max_halvings):
+    for _ in range(_MAX_HALVINGS):
         blend = B_old + t * (candidate - B_old)
         if is_ultrametric(blend) and _emission_objective(counts, blend) >= baseline - 1e-12:
             return blend
@@ -234,12 +240,12 @@ def _guarded_emission_step(B_old, counts, margin, max_halvings: int = 30):
     return B_old
 
 
-def default_initialization(X: int, seed: int, noise: float = 0.01):
+def default_initialization(X: int, seed: int):
     """Diagonal-heavy start, mildly perturbed so symmetric states separate."""
     rng = np.random.default_rng(seed)
     P0 = 0.9 * np.eye(X) + 0.1 / X
     P0 /= P0.sum(axis=1, keepdims=True)
-    raw = 0.6 * np.eye(X) + 0.4 / X + noise * rng.random((X, X))
+    raw = 0.6 * np.eye(X) + 0.4 / X + _INIT_NOISE * rng.random((X, X))
     raw = np.abs(raw)
     raw /= raw.sum(axis=1, keepdims=True)
     B0 = project_ultrametric(raw).entries
@@ -247,7 +253,7 @@ def default_initialization(X: int, seed: int, noise: float = 0.01):
 
 
 def em_fit(data: ObservationDataset, X: int, init=None, max_iter: int = 100,
-           tol: float = 1e-6, seed: int = 0, margin: float = 1e-6) -> EmEstimate:
+           tol: float = 1e-6, seed: int = 0) -> EmEstimate:
     """EM for the transition matrix and an ultrametric emission matrix.
 
     The observation alphabet must have exactly X symbols (square confusion
@@ -289,7 +295,7 @@ def em_fit(data: ObservationDataset, X: int, init=None, max_iter: int = 100,
             break
         P = trans + _COUNT_FLOOR
         P /= P.sum(axis=1, keepdims=True)
-        B = _guarded_emission_step(B, emit, margin)
+        B = _guarded_emission_step(B, emit)
     return EmEstimate(
         transition=validate_stochastic(P),
         emission=validate_stochastic(B),

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import DominanceChain
+from .channels import CERT_TOL, DominanceChain
 from .errors import (
     AlphaOutOfRange,
     DimensionMismatch,
@@ -25,6 +25,7 @@ from .errors import (
 from .stochastic import as_array
 
 _LOG2 = np.log(2.0)
+_MAX_ITERATIONS = 10 ** 5  # Blahut-Arimoto updates before MaxIterationsExceeded
 
 
 def mutual_information(ch, input_dist) -> float:
@@ -46,7 +47,7 @@ def _kl_rows(O: np.ndarray, q: np.ndarray) -> np.ndarray:
     return (O * log_ratio).sum(axis=1)
 
 
-def shannon_capacity(ch, tol: float = 1e-10, max_iter: int = 10 ** 5):
+def shannon_capacity(ch, tol: float = 1e-10):
     """Channel capacity in bits and a capacity-achieving input distribution.
 
     Alternating updates r <- r * exp(D) / Z with D_x the relative entropy of
@@ -57,7 +58,7 @@ def shannon_capacity(ch, tol: float = 1e-10, max_iter: int = 10 ** 5):
     X = O.shape[0]
     r = np.full(X, 1.0 / X)
     prev = -np.inf
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITERATIONS):
         D = _kl_rows(O, r @ O)                   # nats
         estimate = float(r @ D) / _LOG2
         if abs(estimate - prev) < tol:
@@ -65,7 +66,7 @@ def shannon_capacity(ch, tol: float = 1e-10, max_iter: int = 10 ** 5):
         prev = estimate
         w = r * np.exp(D - D.max())
         r = w / w.sum()
-    raise MaxIterationsExceeded(f"no convergence within {max_iter} iterations")
+    raise MaxIterationsExceeded(f"no convergence within {_MAX_ITERATIONS} iterations")
 
 
 def kl_divergence(p, q) -> float:
@@ -142,8 +143,7 @@ def channel_divergences(ch, alphas) -> np.ndarray:
 
 
 def verify_orderings(chain: DominanceChain, alphas,
-                     cert_tol: float = 1e-7, slack: float = 1e-8,
-                     ba_tol: float = 1e-10) -> InfoReport:
+                     cert_tol: float = CERT_TOL, slack: float = 1e-8) -> InfoReport:
     """Check capacity and Renyi-divergence monotonicity along a certified chain.
 
     Capacities must be nonincreasing and every state pair's divergence must be
@@ -156,7 +156,7 @@ def verify_orderings(chain: DominanceChain, alphas,
     caps = []
     divs = []
     for ch in chain.channels:
-        cap, _ = shannon_capacity(ch, tol=ba_tol)
+        cap, _ = shannon_capacity(ch)
         caps.append(cap)
         divs.append(channel_divergences(ch, alphas))
     divergences = np.stack(divs) if divs else np.zeros((0, 0, 0, len(alphas)))

@@ -23,6 +23,7 @@ from .errors import LPSolverFailure
 
 _DEGENERATE_RUN_LIMIT = 30  # consecutive zero-progress pivots before Bland
 _MAX_PIVOTS = 50_000
+_PIVOT_TOL = 1e-9  # reduced costs and pivot elements smaller than this count as zero
 _FEASIBILITY_TOL = 1e-7  # a basic value below -this is not a feasible start
 
 
@@ -43,14 +44,14 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _iterate(T: np.ndarray, basis: np.ndarray, tol: float) -> int:
+def _iterate(T: np.ndarray, basis: np.ndarray) -> int:
     """Run simplex pivots on tableau T (last row = objective, last col = rhs)."""
     m = T.shape[0] - 1
     degenerate_run = 0
     bland = False
     for it in range(_MAX_PIVOTS):
         reduced = T[-1, :-1]
-        eligible = np.nonzero(reduced < -tol)[0]
+        eligible = np.nonzero(reduced < -_PIVOT_TOL)[0]
         if eligible.size == 0:
             return it
         if bland:
@@ -58,7 +59,7 @@ def _iterate(T: np.ndarray, basis: np.ndarray, tol: float) -> int:
         else:
             col = int(eligible[np.argmin(reduced[eligible])])
         column = T[:m, col]
-        rows = np.nonzero(column > tol)[0]
+        rows = np.nonzero(column > _PIVOT_TOL)[0]
         if rows.size == 0:
             raise LPSolverFailure("objective unbounded below")
         ratios = T[rows, -1] / column[rows]
@@ -74,7 +75,7 @@ def _iterate(T: np.ndarray, basis: np.ndarray, tol: float) -> int:
     raise LPSolverFailure(f"simplex did not terminate within {_MAX_PIVOTS} pivots")
 
 
-def solve_lp(c, A_eq, b_eq, basis, tol: float = 1e-9) -> LPSolution:
+def solve_lp(c, A_eq, b_eq, basis) -> LPSolution:
     """Minimise c'x over {A_eq x = b_eq, x >= 0} from the given basis.
 
     basis[r] is the column basic in row r of the starting tableau, one per
@@ -94,7 +95,7 @@ def solve_lp(c, A_eq, b_eq, basis, tol: float = 1e-9) -> LPSolution:
     if worst < -_FEASIBILITY_TOL:
         raise LPSolverFailure(f"infeasible starting basis: basic value {worst:.3e}")
     T[-1] = np.append(c, 0.0) - c[basis] @ T[:m]
-    iterations = _iterate(T, basis, tol)
+    iterations = _iterate(T, basis)
     x = np.zeros(c.size)
     x[basis] = T[:m, -1]
     return LPSolution(x=x, value=float(c @ x), iterations=iterations)

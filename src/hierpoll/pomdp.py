@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import Channel, _compositions, lecam_deficiency, make_channel
+from .channels import CERT_TOL, Channel, _compositions, lecam_deficiency, make_channel
 from .errors import (
     BeliefOffGrid,
     GridTooLarge,
@@ -42,6 +42,7 @@ from .stochastic import ConvexPolynomial, StochasticMatrix, as_array, validate_s
 
 BELIEF_TOL = 1e-10
 MAX_SWEEPS = 10 ** 5
+_VI_TOL = 1e-8             # default sup-norm change at which sweeps stop
 OFF_GRID = -(1 << 40)      # rank-table sentinel; exceeds any grid size
 
 
@@ -465,7 +466,7 @@ def _solve(backup: Lookahead, tol: float, max_sweeps: int) -> GridValueFunction:
                              sweeps=len(deltas), sweep_deltas=np.array(deltas))
 
 
-def value_iteration(model: PollingModel, M: int, tol: float = 1e-8,
+def value_iteration(model: PollingModel, M: int, tol: float = _VI_TOL,
                     max_sweeps: int = MAX_SWEEPS,
                     max_points: int = 300_000) -> GridValueFunction:
     """Discounted value iteration on the triangulated belief simplex.
@@ -479,7 +480,7 @@ def value_iteration(model: PollingModel, M: int, tol: float = 1e-8,
 
 
 def evaluate_policy_on_grid(model: PollingModel, policy: np.ndarray, M: int,
-                            tol: float = 1e-8, max_sweeps: int = MAX_SWEEPS,
+                            tol: float = _VI_TOL, max_sweeps: int = MAX_SWEEPS,
                             max_points: int = 300_000) -> np.ndarray:
     """Fixed-policy discounted value on the grid (same backup, u pinned)."""
     grid = _checked_grid(M, model.n_states, max_points)
@@ -489,7 +490,7 @@ def evaluate_policy_on_grid(model: PollingModel, policy: np.ndarray, M: int,
 
 
 # ------------------------------------------------------------- verifiers
-def certify_channel_chain(model: PollingModel, tol: float = 1e-7) -> tuple[float, ...]:
+def certify_channel_chain(model: PollingModel, tol: float = CERT_TOL) -> tuple[float, ...]:
     """Deficiencies delta(O(u+1), O(u)) for consecutive actions; raises
     UncertifiedChain when one exceeds tol."""
     out = tuple(lecam_deficiency(model.observation(u + 1), model.observation(u)).delta
@@ -521,8 +522,8 @@ class MyopicBoundReport:
         return not self.violations and self.coincide_on_action_one
 
 
-def verify_myopic_bound(model: PollingModel, M: int, cert_tol: float = 1e-7,
-                        tol: float = 1e-8) -> MyopicBoundReport:
+def verify_myopic_bound(model: PollingModel, M: int, cert_tol: float = CERT_TOL,
+                        tol: float = _VI_TOL) -> MyopicBoundReport:
     """Check mu*(g) <= myopic(g) everywhere, with equality forced on action 1.
 
     Requires the channels to form a certified dominance chain; the
@@ -579,7 +580,7 @@ class SensitivityReport:
 
 
 def verify_sensitivity_bounds(theta: PollingModel, gamma: PollingModel, M: int,
-                              slack: float = 1e-6, tol: float = 1e-8) -> SensitivityReport:
+                              slack: float = 1e-6) -> SensitivityReport:
     """Check the two mis-specification inequalities on every grid point.
 
     With mu_gamma optimal for the approximate model: values of mu_gamma
@@ -588,11 +589,11 @@ def verify_sensitivity_bounds(theta: PollingModel, gamma: PollingModel, M: int,
     true optimum. Grid values carry an interpolation allowance.
     """
     dist, G = model_distance(theta, gamma)
-    v_gamma = value_iteration(gamma, M, tol=tol)
+    v_gamma = value_iteration(gamma, M)
     grid = v_gamma.grid
     theta_backup = Lookahead(theta, grid, grid.points)
-    v_theta = _solve(theta_backup, tol, MAX_SWEEPS)
-    j_cross, _ = _sweep(theta_backup, tol, MAX_SWEEPS, policy=v_gamma.policy)
+    v_theta = _solve(theta_backup, _VI_TOL, MAX_SWEEPS)
+    j_cross, _ = _sweep(theta_backup, _VI_TOL, MAX_SWEEPS, policy=v_gamma.policy)
 
     lhs_model = float(np.abs(v_gamma.values - j_cross).max())
     lhs_policy = float((j_cross - v_theta.values).max())
@@ -614,8 +615,8 @@ class OrdinalReport:
 
 
 def verify_ordinal_sensitivity(theta1: PollingModel, theta2: PollingModel, M: int,
-                               cert_tol: float = 1e-7, slack: float = 1e-6,
-                               tol: float = 1e-8) -> OrdinalReport:
+                               cert_tol: float = CERT_TOL,
+                               slack: float = 1e-6) -> OrdinalReport:
     """Networks with channelwise-dominating observations are cheaper to poll:
     V_1(g) <= V_2(g) everywhere once O1(u) >=_B O2(u) is certified per action."""
     if theta1.n_actions != theta2.n_actions:
@@ -626,8 +627,8 @@ def verify_ordinal_sensitivity(theta1: PollingModel, theta2: PollingModel, M: in
         if defs[-1] > cert_tol:
             raise UncertifiedDominance(
                 f"channel {u}: deficiency {defs[-1]:.3e} exceeds {cert_tol}")
-    v1 = value_iteration(theta1, M, tol=tol)
-    v2 = value_iteration(theta2, M, tol=tol)
+    v1 = value_iteration(theta1, M)
+    v2 = value_iteration(theta2, M)
     allowance = _interpolation_allowance(v1.grid, v1.values, v2.values)
     excess = float((v1.values - v2.values).max())
     return OrdinalReport(deficiencies=tuple(defs), max_excess=excess,

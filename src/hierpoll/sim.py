@@ -204,7 +204,7 @@ def loss_ratio(j: CostEstimate, j_ref: CostEstimate) -> tuple[float, float]:
 
 
 def l1_components(model: PollingModel, rhos, M: int, runs: int, horizon: int,
-                  seed: int, pi0=None, vi_tol: float = 1e-8, solve=None):
+                  seed: int, pi0=None, solve=None):
     """Per rho in `rhos`, the myopic and grid-optimal cost estimates behind
     the optimality-loss ratio, on common random numbers so the Monte Carlo
     noise largely cancels. One rho-free myopic rollout serves every rho, which
@@ -217,25 +217,16 @@ def l1_components(model: PollingModel, rhos, M: int, runs: int, horizon: int,
     out = []
     for rho, jb in zip(rhos, j_myopic):
         at_rho = replace(model, rho=rho)
-        gvf = value_iteration(at_rho, M, tol=vi_tol) if solve is None else solve(at_rho)
+        gvf = value_iteration(at_rho, M) if solve is None else solve(at_rho)
         out.append((jb, estimate_cost(at_rho, GridPolicy(gvf), pi0, horizon, runs, seed)))
     return out
 
 
 def loss_L1(model: PollingModel, M: int, runs: int, horizon: int, seed: int,
-            pi0=None, optimal_from_dp: bool = False, vi_tol: float = 1e-8) -> float:
-    """Relative excess cost of the myopic policy over the grid-optimal policy.
-
-    By default both policies are simulated; optionally the optimal cost is
-    read off the dynamic-programming solution instead.
-    """
-    pi0 = uniform_belief(model.n_states) if pi0 is None else np.asarray(pi0, float)
-    if optimal_from_dp:
-        gvf = value_iteration(model, M, tol=vi_tol)
-        j_myopic = estimate_cost(model, MyopicPolicy(), pi0, horizon, runs, seed)
-        j_star = gvf.interpolate(pi0)
-        return (j_myopic.mean - j_star) / j_star
-    (components,) = l1_components(model, [model.rho], M, runs, horizon, seed, pi0, vi_tol)
+            pi0=None) -> float:
+    """Relative excess cost of the myopic policy over the grid-optimal policy,
+    both simulated on common random numbers."""
+    (components,) = l1_components(model, [model.rho], M, runs, horizon, seed, pi0)
     return loss_ratio(*components)[0]
 
 

@@ -27,6 +27,7 @@ from .errors import (
 
 ROW_SUM_TOL = 1e-10
 ENTRY_TOL = 1e-12
+_POWER_TOL = 1e-9  # eigenvalue, entry and row-sum slack of fractional powers
 
 
 def require_finite(a: np.ndarray) -> None:
@@ -136,30 +137,31 @@ def matrix_power(Q, k: int) -> StochasticMatrix:
     return StochasticMatrix(np.linalg.matrix_power(A, int(k)))
 
 
-def fractional_power(Q, j: int, K: int, tol: float = 1e-9) -> StochasticMatrix:
+def fractional_power(Q, j: int, K: int) -> StochasticMatrix:
     """Q^(j/K) for ultrametric Q, via symmetric eigendecomposition.
 
     Ultrametric matrices are symmetric positive definite, so the principal
     fractional power V diag(lam^(j/K)) V' is well defined and stochastic.
-    Floating-point entries in [-tol, 0] are clipped and rows renormalized
-    only when the total per-row correction stays within tol.
+    Floating-point entries in [-_POWER_TOL, 0] are clipped and rows
+    renormalized only when the total per-row correction stays within
+    _POWER_TOL.
     """
     A = _square(Q)
     if j < 1 or K < 1:
         raise ValueError("j and K must be positive integers")
-    if not is_ultrametric(A, tol=max(tol, 1e-9)):
+    if not is_ultrametric(A, tol=_POWER_TOL):
         raise NotUltrametric("fractional powers require an ultrametric base")
     lam, V = np.linalg.eigh(A)
-    if lam.min() < -tol:
-        raise NegativeEigenvalue(f"smallest eigenvalue {lam.min():.3e} < -tol")
+    if lam.min() < -_POWER_TOL:
+        raise NegativeEigenvalue(f"smallest eigenvalue {lam.min():.3e} < -{_POWER_TOL}")
     lam = np.clip(lam, 0.0, None)
     R = (V * lam ** (j / K)) @ V.T
-    if R.min() < -tol:
-        raise StochasticityLost(f"entry {R.min():.3e} below the -tol clip range")
+    if R.min() < -_POWER_TOL:
+        raise StochasticityLost(f"entry {R.min():.3e} below the -{_POWER_TOL} clip range")
     R = np.clip(R, 0.0, None)
     sums = R.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > tol):
-        raise StochasticityLost("row sums drifted beyond tol after clipping")
+    if np.any(np.abs(sums - 1.0) > _POWER_TOL):
+        raise StochasticityLost(f"row sums drifted beyond {_POWER_TOL} after clipping")
     return StochasticMatrix(R / sums[:, None])
 
 

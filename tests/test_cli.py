@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hierpoll import infotheory
 from hierpoll.cli import main
 from hierpoll.errors import ParseError
 from hierpoll.fileio import (
@@ -292,6 +293,15 @@ class TestInfoCommands:
         lines = [l for l in capsys.readouterr().out.splitlines()
                  if not l.startswith("#")]
         assert float(lines[1].split(",")[1]) == pytest.approx(1.58496, abs=1e-5)
+
+    def test_capacity_iteration_cap_exits_two(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(infotheory, "_MAX_ITERATIONS", 3)
+        channel = tmp_path / "slow.json"
+        channel.write_text(json.dumps([[0.9, 0.1], [0.3, 0.7]]))
+        assert main(["capacity", str(channel)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
 
     def test_renyi_rows(self, channel_files, capsys):
         o1, *_ = channel_files

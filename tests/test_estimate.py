@@ -10,6 +10,7 @@ from hierpoll.errors import (
     AlphabetMismatch,
     EmptyData,
     ParseError,
+    ProjectionStalled,
     UnknownSymbol,
     ZeroLikelihood,
 )
@@ -96,6 +97,12 @@ class TestProjectUltrametric:
             out = project_ultrametric(raw)
             assert is_ultrametric(out.entries)
             validate_stochastic(out.entries)
+
+    def test_cycle_cap_raises(self, monkeypatch):
+        # an asymmetric input needs a correcting cycle before one that accepts it
+        monkeypatch.setattr(estimate, "_MAX_CYCLES", 1)
+        with pytest.raises(ProjectionStalled):
+            project_ultrametric([[0.7, 0.3], [0.4, 0.6]])
 
 
 class TestDataset:

@@ -3,8 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hierpoll.channels import approximate_blackwell_chain, make_channel
-from hierpoll.errors import AlphaOutOfRange, DimensionMismatch, UncertifiedChain
+from hierpoll import infotheory
+from hierpoll.channels import DominanceChain, approximate_blackwell_chain, make_channel
+from hierpoll.errors import (
+    AlphaOutOfRange,
+    DimensionMismatch,
+    MaxIterationsExceeded,
+    UncertifiedChain,
+)
 from hierpoll.infotheory import (
     kl_divergence,
     mutual_information,
@@ -12,7 +18,7 @@ from hierpoll.infotheory import (
     shannon_capacity,
     verify_orderings,
 )
-from hierpoll.stochastic import matrix_power
+from hierpoll.stochastic import matrix_power, validate_stochastic
 
 from conftest import random_stochastic
 
@@ -104,6 +110,12 @@ class TestShannonCapacity:
             w = r * np.exp(D - D.max())
             r = w / w.sum()
 
+    def test_iteration_cap_raises(self, monkeypatch):
+        # this channel needs 18 updates to meet the default tol
+        monkeypatch.setattr(infotheory, "_MAX_ITERATIONS", 3)
+        with pytest.raises(MaxIterationsExceeded):
+            shannon_capacity([[0.9, 0.1], [0.3, 0.7]])
+
 
 class TestDataProcessingInequality:
     def test_garbling_never_gains_information(self, rng):
@@ -176,9 +188,20 @@ class TestVerifyOrderings:
         assert report.capacity_ordering_holds
         assert report.renyi_ordering_holds
 
+    def test_reversed_chain_with_a_false_certificate_fails_both_orderings(self, O1, O2):
+        # mutant: the weaker O2 first, claimed to garble into O1 by the identity
+        reversed_chain = DominanceChain(
+            (make_channel(O2), make_channel(O1)),
+            (validate_stochastic(np.eye(3)),),
+            (0.0,),
+        )
+        report = verify_orderings(reversed_chain, alphas=np.arange(1, 10) / 10)
+        assert not report.capacity_ordering_holds
+        assert not report.renyi_ordering_holds
+        assert np.all(report.capacity_margins < -1e-3)
+        assert np.all(report.renyi_margins < -1e-3)
+
     def test_uncertified_chain_rejected(self, O1):
-        from hierpoll.channels import DominanceChain, make_channel
-        from hierpoll.stochastic import validate_stochastic
         bad = DominanceChain(
             (make_channel(O1), make_channel(np.eye(3))),
             (validate_stochastic(np.eye(3)),),

@@ -192,11 +192,6 @@ class TestLossL1:
         se = np.hypot(j_bar.stderr, j_opt.stderr)
         assert j_bar.mean - j_opt.mean >= -3 * se
 
-    def test_dp_optimal_variant(self):
-        model = example1_model(rho=0.4)
-        val = loss_L1(model, M=20, runs=200, horizon=40, seed=6, optimal_from_dp=True)
-        assert np.isfinite(val)
-
 
 class TestLossL2:
     def test_zero_at_rho_zero_inside_action_one_region(self):
