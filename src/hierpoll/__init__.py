@@ -35,9 +35,11 @@ from .channels import (  # noqa: F401
     make_channel,
 )
 from .infotheory import (  # noqa: F401
+    Capacity,
     InfoReport,
     mutual_information,
     renyi_divergence,
+    shannon_capacities,
     shannon_capacity,
     verify_orderings,
 )

@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .channels import CERT_TOL, approximate_blackwell_chain, garbling_residual, lecam_deficiency
-from .errors import HierPollError, ParseError
+from .errors import HierPollError, MaxIterationsExceeded, ParseError
 from .estimate import em_fit, estimate_to_dict, load_observations
 from .fileio import (
     chain_to_dict,
@@ -28,7 +28,7 @@ from .fileio import (
     standard_meta,
     write_output,
 )
-from .infotheory import channel_divergences, shannon_capacity
+from .infotheory import channel_divergences, shannon_capacities
 from .pomdp import (
     PollingModel,
     validate_belief,
@@ -262,11 +262,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_capacity(args) -> int:
-    rows = []
-    for f in args.channels:
-        cap, _ = shannon_capacity(load_channel(f), tol=args.tol)
-        rows.append((f, cap))
+    channels = [load_channel(f) for f in args.channels]
+    try:
+        results = shannon_capacities(channels, tol=args.tol)
+    except MaxIterationsExceeded as exc:
+        raise MaxIterationsExceeded(f"{args.channels[exc.index]}: {exc}", exc.index) from exc
+    rows = [(f, c.bits) for f, c in zip(args.channels, results)]
     meta = standard_meta({"cmd": "capacity", "channels": args.channels}, args.seed)
+    meta["gap_bits"] = [c.gap_bits for c in results]
     write_output(render_table(("channel", "capacity_bits"), rows, args.format, meta),
                  args.out)
     return 0

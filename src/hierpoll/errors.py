@@ -86,7 +86,12 @@ class AlphaOutOfRange(HierPollError, ValueError):
 
 
 class MaxIterationsExceeded(HierPollError, RuntimeError):
-    pass
+    """An iterative solver hit its cap; `index` names the item of a batch
+    that did not converge, or is None."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class UncertifiedChain(HierPollError, ValueError):

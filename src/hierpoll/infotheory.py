@@ -3,15 +3,21 @@
 Everything is reported in bits. Capacity uses the alternating-minimization
 fixed point (Blahut-Arimoto); its per-iteration estimates are monotone
 nondecreasing lower bounds, and iteration stops when successive estimates
-agree to within tol.
+agree to within tol. At the stop, Gallager's bound max_x D(O_x || rO) is an
+upper bound on the capacity, so each result carries a certified gap.
+`shannon_capacities` runs many channels as one packed iteration: the
+channels are the diagonal blocks of one matrix, each keeps its own iterates
+and stop, and a channel leaves the packing once it stops.
 
 Renyi divergence of order alpha in [0, 1) uses the standard exponents
 (alpha on the left argument, 1 - alpha on the right), the only convention
-under which the divergence is nonnegative on that range.
+under which the divergence is nonnegative on that range. One broadcast
+computes every row pair of a channel at every alpha.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +32,8 @@ from .stochastic import as_array
 
 _LOG2 = np.log(2.0)
 _MAX_ITERATIONS = 10 ** 5  # Blahut-Arimoto updates before MaxIterationsExceeded
+_PACK_ENTRIES = 2 ** 16     # most entries of one block-diagonal Blahut-Arimoto packing
+_Q_FLOOR = 1e-300           # output mass below which a log ratio is taken against the floor
 
 
 def mutual_information(ch, input_dist) -> float:
@@ -43,30 +51,118 @@ def _kl_rows(O: np.ndarray, q: np.ndarray) -> np.ndarray:
     O or q is zero contribute nothing."""
     with np.errstate(divide="ignore", invalid="ignore"):
         log_ratio = np.where((O > 0) & (q > 0)[None, :],
-                             np.log(O / np.maximum(q, 1e-300)), 0.0)
+                             np.log(O / np.maximum(q, _Q_FLOOR)), 0.0)
     return (O * log_ratio).sum(axis=1)
 
 
-def shannon_capacity(ch, tol: float = 1e-10):
-    """Channel capacity in bits and a capacity-achieving input distribution.
+class Capacity(NamedTuple):
+    """Blahut-Arimoto result for one channel, in bits: the estimate I(r) at
+    the stopping input r and Gallager's bound max_x D(O_x || rO), so that
+    bits <= C <= upper_bits."""
+
+    bits: float
+    input: np.ndarray
+    upper_bits: float
+
+    @property
+    def gap_bits(self) -> float:
+        return self.upper_bits - self.bits
+
+
+def shannon_capacities(channels, tol: float = 1e-10) -> list[Capacity]:
+    """Capacities of several channels, in input order, by Blahut-Arimoto.
 
     Alternating updates r <- r * exp(D) / Z with D_x the relative entropy of
     row x to the current output marginal; the induced I(r) estimates are
-    nondecreasing and converge to the capacity.
+    nondecreasing and converge to the capacity. Each channel stops when its
+    estimate changes by less than tol. The channels run together as the
+    diagonal blocks of one matrix, so an iteration costs a fixed number of
+    numpy calls whatever the number of channels.
     """
-    O = as_array(ch)
-    X = O.shape[0]
-    r = np.full(X, 1.0 / X)
-    prev = -np.inf
+    blocks = [O[:, O.any(axis=0)] for O in map(as_array, channels)]
+    results = []
+    start = 0
+    for group in _pack_groups([O.shape for O in blocks]):
+        results += _blahut_arimoto(blocks[start:start + group], start, tol)
+        start += group
+    return results
+
+
+def _pack_groups(shapes) -> list[int]:
+    """Sizes of consecutive runs of channels whose block-diagonal packing
+    holds at most _PACK_ENTRIES entries; a larger channel runs alone."""
+    sizes, rows, cols = [], 0, 0
+    for X, Y in shapes:
+        if sizes and (rows + X) * (cols + Y) <= _PACK_ENTRIES:
+            sizes[-1] += 1
+            rows, cols = rows + X, cols + Y
+        else:
+            sizes.append(1)
+            rows, cols = X, Y
+    return sizes
+
+
+def _pack(blocks):
+    """Block-diagonal matrix of the channels, each row's sum O log O in nats,
+    each channel's first row, and each row's channel."""
+    rows = [O.shape[0] for O in blocks]
+    B = np.zeros((sum(rows), sum(O.shape[1] for O in blocks)))
+    i = j = 0
+    for O in blocks:
+        B[i:i + O.shape[0], j:j + O.shape[1]] = O
+        i, j = i + O.shape[0], j + O.shape[1]
+    starts = np.cumsum([0] + rows[:-1])
+    return B, _kl_rows(B, np.ones(B.shape[1])), starts, np.repeat(np.arange(len(rows)), rows)
+
+
+def _blahut_arimoto(blocks, first: int, tol: float) -> list[Capacity]:
+    """Blahut-Arimoto on channels with no all-zero output column, run as one
+    packed iteration; a channel leaves the packing once it stops. `first` is
+    the input index of blocks[0], named if a channel hits the iteration cap."""
+    results: list[Capacity | None] = [None] * len(blocks)
+    active = np.arange(len(blocks))
+    B, H, starts, owner = _pack(blocks)
+    r = np.concatenate([np.full(O.shape[0], 1.0 / O.shape[0]) for O in blocks])
+    prev = np.full(len(blocks), -np.inf)
     for _ in range(_MAX_ITERATIONS):
-        D = _kl_rows(O, r @ O)                   # nats
-        estimate = float(r @ D) / _LOG2
-        if abs(estimate - prev) < tol:
-            return estimate, r
+        q = r @ B
+        if q.min() >= _Q_FLOOR:
+            D = H - B @ np.log(q)                    # nats
+        else:
+            D = _kl_rows(B, q)
+        estimate = np.add.reduceat(r * D, starts) / _LOG2
+        stop = np.abs(estimate - prev) < tol
+        stopped = stop.any()
+        if stopped:
+            # max_x D(O_x || q) bounds C for any q; a row reaching a symbol
+            # of q below the floor has no finite bound from this q
+            bound = np.where(((B > 0) & (q < _Q_FLOOR)).any(axis=1), np.inf, D)
+            upper = np.maximum.reduceat(bound, starts) / _LOG2
+            ends = np.append(starts[1:], r.size)
+            for k in np.flatnonzero(stop):
+                results[int(active[k])] = Capacity(
+                    float(estimate[k]), r[starts[k]:ends[k]].copy(),
+                    float(max(upper[k], estimate[k])))
         prev = estimate
-        w = r * np.exp(D - D.max())
-        r = w / w.sum()
-    raise MaxIterationsExceeded(f"no convergence within {_MAX_ITERATIONS} iterations")
+        w = r * np.exp(D - np.maximum.reduceat(D, starts)[owner])
+        r = w / np.add.reduceat(w, starts)[owner]
+        if stopped:
+            keep = ~stop
+            if not keep.any():
+                return results
+            r, prev, active = r[keep[owner]], prev[keep], active[keep]
+            B, H, starts, owner = _pack([blocks[k] for k in active])
+    index = first + int(active[0])
+    raise MaxIterationsExceeded(
+        f"Blahut-Arimoto did not converge on the channel at index {index} within "
+        f"{_MAX_ITERATIONS} iterations", index=index)
+
+
+def shannon_capacity(ch, tol: float = 1e-10):
+    """Channel capacity in bits and a capacity-achieving input distribution;
+    one channel of shannon_capacities."""
+    bits, r, _ = shannon_capacities([ch], tol)[0]
+    return bits, r
 
 
 def kl_divergence(p, q) -> float:
@@ -85,20 +181,27 @@ def renyi_divergence(p, q, alpha: float) -> float:
     p's support. Zero-probability symbols contribute nothing, which makes
     the value continuous in (p, q) on this alpha range.
     """
-    if not 0.0 <= alpha < 1.0:
-        raise AlphaOutOfRange(f"alpha must lie in [0, 1), got {alpha}")
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise DimensionMismatch("distributions on different alphabets")
-    if alpha == 0.0:
-        mass = q[p > 0].sum()
-        return float("inf") if mass <= 0 else float(-np.log2(mass))
-    mask = (p > 0) & (q > 0)
-    total = float(np.sum(p[mask] ** alpha * q[mask] ** (1.0 - alpha)))
-    if total <= 0:
-        return float("inf")
-    return float(np.log2(total) / (alpha - 1.0))
+    return float(_renyi_table(p.reshape(1, -1), q.reshape(1, -1), [alpha])[0, 0, 0])
+
+
+def _renyi_table(P: np.ndarray, Q: np.ndarray, alphas) -> np.ndarray:
+    """Renyi divergences in bits of every row of P to every row of Q at every
+    alpha, shape (len(P), len(Q), len(alphas)). Only symbols where both rows
+    are positive count, so alpha = 0 sums q over p's support (p^0 = 1); a
+    zero total gives inf."""
+    a = np.asarray(alphas, dtype=float).reshape(-1, 1)
+    if not np.all((0.0 <= a) & (a < 1.0)):
+        raise AlphaOutOfRange(f"alpha must lie in [0, 1), got {a.ravel().tolist()}")
+    P = np.where(P > 0, P, 0.0)[:, None, None, :]
+    Q = np.where(Q > 0, Q, 0.0)[None, :, None, :]
+    terms = np.where((P > 0) & (Q > 0), P ** a * Q ** (1.0 - a), 0.0)
+    total = terms.sum(axis=-1)                    # (len(P), len(Q), n_alphas)
+    return np.where(total > 0, np.log2(np.where(total > 0, total, 1.0)) / (a[:, 0] - 1.0),
+                    np.inf)
 
 
 @dataclass(frozen=True)
@@ -129,16 +232,12 @@ class InfoReport:
 
 
 def channel_divergences(ch, alphas) -> np.ndarray:
-    """All-pairs row divergences of a channel, shape (X, X, n_alphas)."""
+    """All-pairs row divergences of a channel, shape (X, X, n_alphas), with a
+    zero diagonal."""
     O = as_array(ch)
-    X = O.shape[0]
-    out = np.zeros((X, X, len(alphas)))
-    for i in range(X):
-        for j in range(X):
-            if i == j:
-                continue
-            for a, alpha in enumerate(alphas):
-                out[i, j, a] = renyi_divergence(O[i], O[j], alpha)
+    out = _renyi_table(O, O, alphas)
+    diagonal = np.arange(O.shape[0])
+    out[diagonal, diagonal] = 0.0
     return out
 
 
@@ -153,12 +252,8 @@ def verify_orderings(chain: DominanceChain, alphas,
         raise UncertifiedChain(
             f"chain deficiencies {chain.deficiencies} exceed {cert_tol}")
     alphas = tuple(float(a) for a in alphas)
-    caps = []
-    divs = []
-    for ch in chain.channels:
-        cap, _ = shannon_capacity(ch)
-        caps.append(cap)
-        divs.append(channel_divergences(ch, alphas))
+    caps = [c.bits for c in shannon_capacities(chain.channels)]
+    divs = [channel_divergences(ch, alphas) for ch in chain.channels]
     divergences = np.stack(divs) if divs else np.zeros((0, 0, 0, len(alphas)))
     cap_margins = -np.diff(np.asarray(caps)) if len(caps) > 1 else np.zeros(0)
 

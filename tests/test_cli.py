@@ -302,6 +302,17 @@ class TestInfoCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and "Traceback" not in captured.err
+        assert str(channel) in captured.err
+
+    def test_capacity_reports_each_gap_in_meta(self, channel_files, capsys):
+        o1, o2, *_ = channel_files
+        assert main(["capacity", o1, o2, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        gaps = payload["meta"]["gap_bits"]
+        assert len(gaps) == 2 and all(0.0 <= g < 1e-4 for g in gaps)
+        assert main(["capacity", o1, o2]) == 0
+        meta = [l for l in capsys.readouterr().out.splitlines() if l.startswith("#")]
+        assert f"# gap_bits={gaps}" in meta
 
     def test_renyi_rows(self, channel_files, capsys):
         o1, *_ = channel_files

@@ -12,9 +12,11 @@ from hierpoll.errors import (
     UncertifiedChain,
 )
 from hierpoll.infotheory import (
+    channel_divergences,
     kl_divergence,
     mutual_information,
     renyi_divergence,
+    shannon_capacities,
     shannon_capacity,
     verify_orderings,
 )
@@ -27,6 +29,43 @@ def entropy_bits(p):
     p = np.asarray(p, dtype=float)
     p = p[p > 0]
     return float(-(p * np.log2(p)).sum())
+
+
+def _reference_capacity(O, tol=1e-10, max_iterations=10 ** 5):
+    """One channel's Blahut-Arimoto loop, the oracle for the packed iteration:
+    (estimate in bits, input, iterations)."""
+    O = np.asarray(O, dtype=float)
+    r = np.full(O.shape[0], 1.0 / O.shape[0])
+    prev = -np.inf
+    for it in range(max_iterations):
+        q = r @ O
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lr = np.where((O > 0) & (q > 0)[None, :], np.log(O / np.maximum(q, 1e-300)), 0.0)
+        D = (O * lr).sum(axis=1)
+        estimate = float(r @ D) / np.log(2)
+        if abs(estimate - prev) < tol:
+            return estimate, r, it
+        prev = estimate
+        w = r * np.exp(D - D.max())
+        r = w / w.sum()
+    raise AssertionError("oracle did not converge")
+
+
+def _reference_renyi(p, q, alpha):
+    """Scalar Renyi divergence in bits, the oracle for the broadcast kernel."""
+    if alpha == 0.0:
+        mass = q[p > 0].sum()
+        return np.inf if mass <= 0 else -np.log2(mass)
+    mask = (p > 0) & (q > 0)
+    total = np.sum(p[mask] ** alpha * q[mask] ** (1.0 - alpha))
+    return np.inf if total <= 0 else np.log2(total) / (alpha - 1.0)
+
+
+def _sparse_channel(X, Y, rng):
+    """Random X x Y channel with zeroed entries and an all-zero last column."""
+    O = rng.dirichlet(np.ones(Y - 1), size=X) * (rng.random((X, Y - 1)) < 0.7)
+    O[np.arange(X), rng.integers(0, Y - 1, X)] += 0.1   # no all-zero row
+    return np.hstack([O / O.sum(axis=1, keepdims=True), np.zeros((X, 1))])
 
 
 def _zeroed_distribution(counts):
@@ -117,6 +156,57 @@ class TestShannonCapacity:
             shannon_capacity([[0.9, 0.1], [0.3, 0.7]])
 
 
+class TestPackedCapacities:
+    @pytest.fixture
+    def mixed(self, rng):
+        shapes = [(2, 3), (5, 4), (3, 7), (6, 6), (4, 2), (7, 5)]
+        return [_sparse_channel(X, Y, rng) for X, Y in shapes]
+
+    def test_matches_the_one_channel_loop(self, mixed):
+        assert any((O == 0).any() for O in mixed)
+        for O, got in zip(mixed, shannon_capacities(mixed)):
+            cap, r, _ = _reference_capacity(O)
+            assert got.bits == pytest.approx(cap, abs=1e-12)
+            assert np.abs(got.input - r).max() <= 1e-9
+
+    def test_groups_split_at_the_entry_budget(self, mixed, monkeypatch):
+        whole = shannon_capacities(mixed)
+        # the 7 x 5 channel alone exceeds this budget and runs by itself
+        monkeypatch.setattr(infotheory, "_PACK_ENTRIES", 30)
+        assert infotheory._pack_groups([O.shape for O in mixed]) != [len(mixed)]
+        for a, b in zip(whole, shannon_capacities(mixed)):
+            assert a.bits == pytest.approx(b.bits, abs=1e-12)
+            assert np.abs(a.input - b.input).max() <= 1e-9
+
+    def test_a_fast_channel_is_unchanged_by_a_slow_one(self, rng):
+        fast = random_stochastic(4, 4, rng)
+        slow = np.array([[0.5, 0.5], [0.45, 0.55], [0.55, 0.45], [0.5, 0.5]])
+        assert _reference_capacity(fast)[2] < _reference_capacity(slow)[2]
+        alone = shannon_capacities([fast])[0]
+        for batched in (shannon_capacities([fast, slow])[0],
+                        shannon_capacities([slow, fast])[1]):
+            assert batched.bits == pytest.approx(alone.bits, abs=1e-14)
+            assert np.abs(batched.input - alone.input).max() <= 1e-12
+
+    def test_the_channel_at_the_cap_is_named(self, monkeypatch):
+        # the identity stops at its second estimate, the second channel needs 18
+        monkeypatch.setattr(infotheory, "_MAX_ITERATIONS", 3)
+        with pytest.raises(MaxIterationsExceeded, match="index 1") as info:
+            shannon_capacities([np.eye(2), [[0.9, 0.1], [0.3, 0.7]]])
+        assert info.value.index == 1
+
+    def test_gap_bounds_a_longer_run(self, mixed):
+        for O, got in zip(mixed, shannon_capacities(mixed)):
+            assert got.gap_bits >= 0.0
+            longer, _, _ = _reference_capacity(O, tol=1e-14)
+            assert got.bits <= longer + 1e-12
+            assert got.bits + got.gap_bits >= longer - 1e-12
+
+    def test_gap_is_zero_where_every_row_is_equally_informative(self):
+        for O in (np.eye(3), np.full((4, 4), 0.25)):
+            assert shannon_capacities([O])[0].gap_bits == pytest.approx(0.0, abs=1e-12)
+
+
 class TestDataProcessingInequality:
     def test_garbling_never_gains_information(self, rng):
         for _ in range(100):
@@ -165,6 +255,26 @@ class TestRenyiDivergence:
 
     def test_disjoint_supports_infinite(self):
         assert renyi_divergence([1.0, 0.0], [0.0, 1.0], 0.5) == np.inf
+
+    def test_channel_table_matches_the_scalar_loop(self, rng):
+        # zeroed entries, a row disjoint from another (inf) and alpha = 0
+        O = _sparse_channel(5, 6, rng)
+        O[0] = [0.5, 0.5, 0.0, 0.0, 0.0, 0.0]
+        O[1] = [0.0, 0.0, 0.3, 0.7, 0.0, 0.0]
+        alphas = [0.0, 0.1, 0.5, 0.9]
+        got = channel_divergences(O, alphas)
+        want = np.array([[[0.0 if i == j else _reference_renyi(O[i], O[j], a)
+                           for a in alphas] for j in range(5)] for i in range(5)])
+        assert np.isinf(want).any()
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        finite = np.isfinite(want)
+        assert np.allclose(got[finite], want[finite], rtol=1e-12, atol=1e-15)
+        assert np.all(np.diagonal(got, axis1=0, axis2=1) == 0.0)
+        assert renyi_divergence(O[2], O[3], 0.0) == got[2, 3, 0]
+
+    def test_channel_table_rejects_alpha_out_of_range(self):
+        with pytest.raises(AlphaOutOfRange):
+            channel_divergences(np.eye(2), [0.5, 1.0])
 
 
 class TestVerifyOrderings:
