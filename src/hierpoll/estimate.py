@@ -37,7 +37,14 @@ from .errors import (
     UnknownSymbol,
     ZeroLikelihood,
 )
-from .stochastic import StochasticMatrix, as_array, is_ultrametric, validate_stochastic
+from .stochastic import (
+    StochasticMatrix,
+    _max_min_closure,
+    _ultrametric_gaps,
+    as_array,
+    is_ultrametric,
+    validate_stochastic,
+)
 
 _COUNT_FLOOR = 1e-12  # keeps emission/transition rows strictly positive
 _MARGIN = 1e-6        # how far each diagonal must exceed its row's off-diagonal maximum
@@ -51,7 +58,6 @@ _INIT_NOISE = 0.01
 class ObservationDataset:
     sequences: tuple[np.ndarray, ...]
     alphabet: tuple[str, ...]
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         seqs = tuple(np.asarray(s, dtype=int) for s in self.sequences)
@@ -90,23 +96,17 @@ def project_ultrametric(M_raw) -> StochasticMatrix:
     Q = np.array(as_array(M_raw), dtype=float)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise NotSquare(f"expected square matrix, got {Q.shape}")
-    n = Q.shape[0]
-    if n == 1:
+    if Q.shape[0] == 1:
         return validate_stochastic(np.ones((1, 1)))
-    eye = np.eye(n, dtype=bool)
+    eye = np.eye(Q.shape[0], dtype=bool)
     for _ in range(_MAX_CYCLES):
-        sym_gap = np.abs(Q - Q.T).max()
-        lb = np.max(np.minimum(Q[:, None, :], Q.T[None, :, :]), axis=2)
-        min_gap = float((lb - Q).max())
-        off_max = np.where(eye, -np.inf, Q).max(axis=1)
-        diag_gap = float((off_max + _MARGIN - np.diag(Q)).max())
+        asymmetry, shortfall, dominance = _ultrametric_gaps(Q, _PROJECTION_TOL, _MARGIN)
         row_gap = float(np.abs(Q.sum(axis=1) - 1.0).max())
-        if (sym_gap <= _PROJECTION_TOL and min_gap <= _PROJECTION_TOL
-                and diag_gap <= _PROJECTION_TOL and row_gap <= 1e-12):
+        if (asymmetry <= _PROJECTION_TOL and shortfall <= 0.0
+                and dominance <= _PROJECTION_TOL and row_gap <= 1e-12):
             return validate_stochastic(Q)
         Q = 0.5 * (Q + Q.T)
-        lb = np.max(np.minimum(Q[:, None, :], Q.T[None, :, :]), axis=2)
-        Q = np.maximum(Q, lb)
+        Q = np.maximum(Q, _max_min_closure(Q))
         # shift off-diagonal mass onto the diagonal until it dominates by margin
         off_max = np.where(eye, -np.inf, Q).max(axis=1)
         off_sum = Q.sum(axis=1) - np.diag(Q)
@@ -246,7 +246,6 @@ def default_initialization(X: int, seed: int):
     P0 = 0.9 * np.eye(X) + 0.1 / X
     P0 /= P0.sum(axis=1, keepdims=True)
     raw = 0.6 * np.eye(X) + 0.4 / X + _INIT_NOISE * rng.random((X, X))
-    raw = np.abs(raw)
     raw /= raw.sum(axis=1, keepdims=True)
     B0 = project_ultrametric(raw).entries
     return P0, B0
@@ -320,40 +319,37 @@ def _map_symbols(rows, alphabet):
     return tuple(sequences)
 
 
-def load_observations(path, fmt: str | None = None) -> ObservationDataset:
+def load_observations(path) -> ObservationDataset:
     """Read a symbol dataset from CSV (first row = alphabet, one sequence per
-    following row) or JSON ({"alphabet": [...], "sequences": [[...], ...]}
+    following row) or a `.json` file ({"alphabet": [...], "sequences": [[...], ...]}
     or a bare list of sequences with the alphabet inferred)."""
     path = Path(path)
-    if fmt is None:
-        fmt = "json" if path.suffix.lower() == ".json" else "csv"
-    if fmt == "csv":
+    if path.suffix.lower() != ".json":
         try:
             with open(path, newline="") as fh:
-                rows = [row for row in csv.reader(fh) if row]
+                rows = [[s.strip() for s in row] for row in csv.reader(fh) if row]
         except (OSError, csv.Error) as exc:
             raise ParseError(f"cannot read {path}: {exc}") from exc
         if len(rows) < 2:
             raise ParseError("need an alphabet row and at least one sequence row")
-        alphabet = tuple(s.strip() for s in rows[0])
-        data_rows = [[s.strip() for s in row] for row in rows[1:]]
-        return ObservationDataset(_map_symbols(data_rows, alphabet), alphabet)
-    if fmt == "json":
+        alphabet, rows = tuple(rows[0]), rows[1:]
+    else:
         try:
             payload = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ParseError(f"cannot parse {path}: {exc}") from exc
-        if isinstance(payload, dict):
-            alphabet = tuple(str(a) for a in payload["alphabet"])
-            rows = [[str(s) for s in seq] for seq in payload["sequences"]]
-            labels = tuple(payload["labels"]) if "labels" in payload else None
-            return ObservationDataset(_map_symbols(rows, alphabet), alphabet, labels)
-        if isinstance(payload, list):
-            rows = [[str(s) for s in seq] for seq in payload]
-            alphabet = tuple(sorted({s for row in rows for s in row}))
-            return ObservationDataset(_map_symbols(rows, alphabet), alphabet)
-        raise ParseError("JSON dataset must be an object or a list of sequences")
-    raise ParseError(f"unknown dataset format {fmt!r}")
+        if not isinstance(payload, (dict, list)):
+            raise ParseError("JSON dataset must be an object or a list of sequences")
+        bare = isinstance(payload, list)
+        try:
+            rows = [[str(s) for s in seq] for seq in (payload if bare else payload["sequences"])]
+            alphabet = (tuple(sorted({s for row in rows for s in row})) if bare
+                        else tuple(str(a) for a in payload["alphabet"]))
+        except KeyError as exc:
+            raise ParseError(f"{path}: missing key {exc}") from None
+        except TypeError:
+            raise ParseError(f"{path}: 'alphabet' and 'sequences' must hold lists") from None
+    return ObservationDataset(_map_symbols(rows, alphabet), alphabet)
 
 
 def estimate_to_dict(est: EmEstimate) -> dict:

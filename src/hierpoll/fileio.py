@@ -30,12 +30,10 @@ from .stochastic import ConvexPolynomial, validate_stochastic
 
 
 # ----------------------------------------------------------------- matrices
-def load_matrix(path, fmt: str | None = None) -> np.ndarray:
+def load_matrix(path) -> np.ndarray:
     path = Path(path)
-    if fmt is None:
-        fmt = "json" if path.suffix.lower() == ".json" else "csv"
     try:
-        if fmt == "json":
+        if path.suffix.lower() == ".json":
             data = json.loads(path.read_text())
             if isinstance(data, dict) and "matrix" in data:
                 data = data["matrix"]
@@ -52,12 +50,10 @@ def load_matrix(path, fmt: str | None = None) -> np.ndarray:
         raise ParseError(f"cannot read matrix from {path}: {exc}") from exc
 
 
-def save_matrix(path, matrix, fmt: str | None = None) -> None:
+def save_matrix(path, matrix) -> None:
     path = Path(path)
     arr = np.asarray(matrix, dtype=float)
-    if fmt is None:
-        fmt = "json" if path.suffix.lower() == ".json" else "csv"
-    if fmt == "json":
+    if path.suffix.lower() == ".json":
         path.write_text(json.dumps(arr.tolist()))
     else:
         path.write_text("\n".join(",".join(repr(float(v)) for v in row)
@@ -91,6 +87,14 @@ def channel_from_dict(payload: dict) -> Channel:
     raise ParseError(f"unknown channel recipe type {kind!r}")
 
 
+def _from_payload(build, payload, path):
+    """build(payload), a missing key raised as ParseError naming file and key."""
+    try:
+        return build(payload)
+    except KeyError as exc:
+        raise ParseError(f"{path}: missing key {exc}") from None
+
+
 def load_channel(path) -> Channel:
     path = Path(path)
     if path.suffix.lower() == ".json":
@@ -99,7 +103,7 @@ def load_channel(path) -> Channel:
         except (OSError, json.JSONDecodeError) as exc:
             raise ParseError(f"cannot read channel from {path}: {exc}") from exc
         if isinstance(payload, dict):
-            return channel_from_dict(payload)
+            return _from_payload(channel_from_dict, payload, path)
         return make_channel(np.asarray(payload, dtype=float))
     return make_channel(load_matrix(path))
 
@@ -167,7 +171,7 @@ def load_model(path) -> tuple[PollingModel, dict]:
         payload = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read model config from {path}: {exc}") from exc
-    return model_from_dict(payload), payload
+    return _from_payload(model_from_dict, payload, path), payload
 
 
 # ------------------------------------------------------------ tabular output

@@ -34,6 +34,7 @@ _LOG2 = np.log(2.0)
 _MAX_ITERATIONS = 10 ** 5  # Blahut-Arimoto updates before MaxIterationsExceeded
 _PACK_ENTRIES = 2 ** 16     # most entries of one block-diagonal Blahut-Arimoto packing
 _Q_FLOOR = 1e-300           # output mass below which a log ratio is taken against the floor
+_ORDERING_SLACK = 1e-8      # numeric slack of the capacity and Renyi ordering margins
 
 
 def mutual_information(ch, input_dist) -> float:
@@ -241,16 +242,15 @@ def channel_divergences(ch, alphas) -> np.ndarray:
     return out
 
 
-def verify_orderings(chain: DominanceChain, alphas,
-                     cert_tol: float = CERT_TOL, slack: float = 1e-8) -> InfoReport:
+def verify_orderings(chain: DominanceChain, alphas) -> InfoReport:
     """Check capacity and Renyi-divergence monotonicity along a certified chain.
 
     Capacities must be nonincreasing and every state pair's divergence must be
-    nonincreasing at every alpha, both within the numeric slack.
+    nonincreasing at every alpha, both within the numeric slack _ORDERING_SLACK.
     """
-    if not chain.is_certified(cert_tol):
+    if not chain.is_certified(CERT_TOL):
         raise UncertifiedChain(
-            f"chain deficiencies {chain.deficiencies} exceed {cert_tol}")
+            f"chain deficiencies {chain.deficiencies} exceed {CERT_TOL}")
     alphas = tuple(float(a) for a in alphas)
     caps = [c.bits for c in shannon_capacities(chain.channels)]
     divs = [channel_divergences(ch, alphas) for ch in chain.channels]
@@ -270,6 +270,6 @@ def verify_orderings(chain: DominanceChain, alphas,
         divergences=divergences,
         capacity_margins=cap_margins,
         renyi_margins=renyi_margins,
-        capacity_ordering_holds=bool(np.all(cap_margins >= -slack)),
-        renyi_ordering_holds=bool(np.all(renyi_margins >= -slack)),
+        capacity_ordering_holds=bool(np.all(cap_margins >= -_ORDERING_SLACK)),
+        renyi_ordering_holds=bool(np.all(renyi_margins >= -_ORDERING_SLACK)),
     )

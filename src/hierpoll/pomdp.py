@@ -12,7 +12,9 @@ one Bayes step: the belief filter, the planner and the simulator all form
 their posteriors with it. `Lookahead` is the one-step Bellman lookahead
 Q(pi, u) = C(pi, u) + rho sum_y sigma_y(pi, u) V(T_y(pi, u)), with V
 interpolated on the grid; value iteration, fixed-policy evaluation and the
-greedy grid policy all apply it.
+greedy grid policy all apply it. Both read the channels as one zero-padded
+(U, X, Y_max) array, `PollingModel.likelihoods`: a padded symbol has
+likelihood 0 from every state, so it carries sigma = 0 and is never drawn.
 
 Actions are 1-based everywhere (action 1 = most informative channel);
 observation symbols are 0-based indices into a channel's output alphabet.
@@ -38,21 +40,23 @@ from .errors import (
     UncertifiedDominance,
     ZeroLikelihood,
 )
-from .stochastic import ConvexPolynomial, StochasticMatrix, as_array, validate_stochastic
+from .stochastic import ConvexPolynomial, StochasticMatrix, _readonly, as_array, validate_stochastic
 
 BELIEF_TOL = 1e-10
 MAX_SWEEPS = 10 ** 5
 _VI_TOL = 1e-8             # default sup-norm change at which sweeps stop
+_MAX_POINTS = 300_000      # grid-size cap (value_iteration's default)
+_BOUND_SLACK = 1e-6        # numeric slack of the sensitivity verifiers' inequalities
 OFF_GRID = -(1 << 40)      # rank-table sentinel; exceeds any grid size
 
 
-def validate_belief(pi, tol: float = BELIEF_TOL) -> np.ndarray:
+def validate_belief(pi) -> np.ndarray:
     pi = np.asarray(pi, dtype=float)
     if pi.ndim != 1 or pi.size < 1 or not np.isfinite(pi).all():
         raise ValueError("belief must be a finite 1-d probability vector")
-    if pi.min() < -tol:
+    if pi.min() < -BELIEF_TOL:
         raise ValueError(f"belief has negative mass {pi.min():.3e}")
-    if abs(pi.sum() - 1.0) > tol:
+    if abs(pi.sum() - 1.0) > BELIEF_TOL:
         raise ValueError(f"belief mass {pi.sum():.12f} != 1")
     return pi
 
@@ -192,6 +196,7 @@ class PollingModel:
     channels: tuple[Channel, ...]
     costs: CostSpec
     rho: float
+    likelihoods: np.ndarray = field(init=False, repr=False)  # read-only, zero-padded O(u)
 
     def __post_init__(self):
         P = self.P if isinstance(self.P, StochasticMatrix) else validate_stochastic(as_array(self.P))
@@ -209,6 +214,10 @@ class PollingModel:
             raise ModelShapeMismatch("one cost entry per channel required")
         if not 0.0 <= self.rho < 1.0:
             raise ValueError("discount factor must lie in [0, 1)")
+        L = np.zeros((len(chans), X, max(c.n_outputs for c in chans)))
+        for u, c in enumerate(chans):
+            L[u, :, :c.n_outputs] = c.matrix.entries
+        object.__setattr__(self, "likelihoods", _readonly(L))
 
     @property
     def n_states(self) -> int:
@@ -404,31 +413,26 @@ class GridValueFunction:
 class Lookahead:
     """One-step Bellman lookahead from a fixed set of belief rows PI.
 
-    Holds the stage costs C, and for the observations of every action side
-    by side (columns ends[u-1]:ends[u] belong to action u) their
-    likelihoods sigma and the grid interpolation data of their posteriors,
-    so that q_values(V) = C + rho sum_y sigma_y V(T_y) costs one gather per
-    call. All posteriors are interpolated in one pass.
+    Holds the stage costs C (n, U), and for every action and symbol the
+    likelihoods sigma (n, U, Y_max) and the grid interpolation data of the
+    posteriors, so that q_values(V) = C + rho sum_y sigma_y V(T_y) costs one
+    gather per call. All posteriors are interpolated in one pass.
     """
 
     def __init__(self, model: PollingModel, grid: FreudenthalGrid, PI):
         PI = np.atleast_2d(np.asarray(PI, dtype=float))
         self.grid = grid
         self.rho = model.rho
-        self.C = cost_matrix(PI, model.costs)                 # (n, U)
-        O = [model.observation(u) for u in range(1, model.n_actions + 1)]
-        self.ends = np.cumsum([0] + [o.shape[1] for o in O])
-        # T: (n, Y, X) posteriors of P' pi over every action's Y_u symbols
-        T, self.sigma = bayes_update((PI @ model.P.entries)[:, None, :], np.hstack(O).T[None])
-        idx, w = grid.interpolation_data(T.reshape(-1, T.shape[2]))
+        self.C = cost_matrix(PI, model.costs)
+        T, self.sigma = bayes_update((PI @ model.P.entries)[:, None, None, :],
+                                     model.likelihoods.transpose(0, 2, 1)[None])
+        idx, w = grid.interpolation_data(T.reshape(-1, T.shape[-1]))
         self.idx, self.w = idx.reshape(T.shape), w.reshape(T.shape)
 
     def q_values(self, values: np.ndarray) -> np.ndarray:
         """Lookahead costs of every belief row and action, shape (n, U)."""
-        interp = (values[self.idx] * self.w).sum(axis=2)      # (n, Y)
-        expected = [(self.sigma[:, a:b] * interp[:, a:b]).sum(axis=1)
-                    for a, b in zip(self.ends[:-1], self.ends[1:])]
-        return self.C + self.rho * np.stack(expected, axis=1)
+        interp = (values[self.idx] * self.w).sum(axis=-1)
+        return self.C + self.rho * (self.sigma * interp).sum(axis=-1)
 
 
 def _checked_grid(M: int, X: int, max_points: int) -> FreudenthalGrid:
@@ -468,7 +472,7 @@ def _solve(backup: Lookahead, tol: float, max_sweeps: int) -> GridValueFunction:
 
 def value_iteration(model: PollingModel, M: int, tol: float = _VI_TOL,
                     max_sweeps: int = MAX_SWEEPS,
-                    max_points: int = 300_000) -> GridValueFunction:
+                    max_points: int = _MAX_POINTS) -> GridValueFunction:
     """Discounted value iteration on the triangulated belief simplex.
 
     Off-grid posteriors are evaluated by barycentric interpolation, so each
@@ -479,14 +483,12 @@ def value_iteration(model: PollingModel, M: int, tol: float = _VI_TOL,
     return _solve(Lookahead(model, grid, grid.points), tol, max_sweeps)
 
 
-def evaluate_policy_on_grid(model: PollingModel, policy: np.ndarray, M: int,
-                            tol: float = _VI_TOL, max_sweeps: int = MAX_SWEEPS,
-                            max_points: int = 300_000) -> np.ndarray:
+def evaluate_policy_on_grid(model: PollingModel, policy: np.ndarray, M: int) -> np.ndarray:
     """Fixed-policy discounted value on the grid (same backup, u pinned)."""
-    grid = _checked_grid(M, model.n_states, max_points)
+    grid = _checked_grid(M, model.n_states, _MAX_POINTS)
     if policy.shape != (grid.size,):
         raise ModelShapeMismatch("policy must assign an action to every grid point")
-    return _sweep(Lookahead(model, grid, grid.points), tol, max_sweeps, policy)[0]
+    return _sweep(Lookahead(model, grid, grid.points), _VI_TOL, MAX_SWEEPS, policy)[0]
 
 
 # ------------------------------------------------------------- verifiers
@@ -522,14 +524,13 @@ class MyopicBoundReport:
         return not self.violations and self.coincide_on_action_one
 
 
-def verify_myopic_bound(model: PollingModel, M: int, cert_tol: float = CERT_TOL,
-                        tol: float = _VI_TOL) -> MyopicBoundReport:
+def verify_myopic_bound(model: PollingModel, M: int, tol: float = _VI_TOL) -> MyopicBoundReport:
     """Check mu*(g) <= myopic(g) everywhere, with equality forced on action 1.
 
-    Requires the channels to form a certified dominance chain; the
-    instantaneous costs are concave for all three families by construction.
+    Requires the channels to form a certified dominance chain (CERT_TOL);
+    the instantaneous costs are concave for all three families by construction.
     """
-    deficiencies = certify_channel_chain(model, cert_tol)
+    deficiencies = certify_channel_chain(model)
     gvf = value_iteration(model, M, tol=tol)
     myopic = myopic_policy(gvf.points, model.costs)
     violations = tuple(int(i) for i in np.nonzero(gvf.policy > myopic)[0])
@@ -579,8 +580,8 @@ class SensitivityReport:
         return self.model_bound_gap >= 0 and self.policy_bound_gap >= 0
 
 
-def verify_sensitivity_bounds(theta: PollingModel, gamma: PollingModel, M: int,
-                              slack: float = 1e-6) -> SensitivityReport:
+def verify_sensitivity_bounds(theta: PollingModel, gamma: PollingModel,
+                              M: int) -> SensitivityReport:
     """Check the two mis-specification inequalities on every grid point.
 
     With mu_gamma optimal for the approximate model: values of mu_gamma
@@ -598,8 +599,8 @@ def verify_sensitivity_bounds(theta: PollingModel, gamma: PollingModel, M: int,
     lhs_model = float(np.abs(v_gamma.values - j_cross).max())
     lhs_policy = float((j_cross - v_theta.values).max())
     allowance = _interpolation_allowance(grid, v_gamma.values, j_cross, v_theta.values)
-    rhs_model = G * dist + slack + allowance
-    rhs_policy = 2.0 * G * dist + slack + allowance
+    rhs_model = G * dist + _BOUND_SLACK + allowance
+    rhs_policy = 2.0 * G * dist + _BOUND_SLACK + allowance
     return SensitivityReport(distance=dist, cost_bound=G,
                              model_bound_gap=rhs_model - lhs_model,
                              policy_bound_gap=rhs_policy - lhs_policy,
@@ -614,9 +615,7 @@ class OrdinalReport:
     holds: bool
 
 
-def verify_ordinal_sensitivity(theta1: PollingModel, theta2: PollingModel, M: int,
-                               cert_tol: float = CERT_TOL,
-                               slack: float = 1e-6) -> OrdinalReport:
+def verify_ordinal_sensitivity(theta1: PollingModel, theta2: PollingModel, M: int) -> OrdinalReport:
     """Networks with channelwise-dominating observations are cheaper to poll:
     V_1(g) <= V_2(g) everywhere once O1(u) >=_B O2(u) is certified per action."""
     if theta1.n_actions != theta2.n_actions:
@@ -624,12 +623,12 @@ def verify_ordinal_sensitivity(theta1: PollingModel, theta2: PollingModel, M: in
     defs = []
     for u in range(1, theta1.n_actions + 1):
         defs.append(lecam_deficiency(theta2.observation(u), theta1.observation(u)).delta)
-        if defs[-1] > cert_tol:
+        if defs[-1] > CERT_TOL:
             raise UncertifiedDominance(
-                f"channel {u}: deficiency {defs[-1]:.3e} exceeds {cert_tol}")
+                f"channel {u}: deficiency {defs[-1]:.3e} exceeds {CERT_TOL}")
     v1 = value_iteration(theta1, M)
     v2 = value_iteration(theta2, M)
     allowance = _interpolation_allowance(v1.grid, v1.values, v2.values)
     excess = float((v1.values - v2.values).max())
     return OrdinalReport(deficiencies=tuple(defs), max_excess=excess,
-                         allowance=allowance, holds=excess <= slack + allowance)
+                         allowance=allowance, holds=excess <= _BOUND_SLACK + allowance)

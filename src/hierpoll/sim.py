@@ -7,7 +7,8 @@ piecewise proxy ctilde(pi_k) of the same step. rho enters only in the summary,
 which weights step k by rho^k from k = 0, so one rollout serves every rho.
 Every run draws its uniforms from a stream keyed by (seed, run index), so
 runs are individually reproducible and independent of batch size or
-execution order.
+execution order. Symbols are drawn from, and filtered with, the model's
+(U, X, Y_max) likelihood tensor, whose zero padding is never drawn.
 """
 from __future__ import annotations
 
@@ -61,14 +62,13 @@ class GridPolicy:
 # ------------------------------------------------------------------ rollout
 @dataclass(frozen=True)
 class Trajectory:
-    """One rollout: x_k, u_k, y_k, pi_k, stage costs, discount weights."""
+    """One rollout: x_k, u_k, y_k, pi_k and stage costs."""
 
     states: np.ndarray        # (horizon+1,) hidden states, x_0 first
     actions: np.ndarray       # (horizon,) 1-based, u_k = policy(pi_k)
     observations: np.ndarray  # (horizon,) symbol generated by u_k
     beliefs: np.ndarray       # (horizon+1, X), pi_0 first
     costs: np.ndarray         # (horizon,) C(pi_k, u_k)
-    discounts: np.ndarray     # (horizon,) rho^k
 
     @property
     def horizon(self) -> int:
@@ -82,9 +82,8 @@ def _uniform_streams(seed: int, run_ids, horizon: int) -> np.ndarray:
     return draws
 
 
-def _sample_categorical(cum_rows: np.ndarray, row_idx: np.ndarray,
-                        uniforms: np.ndarray) -> np.ndarray:
-    return (cum_rows[row_idx] < uniforms[:, None]).sum(axis=1)
+def _sample_categorical(cum_rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    return (cum_rows < uniforms[:, None]).sum(axis=-1)
 
 
 def _rollout(model: PollingModel, policy, pi0: np.ndarray, horizon: int,
@@ -101,9 +100,9 @@ def _rollout(model: PollingModel, policy, pi0: np.ndarray, horizon: int,
     if runs < 1:
         raise ValueError("runs must be >= 1")
     cumP = np.cumsum(model.P.entries, axis=1)
-    cumO = [np.cumsum(model.observation(u), axis=1) for u in range(1, model.n_actions + 1)]
+    cumO = np.cumsum(model.likelihoods, axis=2)
 
-    x = (np.cumsum(pi0)[None, :] < draws[:, 0:1]).sum(axis=1)
+    x = _sample_categorical(np.cumsum(pi0), draws[:, 0])
     PI = np.tile(pi0, (runs, 1))
     out = {"costs": np.empty((runs, horizon))}
     if proxy:
@@ -122,16 +121,9 @@ def _rollout(model: PollingModel, policy, pi0: np.ndarray, horizon: int,
         out["costs"][:, k] = np.take_along_axis(allc, (a - 1)[:, None], axis=1)[:, 0]
         if proxy:
             out["ctilde"][:, k] = ctilde_values(PI, model.costs, allc)
-        x_next = _sample_categorical(cumP, x, draws[:, 1 + 2 * k])
-        y = np.empty(runs, dtype=int)
-        O_sel = np.empty((runs, X))
-        for u in np.unique(a):
-            mask = a == u
-            y[mask] = _sample_categorical(cumO[u - 1], x_next[mask],
-                                          draws[mask, 2 + 2 * k])
-            O_sel[mask] = model.observation(u)[:, y[mask]].T
-        PI, _ = bayes_update(PI @ model.P.entries, O_sel)
-        x = x_next
+        x = _sample_categorical(cumP[x], draws[:, 1 + 2 * k])
+        y = _sample_categorical(cumO[a - 1, x], draws[:, 2 + 2 * k])
+        PI, _ = bayes_update(PI @ model.P.entries, model.likelihoods[a - 1, :, y])
         if record:
             out["states"][:, k + 1] = x
             out["actions"][:, k] = a
@@ -145,8 +137,7 @@ def simulate(model: PollingModel, policy, pi0, horizon: int, seed: int,
     """Single reproducible rollout; identical to run `run_index` of a batch."""
     data = _rollout(model, policy, np.asarray(pi0, dtype=float), horizon, seed,
                     runs=[run_index], record=True)
-    return Trajectory(**{name: rows[0] for name, rows in data.items()},
-                      discounts=model.rho ** np.arange(horizon))
+    return Trajectory(**{name: rows[0] for name, rows in data.items()})
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,9 @@ from .errors import (
 ROW_SUM_TOL = 1e-10
 ENTRY_TOL = 1e-12
 _POWER_TOL = 1e-9  # eigenvalue, entry and row-sum slack of fractional powers
+_ULTRAMETRIC_TOL = 1e-9
+_HURWITZ_TOL = 1e-9   # roots within this of the imaginary axis count as non-Hurwitz
+_QUOTIENT_TOL = 1e-8  # division residual and negative-coefficient slack
 
 
 def require_finite(a: np.ndarray) -> None:
@@ -110,23 +113,29 @@ def _square(m) -> np.ndarray:
     return a
 
 
-def is_ultrametric(Q, tol: float = 1e-9) -> bool:
-    """Test the three ultrametric conditions on a square matrix.
+def _max_min_closure(A: np.ndarray) -> np.ndarray:
+    """The min-condition's lower bound on each entry: max_k min(A_ik, A_kj)."""
+    return np.max(np.minimum(A[:, None, :], A.T[None, :, :]), axis=2)
 
-    Symmetric within tol; Q_ij >= min(Q_ik, Q_kj) - tol for all i,j,k; and
-    every diagonal entry strictly dominates its row's off-diagonal maximum
-    (by more than tol -- near-ties are conservatively rejected).
-    """
-    A = _square(Q)
-    if np.abs(A - A.T).max() > tol:
-        return False
-    # lower bound from the min-condition: lb[i,j] = max_k min(A[i,k], A[k,j])
-    lb = np.max(np.minimum(A[:, None, :], A.T[None, :, :]), axis=2)
-    if np.any(A < lb - tol):
-        return False
-    off = A - np.diag(np.diag(A))
-    max_off = off.max(axis=1) if A.shape[0] > 1 else np.zeros(1)
-    return bool(np.all(np.diag(A) - max_off > tol))
+
+def _ultrametric_gaps(A: np.ndarray, tol: float, margin: float = 0.0):
+    """The three ultrametric conditions of a square array as gaps: max |A_ij - A_ji|;
+    max (closure - tol - A_ij), positive where an entry falls more than tol below
+    its max-min bound; max_i (off-diagonal row maximum, taken with 0, + margin - A_ii)."""
+    off_max = np.where(np.eye(A.shape[0], dtype=bool), 0.0, A).max(axis=1)
+    return (float(np.abs(A - A.T).max()),
+            float((_max_min_closure(A) - tol - A).max()),
+            float((off_max + margin - np.diag(A)).max()))
+
+
+def is_ultrametric(Q) -> bool:
+    """Test the three ultrametric conditions on a square matrix, with tol =
+    _ULTRAMETRIC_TOL: symmetric within tol; Q_ij >= min(Q_ik, Q_kj) - tol for
+    all i,j,k; and every diagonal entry strictly dominates its row's
+    off-diagonal maximum (by more than tol -- near-ties are conservatively
+    rejected)."""
+    asymmetry, shortfall, dominance = _ultrametric_gaps(_square(Q), _ULTRAMETRIC_TOL)
+    return asymmetry <= _ULTRAMETRIC_TOL and shortfall <= 0.0 and dominance < -_ULTRAMETRIC_TOL
 
 
 def matrix_power(Q, k: int) -> StochasticMatrix:
@@ -149,7 +158,7 @@ def fractional_power(Q, j: int, K: int) -> StochasticMatrix:
     A = _square(Q)
     if j < 1 or K < 1:
         raise ValueError("j and K must be positive integers")
-    if not is_ultrametric(A, tol=_POWER_TOL):
+    if not is_ultrametric(A):
         raise NotUltrametric("fractional powers require an ultrametric base")
     lam, V = np.linalg.eigh(A)
     if lam.min() < -_POWER_TOL:
@@ -210,33 +219,32 @@ def eval_matrix_polynomial(f: ConvexPolynomial, B) -> StochasticMatrix:
     return StochasticMatrix(out)
 
 
-def is_hurwitz(f: ConvexPolynomial, tol: float = 1e-9) -> bool:
-    """True iff every root lies strictly left of -tol in the complex plane.
+def is_hurwitz(f: ConvexPolynomial) -> bool:
+    """True iff every root lies strictly left of -_HURWITZ_TOL in the complex plane.
 
-    Roots within tol of the imaginary axis are classified non-Hurwitz.
+    Roots within _HURWITZ_TOL of the imaginary axis are classified non-Hurwitz.
     Coefficient signs agree by construction of ConvexPolynomial.
     """
     if f.degree < 1:
         raise DegenerateDegreeZero("constant polynomial has no root placement")
-    return bool(np.all(f.roots().real < -tol))
+    return bool(np.all(f.roots().real < -_HURWITZ_TOL))
 
 
-def polynomial_quotient(p: ConvexPolynomial, q: ConvexPolynomial,
-                        tol: float = 1e-8) -> ConvexPolynomial:
+def polynomial_quotient(p: ConvexPolynomial, q: ConvexPolynomial) -> ConvexPolynomial:
     """Exact-division quotient h = p/q, renormalized so that h(1) = 1.
 
-    q must divide p up to a residual below tol; a quotient coefficient more
-    negative than -tol signals that p or q is not Hurwitz-compatible.
+    q must divide p up to a residual below _QUOTIENT_TOL; a quotient coefficient
+    below -_QUOTIENT_TOL signals that p or q is not Hurwitz-compatible.
     """
     if p.degree <= q.degree:
         raise ValueError("dividend degree must exceed divisor degree")
     ph = p.coefficients[: p.degree + 1][::-1]
     qh = q.coefficients[: q.degree + 1][::-1]
     quo, rem = np.polydiv(ph, qh)
-    if rem.size and np.abs(rem).max() > tol:
+    if rem.size and np.abs(rem).max() > _QUOTIENT_TOL:
         raise NonzeroRemainder(f"division residual {np.abs(rem).max():.3e} > tol")
     h = quo[::-1]
-    if h.min() < -tol:
+    if h.min() < -_QUOTIENT_TOL:
         raise NegativeQuotientCoefficient(
             f"quotient coefficient {h.min():.3e}; p or q is not Hurwitz-compatible")
     h = np.clip(h, 0.0, None)

@@ -297,7 +297,7 @@ def test_criterion_11_filter_and_dpi_properties():
         sigmas = []
         for y in range(3):
             post, sigma = filter_update(pi, y, u, model)
-            validate_belief(post, tol=1e-10)
+            validate_belief(post)
             sigmas.append(sigma)
         assert abs(sum(sigmas) - 1.0) <= 1e-10
     # data processing inequality on random (O, R, p) triples

@@ -28,6 +28,27 @@ from conftest import hmm_sample
 REFERENCE = json.loads((Path(__file__).parent / "data" / "cli_reference.json").read_text())
 
 
+def _model_config_without(*keys):
+    """The example-1 model config with the entry at the key path removed."""
+    config = model_to_dict(example1_model(0.5))
+    node = config
+    for k in keys[:-1]:
+        node = node[k]
+    del node[keys[-1]]
+    return config
+
+
+# JSON inputs each missing a key, or holding a non-list where a list belongs
+BAD_FILES = {
+    "no-alphabet.json": {"sequences": [["a"]]},
+    "sequences-not-list.json": {"alphabet": ["a"], "sequences": 5},
+    "no-costs.json": _model_config_without("costs"),
+    "no-variant.json": _model_config_without("costs", "variant"),
+    "intent-no-B.json": {"type": "intent", "beta": [1.0]},
+    "friendship-no-n.json": {"type": "friendship", "B_level": [[1.0]]},
+}
+
+
 @pytest.fixture
 def channel_files(tmp_path):
     paths = []
@@ -267,15 +288,28 @@ class TestSolveSimulate:
         ["example2", "--rho-list", ","],
         ["renyi", "{o1}", "--alphas", ""],
         ["example2", "--states", "3", "--pairs", "1", "--ctilde-weight", "nan"],
+        ["estimate", "{bad:no-alphabet.json}", "--states", "1"],
+        ["estimate", "{bad:sequences-not-list.json}", "--states", "1"],
+        ["solve", "--config", "{bad:no-costs.json}"],
+        ["solve", "--config", "{bad:no-variant.json}"],
+        ["capacity", "{bad:intent-no-B.json}"],
+        ["capacity", "{bad:friendship-no-n.json}"],
     ], ids=["fixed-not-int", "fixed-out-of-range", "runs-0", "horizon-0",
             "alphas-not-float", "grid-m-0", "pairs-0", "states-0", "threads-0",
             "tol-nan", "tol-negative", "cert-tol-inf", "example1-vi-tol-nan",
             "solve-vi-tol-negative", "simulate-vi-tol-nan", "capacity-tol-negative",
             "estimate-tol-nan", "rho-list-empty", "rho-list-blank", "alphas-empty",
-            "ctilde-weight-nan"])
-    def test_bad_options_exit_two(self, argv, model_config, channel_files, capsys):
+            "ctilde-weight-nan", "data-no-alphabet", "data-sequences-not-list",
+            "config-no-costs", "config-no-variant", "intent-recipe-no-B",
+            "friendship-recipe-no-n-friends"])
+    def test_bad_options_exit_two(self, argv, model_config, channel_files, tmp_path,
+                                  capsys):
         argv = [a.replace("{config}", model_config).replace("{o1}", channel_files[0])
                 for a in argv]
+        for k, a in enumerate(argv):
+            if a.startswith("{bad:"):
+                argv[k] = str(tmp_path / a[5:-1])
+                Path(argv[k]).write_text(json.dumps(BAD_FILES[a[5:-1]]))
         try:
             rc = main(argv)
         except SystemExit as exc:      # argparse rejects an option's value

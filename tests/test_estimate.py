@@ -124,9 +124,11 @@ class TestLoadObservations:
         assert [s.tolist() for s in ds.sequences] == [[0, 1, 0], [1, 1]]
 
     def test_json_object(self, tmp_path):
+        # keys the loader does not read, such as "labels", are ignored
         f = tmp_path / "obs.json"
         f.write_text(json.dumps({"alphabet": ["x", "y", "z"],
-                                 "sequences": [["x", "z"], ["y"]]}))
+                                 "sequences": [["x", "z"], ["y"]],
+                                 "labels": ["first", "second"]}))
         ds = load_observations(f)
         assert [s.tolist() for s in ds.sequences] == [[0, 2], [1]]
 

@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -396,21 +397,32 @@ class TestFreudenthalGrid:
 
 class TestLookahead:
     def test_one_pass_matches_per_action_passes_with_unequal_alphabets(self, P3, rng):
-        # channels of 4, 2 and 3 symbols share one interpolation pass
-        channels = tuple(make_channel(random_stochastic(3, Y, rng)) for Y in (4, 2, 3))
-        model = PollingModel(P3, channels, CostSpec.expectation(
-            [0.5, 0.3, 0.1], [0.2, 0.6, 1.0]), rho=0.8)
+        # channels of 4, 2 and 3 (then 3 and 4) symbols share one zero-padded
+        # likelihood tensor and one interpolation pass
         grid = FreudenthalGrid(9, 3)
         PI = np.vstack([grid.points, rng.dirichlet(np.ones(3), 200)])
         values = rng.normal(size=grid.size)
-        Q = Lookahead(model, grid, PI).q_values(values)
-        C = cost_matrix(PI, model.costs)
-        for u in range(1, 4):
-            T, sig = bayes_update((PI @ P3)[:, None, :], model.observation(u).T[None])
-            n, Y, X = T.shape
-            idx, w = grid.interpolation_data(T.reshape(n * Y, X))
-            interp = (values[idx.reshape(n, Y, X)] * w.reshape(n, Y, X)).sum(axis=2)
-            assert np.array_equal(Q[:, u - 1], C[:, u - 1] + 0.8 * (sig * interp).sum(axis=1))
+        for alphabets, costs in (((4, 2, 3), ([0.5, 0.3, 0.1], [0.2, 0.6, 1.0])),
+                                 ((3, 4), ([0.5, 0.1], [0.2, 1.0]))):
+            channels = tuple(make_channel(random_stochastic(3, Y, rng)) for Y in alphabets)
+            model = PollingModel(P3, channels, CostSpec.expectation(*costs), rho=0.8)
+            L = model.likelihoods
+            assert L.shape == (len(alphabets), 3, max(alphabets))
+            assert not L.flags.writeable
+            # dataclasses.replace rebuilds the tensor from the new channels
+            assert np.array_equal(replace(model, channels=channels[::-1]).likelihoods,
+                                  L[::-1])
+            Q = Lookahead(model, grid, PI).q_values(values)
+            C = cost_matrix(PI, model.costs)
+            for u, Y in enumerate(alphabets, start=1):
+                assert np.array_equal(L[u - 1, :, :Y], model.observation(u))
+                assert not L[u - 1, :, Y:].any()
+                T, sig = bayes_update((PI @ P3)[:, None, :], model.observation(u).T[None])
+                n, Y, X = T.shape
+                idx, w = grid.interpolation_data(T.reshape(n * Y, X))
+                interp = (values[idx.reshape(n, Y, X)] * w.reshape(n, Y, X)).sum(axis=2)
+                assert np.array_equal(Q[:, u - 1],
+                                      C[:, u - 1] + 0.8 * (sig * interp).sum(axis=1))
 
 
 class TestValueIteration:

@@ -3,7 +3,14 @@ import pytest
 
 from hierpoll.channels import make_channel
 from hierpoll.errors import InvalidAction, UndefinedCTilde
-from hierpoll.pomdp import CostSpec, PollingModel, belief_cost, myopic_policy, value_iteration
+from hierpoll.pomdp import (
+    CostSpec,
+    PollingModel,
+    belief_cost,
+    filter_update,
+    myopic_policy,
+    value_iteration,
+)
 from hierpoll.presets import example1_model, example2_model
 from hierpoll.sim import (
     FixedPolicy,
@@ -19,6 +26,8 @@ from hierpoll.sim import (
     simulate,
     uniform_belief,
 )
+
+from conftest import random_stochastic
 
 
 @pytest.fixture
@@ -86,6 +95,32 @@ class TestSimulate:
         for k in range(traj.horizon):
             assert traj.costs[k] == pytest.approx(
                 belief_cost(traj.beliefs[k], int(traj.actions[k]), model.costs))
+
+
+    def test_unequal_alphabets_follow_filter_update(self, P3, rng):
+        # channels of 3 and 4 symbols, actions drawn at random per run and step:
+        # every symbol lies in its channel's alphabet, never in the padding,
+        # and every recorded posterior is the filter's
+        channels = tuple(make_channel(random_stochastic(3, Y, rng)) for Y in (3, 4))
+        model = PollingModel(P3, channels, CostSpec.expectation([0.5, 0.1], [0.2, 1.0]),
+                             rho=0.8)
+
+        class RandomPolicy:
+            def actions(self, PI, model):
+                return rng.integers(1, 3, size=PI.shape[0])
+
+        data = _rollout(model, RandomPolicy(), uniform_belief(3), 40, seed=9,
+                        runs=25, record=True)
+        assert set(np.unique(data["actions"])) == {1, 2}
+        # the fourth symbol exists only in channel 2, and channel 2 emits it
+        assert (data["observations"][data["actions"] == 2] == 3).any()
+        for r in range(25):
+            for k in range(40):
+                u, y = data["actions"][r, k], data["observations"][r, k]
+                assert 0 <= y < channels[u - 1].n_outputs
+                post, _ = filter_update(data["beliefs"][r, k], y, u, model)
+                np.testing.assert_allclose(data["beliefs"][r, k + 1], post,
+                                           rtol=0, atol=1e-14)
 
 
 class TestEstimateCost:

@@ -70,6 +70,16 @@ class TestIsUltrametric:
             n = int(rng.integers(2, 9))
             assert is_ultrametric(random_ultrametric(n, rng))
 
+    @pytest.mark.parametrize("Q, expected", [
+        ([[1.0]], True),
+        ([[0.0]], False),
+        ([[5e-10]], False),            # a 1x1 entry must exceed the tolerance
+        ([[0.5, -0.1], [-0.1, 0.5]], True),
+        ([[0.0, -0.1], [-0.1, 0.0]], False),  # off-diagonal maxima count as 0
+    ])
+    def test_diagonal_must_exceed_tolerance(self, Q, expected):
+        assert is_ultrametric(np.array(Q)) is expected
+
 
 class TestMatrixPower:
     def test_zero_power_is_identity(self, O1):
