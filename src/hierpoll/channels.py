@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from typing import NamedTuple
 
 import numpy as np
@@ -140,14 +139,19 @@ def expectation_channel(h: HierarchyModel, polled_depth: int, target_depth: int)
     return make_channel(fractional_power(base, target_depth, polled_depth))
 
 
-def _compositions(total: int, parts: int):
+def _compositions(total: int, parts: int) -> np.ndarray:
     """All nonnegative integer vectors of length `parts` summing to `total`,
-    in lexicographically descending order."""
-    for placed in combinations_with_replacement(range(parts), total):
-        counts = [0] * parts
-        for p in placed:
-            counts[p] += 1
-        yield tuple(counts)
+    as the rows of an int64 array in lexicographically descending order."""
+    # the tails xi_j = sum_{i>=j} c_i fall from xi_0 = total to xi_j >= 0; c
+    # descends exactly when (xi_1, xi_2, ...) ascends, so each row below
+    # branches into every next tail from 0 up to its last, in order
+    xi = np.full((1, 1), total, dtype=np.int64)
+    for _ in range(parts - 1):
+        branches = xi[:, -1] + 1
+        first = np.repeat(np.cumsum(branches) - branches, branches)
+        xi = np.column_stack([np.repeat(xi, branches, axis=0),
+                              np.arange(first.size) - first])
+    return -np.diff(xi, axis=1, append=0)
 
 
 def friendship_channel(B_level, n_friends: int, max_outcomes: int = 10 ** 6) -> Channel:
@@ -164,7 +168,7 @@ def friendship_channel(B_level, n_friends: int, max_outcomes: int = 10 ** 6) -> 
     n_out = math.comb(n_friends + X - 1, X - 1)
     if n_out > max_outcomes:
         raise AlphabetTooLarge(f"{n_out} outcomes exceed the cap {max_outcomes}")
-    comps = list(_compositions(n_friends, X))
+    comps = _compositions(n_friends, X).tolist()
     coefs = np.array([math.factorial(n_friends)
                       // math.prod(math.factorial(k) for k in comp)
                       for comp in comps], dtype=float)

@@ -24,7 +24,7 @@ from .channels import (
     intent_channel,
     make_channel,
 )
-from .errors import ParseError
+from .errors import HierPollError, ParseError
 from .pomdp import CostSpec, PollingModel
 from .stochastic import ConvexPolynomial, validate_stochastic
 
@@ -88,11 +88,16 @@ def channel_from_dict(payload: dict) -> Channel:
 
 
 def _from_payload(build, payload, path):
-    """build(payload), a missing key raised as ParseError naming file and key."""
+    """build(payload), with a missing key, or a value of the wrong type or
+    form, raised as ParseError naming the file; package errors pass as is."""
     try:
         return build(payload)
+    except HierPollError:
+        raise
     except KeyError as exc:
         raise ParseError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def load_channel(path) -> Channel:

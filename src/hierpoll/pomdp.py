@@ -16,6 +16,14 @@ greedy grid policy all apply it. Both read the channels as one zero-padded
 (U, X, Y_max) array, `PollingModel.likelihoods`: a padded symbol has
 likelihood 0 from every state, so it carries sigma = 0 and is never drawn.
 
+Both kernels put the state axis first: `bayes_update` normalises over axis
+0, and `Lookahead` lays out its posteriors and interpolation data as
+(X, U, Y_max, n) for n beliefs. A sum over a few states is then a few
+contiguous vector adds across all beliefs, where a short last axis would
+cost a reduction per row; for X <= 7 numpy adds in the same order either
+way, so the bits match. A grid-policy rollout takes each step's stage cost
+and next belief from the lookahead its policy built.
+
 Actions are 1-based everywhere (action 1 = most informative channel);
 observation symbols are 0-based indices into a channel's output alphabet.
 """
@@ -234,18 +242,19 @@ class PollingModel:
 
 
 def bayes_update(PR: np.ndarray, L: np.ndarray):
-    """Bayes step: the posterior PR * L normalised over the last axis, and
-    its normaliser sigma, the likelihood of the observation.
+    """Bayes step: the posterior PR * L normalised over the first axis, the
+    states, and its normaliser sigma, the likelihood of the observation.
 
     PR holds predicted beliefs P' pi and L the likelihoods of the observed
-    symbols per state; the two broadcast against each other. Rows of zero
-    likelihood get the uniform posterior.
+    symbols, both states first; the two broadcast against each other.
+    Beliefs of zero likelihood get the uniform posterior. With states first,
+    the sum over a few states is a few contiguous vector adds; a caller with
+    beliefs in rows passes transposed views.
     """
     unnorm = PR * L
-    sigma = unnorm.sum(axis=-1)
+    sigma = unnorm.sum(axis=0)
     seen = sigma > 0
-    post = np.where(seen[..., None], unnorm / np.where(seen, sigma, 1.0)[..., None],
-                    1.0 / unnorm.shape[-1])
+    post = np.where(seen, unnorm / np.where(seen, sigma, 1.0), 1.0 / unnorm.shape[0])
     return post, sigma
 
 
@@ -293,7 +302,7 @@ class FreudenthalGrid:
             raise ValueError("need M >= 1 and X >= 2")
         self.M = int(M)
         self.X = int(X)
-        self.lattice = np.array(list(_compositions(self.M, self.X)), dtype=np.int64)
+        self.lattice = _compositions(self.M, self.X)
         self.points = self.lattice / float(M)
         self._terms = np.array([[math.comb(c + X - 1 - j, X - j) for c in range(M + 1)]
                                 + [OFF_GRID] for j in range(1, X)], dtype=np.int64)
@@ -312,7 +321,8 @@ class FreudenthalGrid:
         return np.where(valid, np.take(self._terms, cols).sum(axis=0), -1)
 
     def interpolation_data(self, PI) -> tuple[np.ndarray, np.ndarray]:
-        """Vertex indices and barycentric weights for each query belief.
+        """Vertex indices and barycentric weights for each query belief,
+        both (n, X): transposed views of coordinate-major (X, n) arrays.
 
         Raises BeliefOffGrid for a non-finite row and where a vertex of
         weight above 1e-12 lies off the grid; a lighter off-grid vertex
@@ -351,7 +361,7 @@ class FreudenthalGrid:
         idx = _accumulate(np.concatenate([low.sum(axis=0, keepdims=True), walk]))
         if np.any((idx < 0) & (w > 1e-12)):
             raise BeliefOffGrid("interpolation vertex fell outside the grid")
-        return np.ascontiguousarray(np.maximum(idx, 0).T), np.ascontiguousarray(w.T)
+        return np.maximum(idx, 0).T, w.T
 
     def interpolate(self, values: np.ndarray, PI) -> np.ndarray:
         idx, w = self.interpolation_data(PI)
@@ -413,10 +423,12 @@ class GridValueFunction:
 class Lookahead:
     """One-step Bellman lookahead from a fixed set of belief rows PI.
 
-    Holds the stage costs C (n, U), and for every action and symbol the
-    likelihoods sigma (n, U, Y_max) and the grid interpolation data of the
-    posteriors, so that q_values(V) = C + rho sum_y sigma_y V(T_y) costs one
-    gather per call. All posteriors are interpolated in one pass.
+    Holds the stage costs C (n, U), and states first, for every action and
+    symbol, the posteriors T (X, U, Y_max, n), their likelihoods sigma
+    (U, Y_max, n) and the grid interpolation data idx, w (X, U, Y_max, n),
+    so that q_values(V) = C + rho sum_y sigma_y V(T_y) costs one gather per
+    call and every short sum runs over a leading axis. All posteriors are
+    interpolated in one pass.
     """
 
     def __init__(self, model: PollingModel, grid: FreudenthalGrid, PI):
@@ -424,15 +436,18 @@ class Lookahead:
         self.grid = grid
         self.rho = model.rho
         self.C = cost_matrix(PI, model.costs)
-        T, self.sigma = bayes_update((PI @ model.P.entries)[:, None, None, :],
-                                     model.likelihoods.transpose(0, 2, 1)[None])
-        idx, w = grid.interpolation_data(T.reshape(-1, T.shape[-1]))
-        self.idx, self.w = idx.reshape(T.shape), w.reshape(T.shape)
+        # the (X, U, Y_max) copy makes the product, and T, C-ordered
+        self.T, self.sigma = bayes_update(
+            (PI @ model.P.entries).T[:, None, None, :],
+            np.ascontiguousarray(model.likelihoods.transpose(1, 0, 2))[..., None])
+        X = self.T.shape[0]
+        idx, w = grid.interpolation_data(self.T.reshape(X, -1).T)
+        self.idx, self.w = idx.T.reshape(self.T.shape), w.T.reshape(self.T.shape)
 
     def q_values(self, values: np.ndarray) -> np.ndarray:
         """Lookahead costs of every belief row and action, shape (n, U)."""
-        interp = (values[self.idx] * self.w).sum(axis=-1)
-        return self.C + self.rho * (self.sigma * interp).sum(axis=-1)
+        interp = (values[self.idx] * self.w).sum(axis=0)
+        return self.C + self.rho * (self.sigma * interp).sum(axis=1).T
 
 
 def _checked_grid(M: int, X: int, max_points: int) -> FreudenthalGrid:

@@ -8,7 +8,9 @@ which weights step k by rho^k from k = 0, so one rollout serves every rho.
 Every run draws its uniforms from a stream keyed by (seed, run index), so
 runs are individually reproducible and independent of batch size or
 execution order. Symbols are drawn from, and filtered with, the model's
-(U, X, Y_max) likelihood tensor, whose zero padding is never drawn.
+(U, X, Y_max) likelihood tensor, whose zero padding is never drawn. A
+grid-policy step reads its stage costs and filtered beliefs from the
+policy's `Lookahead`, which holds them for every action and symbol.
 """
 from __future__ import annotations
 
@@ -49,14 +51,21 @@ class FixedPolicy:
 
 
 class GridPolicy:
-    """Greedy one-step lookahead on an interpolated grid value function."""
+    """Greedy one-step lookahead on an interpolated grid value function.
+
+    Keeps the `Lookahead` of its last call, from which a rollout takes the
+    step's stage costs and next beliefs instead of forming them again; so one
+    instance serves one rollout at a time.
+    """
 
     def __init__(self, gvf: GridValueFunction):
         self.gvf = gvf
+        self.lookahead: Lookahead | None = None
 
     def actions(self, PI: np.ndarray, model: PollingModel) -> np.ndarray:
-        Q = Lookahead(model, self.gvf.grid, PI).q_values(self.gvf.values)
-        return np.argmin(Q, axis=1) + 1
+        self.lookahead = None  # never two alive at once, which would raise peak RSS
+        self.lookahead = Lookahead(model, self.gvf.grid, PI)
+        return np.argmin(self.lookahead.q_values(self.gvf.values), axis=1) + 1
 
 
 # ------------------------------------------------------------------ rollout
@@ -115,15 +124,20 @@ def _rollout(model: PollingModel, policy, pi0: np.ndarray, horizon: int,
         out["states"][:, 0] = x
         out["beliefs"][:, 0] = PI
 
+    grid, rows = isinstance(policy, GridPolicy), np.arange(runs)
     for k in range(horizon):
         a = policy.actions(PI, model)
-        allc = cost_matrix(PI, model.costs)
+        allc = policy.lookahead.C if grid else cost_matrix(PI, model.costs)
         out["costs"][:, k] = np.take_along_axis(allc, (a - 1)[:, None], axis=1)[:, 0]
         if proxy:
             out["ctilde"][:, k] = ctilde_values(PI, model.costs, allc)
         x = _sample_categorical(cumP[x], draws[:, 1 + 2 * k])
         y = _sample_categorical(cumO[a - 1, x], draws[:, 2 + 2 * k])
-        PI, _ = bayes_update(PI @ model.P.entries, model.likelihoods[a - 1, :, y])
+        if grid:  # the lookahead's posterior for the chosen action and symbol
+            PI = policy.lookahead.T[:, a - 1, y, rows].T
+        else:
+            PI = bayes_update((PI @ model.P.entries).T,
+                              model.likelihoods[a - 1, :, y].T)[0].T
         if record:
             out["states"][:, k + 1] = x
             out["actions"][:, k] = a

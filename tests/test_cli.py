@@ -38,7 +38,7 @@ def _model_config_without(*keys):
     return config
 
 
-# JSON inputs each missing a key, or holding a non-list where a list belongs
+# JSON inputs each missing a key, or holding a value of the wrong type or form
 BAD_FILES = {
     "no-alphabet.json": {"sequences": [["a"]]},
     "sequences-not-list.json": {"alphabet": ["a"], "sequences": 5},
@@ -46,6 +46,11 @@ BAD_FILES = {
     "no-variant.json": _model_config_without("costs", "variant"),
     "intent-no-B.json": {"type": "intent", "beta": [1.0]},
     "friendship-no-n.json": {"type": "friendship", "B_level": [[1.0]]},
+    "config-list.json": [model_to_dict(example1_model(0.5))],
+    "rho-not-float.json": {**model_to_dict(example1_model(0.5)), "rho": "x"},
+    "friendship-n-word.json": {"type": "friendship", "B_level": [[1.0]], "n_friends": "two"},
+    "intent-beta-short.json": {"type": "intent", "B": [[0.9, 0.1], [0.2, 0.8]],
+                               "beta": [0.5]},
 }
 
 
@@ -294,6 +299,10 @@ class TestSolveSimulate:
         ["solve", "--config", "{bad:no-variant.json}"],
         ["capacity", "{bad:intent-no-B.json}"],
         ["capacity", "{bad:friendship-no-n.json}"],
+        ["solve", "--config", "{bad:config-list.json}"],
+        ["solve", "--config", "{bad:rho-not-float.json}"],
+        ["capacity", "{bad:friendship-n-word.json}"],
+        ["capacity", "{bad:intent-beta-short.json}"],
     ], ids=["fixed-not-int", "fixed-out-of-range", "runs-0", "horizon-0",
             "alphas-not-float", "grid-m-0", "pairs-0", "states-0", "threads-0",
             "tol-nan", "tol-negative", "cert-tol-inf", "example1-vi-tol-nan",
@@ -301,7 +310,8 @@ class TestSolveSimulate:
             "estimate-tol-nan", "rho-list-empty", "rho-list-blank", "alphas-empty",
             "ctilde-weight-nan", "data-no-alphabet", "data-sequences-not-list",
             "config-no-costs", "config-no-variant", "intent-recipe-no-B",
-            "friendship-recipe-no-n-friends"])
+            "friendship-recipe-no-n-friends", "config-is-list", "config-rho-not-float",
+            "friendship-n-friends-not-int", "intent-beta-not-stochastic"])
     def test_bad_options_exit_two(self, argv, model_config, channel_files, tmp_path,
                                   capsys):
         argv = [a.replace("{config}", model_config).replace("{o1}", channel_files[0])

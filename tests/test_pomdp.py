@@ -194,12 +194,30 @@ class TestFilterUpdate:
             filter_update(np.full(3, 1 / 3), 1, 1, model)
 
     def test_bayes_update_batches_and_zero_rows(self):
-        PR = np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]])
-        L = np.array([[0.0, 0.0, 1.0], [1.0, 0.5, 0.0]])
+        # states first: one belief per column
+        PR = np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]]).T
+        L = np.array([[0.0, 0.0, 1.0], [1.0, 0.5, 0.0]]).T
         post, sigma = bayes_update(PR, L)
         assert np.allclose(sigma, [0.0, 0.35])
-        assert np.array_equal(post[0], np.full(3, 1 / 3))
-        assert np.allclose(post[1], [0.2 / 0.35, 0.15 / 0.35, 0.0])
+        assert np.array_equal(post[:, 0], np.full(3, 1 / 3))
+        assert np.allclose(post[:, 1], [0.2 / 0.35, 0.15 / 0.35, 0.0])
+
+    @pytest.mark.parametrize("X", [3, 8, 20, 33])
+    def test_bayes_update_on_transposed_rows_matches_last_axis_normalisation(self, X, rng):
+        # rows of beliefs passed as transposed views reduce over the contiguous
+        # axis, so the bits are those of a sum over the last axis at every X
+        PR = rng.dirichlet(np.ones(X), 500)
+        L = rng.random((500, X)) * (rng.random((500, X)) < 0.8)
+        L[0] = 0.0
+        post, sigma = bayes_update(PR.T, L.T)
+        unnorm = PR * L
+        want_sigma = unnorm.sum(axis=-1)
+        seen = want_sigma > 0
+        want = np.where(seen[:, None], unnorm / np.where(seen, want_sigma, 1.0)[:, None],
+                        1.0 / X)
+        assert np.array_equal(sigma, want_sigma)
+        assert np.array_equal(post.T, want)
+        assert post.T.flags.c_contiguous
 
     def test_likelihoods_sum_to_one(self, model, rng):
         for _ in range(200):
@@ -317,6 +335,14 @@ class TestFreudenthalGrid:
             tracemalloc.stop()
         assert peak < 3 * (grid.lattice.nbytes + grid.points.nbytes)
 
+    def test_transposed_input_gives_identical_output(self, rng):
+        grid = FreudenthalGrid(12, 4)
+        PI = rng.dirichlet(np.ones(4), 300)
+        idx, w = grid.interpolation_data(PI)
+        idx_t, w_t = grid.interpolation_data(np.ascontiguousarray(PI.T).T)
+        assert idx.shape == w.shape == (300, 4)
+        assert np.array_equal(idx, idx_t) and np.array_equal(w, w_t)
+
     def test_grid_size_formula(self):
         assert FreudenthalGrid(60, 3).size == grid_size(60, 3) == 1891
 
@@ -417,12 +443,47 @@ class TestLookahead:
             for u, Y in enumerate(alphabets, start=1):
                 assert np.array_equal(L[u - 1, :, :Y], model.observation(u))
                 assert not L[u - 1, :, Y:].any()
-                T, sig = bayes_update((PI @ P3)[:, None, :], model.observation(u).T[None])
-                n, Y, X = T.shape
-                idx, w = grid.interpolation_data(T.reshape(n * Y, X))
-                interp = (values[idx.reshape(n, Y, X)] * w.reshape(n, Y, X)).sum(axis=2)
+                T, sig = bayes_update((PI @ P3).T[:, None, :],
+                                      model.observation(u)[:, :, None])
+                X, Y, n = T.shape
+                idx, w = grid.interpolation_data(T.reshape(X, Y * n).T)
+                interp = (values[idx.T.reshape(X, Y, n)] * w.T.reshape(X, Y, n)).sum(axis=0)
                 assert np.array_equal(Q[:, u - 1],
-                                      C[:, u - 1] + 0.8 * (sig * interp).sum(axis=1))
+                                      C[:, u - 1] + 0.8 * (sig * interp).sum(axis=0))
+
+    @pytest.mark.parametrize("X", [2, 3, 4, 5])
+    def test_states_first_matches_rows_first_oracle(self, X, rng):
+        grid = FreudenthalGrid(7, X)
+        P = random_stochastic(X, X, rng)
+        channels = tuple(make_channel(random_stochastic(X, Y, rng)) for Y in (4, 2, 3))
+        model = PollingModel(P, channels, CostSpec.expectation([0.5, 0.3, 0.1],
+                                                               [0.2, 0.6, 1.0]), rho=0.8)
+        values = rng.normal(size=grid.size)
+        PI = np.vstack([grid.points, rng.dirichlet(np.ones(X), 150)])
+        for beliefs in (PI, np.asfortranarray(PI)):
+            want = rows_first_lookahead(model, grid, beliefs, values)
+            look = Lookahead(model, grid, beliefs)
+            assert np.array_equal(look.q_values(values), want["Q"])
+            assert np.array_equal(look.sigma.transpose(2, 0, 1), want["sigma"])
+            for name in ("T", "idx", "w"):
+                assert np.array_equal(getattr(look, name).transpose(3, 1, 2, 0), want[name])
+
+
+def rows_first_lookahead(model, grid, PI, values):
+    """Reference lookahead with beliefs in rows: posteriors (n, U, Y_max, X)
+    normalised over the last axis, as the kernels were laid out before they
+    put the states first."""
+    unnorm = ((PI @ model.P.entries)[:, None, None, :]
+              * model.likelihoods.transpose(0, 2, 1)[None])
+    sigma = unnorm.sum(axis=-1)
+    seen = sigma > 0
+    T = np.where(seen[..., None], unnorm / np.where(seen, sigma, 1.0)[..., None],
+                 1.0 / unnorm.shape[-1])
+    idx, w = grid.interpolation_data(T.reshape(-1, T.shape[-1]))
+    idx, w = idx.reshape(T.shape), w.reshape(T.shape)
+    interp = (values[idx] * w).sum(axis=-1)
+    Q = cost_matrix(PI, model.costs) + model.rho * (sigma * interp).sum(axis=-1)
+    return {"Q": Q, "sigma": sigma, "T": T, "idx": idx, "w": w}
 
 
 class TestValueIteration:

@@ -7,6 +7,7 @@ from hierpoll.pomdp import (
     CostSpec,
     PollingModel,
     belief_cost,
+    cost_matrix,
     filter_update,
     myopic_policy,
     value_iteration,
@@ -211,6 +212,28 @@ class TestGridPolicy:
         gvf = value_iteration(model, M=12)
         assert set(gvf.policy.tolist()) == {1, 2}
         assert np.array_equal(GridPolicy(gvf).actions(gvf.points, model), gvf.policy)
+
+    @pytest.mark.parametrize("alphabets", [(3, 3), (3, 4)])
+    def test_rollout_takes_filter_posteriors_and_costs_from_the_lookahead(
+            self, alphabets, P3, rng):
+        # a grid step reads its stage cost and next belief from the policy's
+        # lookahead; both must be the filter's and the cost matrix's, exactly
+        channels = tuple(make_channel(random_stochastic(3, Y, rng)) for Y in alphabets)
+        model = PollingModel(P3, channels, CostSpec.expectation([0.5, 0.1], [0.2, 1.0]),
+                             rho=0.9)
+        policy = GridPolicy(value_iteration(model, M=12))
+        data = _rollout(model, policy, uniform_belief(3), 30, seed=4, runs=20, record=True)
+        assert set(np.unique(data["actions"])) == {1, 2}
+        for r in range(20):
+            for k in range(30):
+                u, y = data["actions"][r, k], data["observations"][r, k]
+                pi = data["beliefs"][r, k]
+                assert data["costs"][r, k] == cost_matrix(pi, model.costs)[0, u - 1]
+                assert np.array_equal(data["beliefs"][r, k + 1],
+                                      filter_update(pi, y, u, model)[0])
+        solo = simulate(model, policy, uniform_belief(3), 30, seed=4, run_index=5)
+        assert np.array_equal(solo.beliefs, data["beliefs"][5])
+        assert np.array_equal(solo.costs, data["costs"][5])
 
 
 class TestLossL1:
