@@ -247,8 +247,7 @@ def bayes_update(PR: np.ndarray, L: np.ndarray):
 
     PR holds predicted beliefs P' pi and L the likelihoods of the observed
     symbols, both states first; the two broadcast against each other.
-    Beliefs of zero likelihood get the uniform posterior. With states first,
-    the sum over a few states is a few contiguous vector adds; a caller with
+    Beliefs of zero likelihood get the uniform posterior. A caller with
     beliefs in rows passes transposed views.
     """
     unnorm = PR * L
