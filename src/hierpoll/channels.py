@@ -162,26 +162,23 @@ def friendship_channel(B_level, n_friends: int, max_outcomes: int = 10 ** 6) -> 
     B = as_array(B_level)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
         raise DimensionMismatch("B_level must be square")
+    validate_stochastic(B)
     if n_friends < 1:
         raise ValueError("n_friends must be >= 1")
     X = B.shape[0]
     n_out = math.comb(n_friends + X - 1, X - 1)
     if n_out > max_outcomes:
         raise AlphabetTooLarge(f"{n_out} outcomes exceed the cap {max_outcomes}")
-    comps = _compositions(n_friends, X).tolist()
-    coefs = np.array([math.factorial(n_friends)
-                      // math.prod(math.factorial(k) for k in comp)
-                      for comp in comps], dtype=float)
-    # entry (i, j) = multinomial coefficient * prod_h B[i,h]^{n_h^{(j)}};
-    # direct powers rather than logs so that 0^0 = 1 for unused states
-    counts = np.array(comps, dtype=float)                       # (n_out, X)
-    M = np.empty((X, n_out))
-    chunk = max(1, 10 ** 7 // (X * X))
-    for lo in range(0, n_out, chunk):
-        hi = min(lo + chunk, n_out)
-        M[:, lo:hi] = np.prod(B[:, None, :] ** counts[None, lo:hi, :], axis=2)
-    M *= coefs[None, :]
-    labels = tuple(",".join(f"{k}/{n_friends}" for k in comp) for comp in comps)
+    comps = _compositions(n_friends, X)
+    # entry (i, j) = exp(log multinomial coefficient + sum_h n_h log B[i,h]), so
+    # no factorial leaves float range and the work follows the outcome count;
+    # log 0 is taken as -1e300, finite so that a count of 0 adds 0 (0^0 = 1)
+    # while any positive count still gives exp = 0
+    counts, index = np.unique(comps, return_inverse=True)
+    log_fact = np.array([math.lgamma(k + 1) for k in counts.tolist()])[index.reshape(comps.shape)]
+    log_B = np.log(B, out=np.full(B.shape, -1e300), where=B > 0)
+    M = np.exp(math.lgamma(n_friends + 1) - log_fact.sum(axis=1) + log_B @ comps.T)
+    labels = tuple(",".join(f"{k}/{n_friends}" for k in comp) for comp in comps.tolist())
     return make_channel(validate_stochastic(M), output_labels=labels)
 
 

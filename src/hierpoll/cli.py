@@ -143,7 +143,7 @@ def cmd_example1(args) -> int:
     holds = []
 
     def solve(model):
-        report = verify_myopic_bound(model, args.grid_m, tol=args.vi_tol)
+        report = verify_myopic_bound(model, args.grid_m)
         print(f"# rho={model.rho}: chain deficiencies {['%.2e' % d for d in report.deficiencies]}, "
               f"myopic bound: {len(report.violations)} violations on "
               f"{report.grid_points}-point grid (M={args.grid_m})", file=sys.stderr)
@@ -210,7 +210,7 @@ def cmd_example2(args) -> int:
 
 def cmd_solve(args) -> int:
     model, payload = load_model(args.config)
-    gvf = value_iteration(model, args.grid_m, tol=args.vi_tol)
+    gvf = value_iteration(model, args.grid_m)
     cols = tuple(f"pi_{i + 1}" for i in range(model.n_states)) + ("value", "action")
     rows = [tuple(pt) + (float(v), int(a))
             for pt, v, a in zip(gvf.points, gvf.values, gvf.policy)]
@@ -221,7 +221,7 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _make_policy(name: str, model, grid_m: int, vi_tol: float):
+def _make_policy(name: str, model, grid_m: int):
     if name == "myopic":
         return MyopicPolicy()
     if name.startswith("fixed:"):
@@ -231,7 +231,7 @@ def _make_policy(name: str, model, grid_m: int, vi_tol: float):
                              f"integer in 1..{model.n_actions}")
         return FixedPolicy(int(u))
     if name == "grid":
-        return GridPolicy(value_iteration(model, grid_m, tol=vi_tol))
+        return GridPolicy(value_iteration(model, grid_m))
     raise HierPollError(f"unknown policy {name!r}")
 
 
@@ -249,7 +249,7 @@ def cmd_simulate(args) -> int:
     model, payload = load_model(args.config)
     pi0 = (uniform_belief(model.n_states) if args.pi0 is None
            else _parse_pi0(args.pi0, model.n_states))
-    policy = _make_policy(args.policy, model, args.grid_m, args.vi_tol)
+    policy = _make_policy(args.policy, model, args.grid_m)
     est = estimate_cost(model, policy, pi0, args.horizon, args.runs, args.seed)
     meta = standard_meta({"cmd": "simulate", "config": payload,
                           "policy": args.policy, "runs": args.runs,
@@ -335,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-m", type=_positive_int, default=60)
     p.add_argument("--runs", type=_positive_int, default=1000)
     p.add_argument("--horizon", type=_positive_int, default=100)
-    p.add_argument("--vi-tol", type=_tolerance, default=1e-8)
     _add_common(p)
     p.set_defaults(func=cmd_example1)
 
@@ -353,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="value iteration on a model config")
     p.add_argument("--config", required=True)
     p.add_argument("--grid-m", type=_positive_int, default=60)
-    p.add_argument("--vi-tol", type=_tolerance, default=1e-8)
     _add_common(p)
     p.set_defaults(func=cmd_solve)
 
@@ -361,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--policy", default="myopic", help="myopic | fixed:U | grid")
     p.add_argument("--grid-m", type=_positive_int, default=60)
-    p.add_argument("--vi-tol", type=_tolerance, default=1e-8)
     p.add_argument("--runs", type=_positive_int, default=1000)
     p.add_argument("--horizon", type=_positive_int, default=100)
     p.add_argument("--pi0", default=None, help="comma-separated initial belief")

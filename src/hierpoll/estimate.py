@@ -21,10 +21,7 @@ keeps the data log-likelihood nondecreasing unconditionally.
 """
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -37,6 +34,7 @@ from .errors import (
     UnknownSymbol,
     ZeroLikelihood,
 )
+from .fileio import _from_payload, _is_json, _read
 from .stochastic import (
     StochasticMatrix,
     _max_min_closure,
@@ -319,37 +317,29 @@ def _map_symbols(rows, alphabet):
     return tuple(sequences)
 
 
+def _dataset_from_rows(rows) -> ObservationDataset:
+    rows = [[s.strip() for s in row] for row in rows if row]
+    if len(rows) < 2:
+        raise ParseError("need an alphabet row and at least one sequence row")
+    alphabet = tuple(rows[0])
+    return ObservationDataset(_map_symbols(rows[1:], alphabet), alphabet)
+
+
+def _dataset_from_json(payload) -> ObservationDataset:
+    bare = isinstance(payload, list)
+    rows = [[str(s) for s in seq] for seq in (payload if bare else payload["sequences"])]
+    alphabet = (tuple(sorted({s for row in rows for s in row})) if bare
+                else tuple(str(a) for a in payload["alphabet"]))
+    return ObservationDataset(_map_symbols(rows, alphabet), alphabet)
+
+
 def load_observations(path) -> ObservationDataset:
     """Read a symbol dataset from CSV (first row = alphabet, one sequence per
     following row) or a `.json` file ({"alphabet": [...], "sequences": [[...], ...]}
     or a bare list of sequences with the alphabet inferred)."""
-    path = Path(path)
-    if path.suffix.lower() != ".json":
-        try:
-            with open(path, newline="") as fh:
-                rows = [[s.strip() for s in row] for row in csv.reader(fh) if row]
-        except (OSError, csv.Error) as exc:
-            raise ParseError(f"cannot read {path}: {exc}") from exc
-        if len(rows) < 2:
-            raise ParseError("need an alphabet row and at least one sequence row")
-        alphabet, rows = tuple(rows[0]), rows[1:]
-    else:
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ParseError(f"cannot parse {path}: {exc}") from exc
-        if not isinstance(payload, (dict, list)):
-            raise ParseError("JSON dataset must be an object or a list of sequences")
-        bare = isinstance(payload, list)
-        try:
-            rows = [[str(s) for s in seq] for seq in (payload if bare else payload["sequences"])]
-            alphabet = (tuple(sorted({s for row in rows for s in row})) if bare
-                        else tuple(str(a) for a in payload["alphabet"]))
-        except KeyError as exc:
-            raise ParseError(f"{path}: missing key {exc}") from None
-        except TypeError:
-            raise ParseError(f"{path}: 'alphabet' and 'sequences' must hold lists") from None
-    return ObservationDataset(_map_symbols(rows, alphabet), alphabet)
+    as_json = _is_json(path)
+    return _from_payload(_dataset_from_json if as_json else _dataset_from_rows,
+                         _read(path, as_json), path)
 
 
 def estimate_to_dict(est: EmEstimate) -> dict:

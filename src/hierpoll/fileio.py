@@ -29,31 +29,64 @@ from .pomdp import CostSpec, PollingModel
 from .stochastic import ConvexPolynomial, validate_stochastic
 
 
-# ----------------------------------------------------------------- matrices
-def load_matrix(path) -> np.ndarray:
-    path = Path(path)
+# ------------------------------------------------------------------- reading
+def _is_json(path) -> bool:
+    return Path(path).suffix.lower() == ".json"
+
+
+def _read(path, as_json: bool):
+    """The parsed contents of an input file: its JSON value, or its list of
+    CSV rows. An unreadable or undecodable file, or malformed JSON or CSV,
+    raises ParseError naming the file."""
+    # ValueError covers UnicodeDecodeError and JSONDecodeError; RecursionError
+    # is JSON nested too deeply to parse
     try:
-        if path.suffix.lower() == ".json":
-            data = json.loads(path.read_text())
-            if isinstance(data, dict) and "matrix" in data:
-                data = data["matrix"]
-            return np.asarray(data, dtype=float)
-        with open(path, newline="") as fh:
-            rows = [r for r in csv.reader(fh)
-                    if r and not r[0].lstrip().startswith("#")]
-        try:
-            float(rows[0][0])
-        except ValueError:
-            rows = rows[1:]  # optional header row
-        return np.array([[float(x) for x in row] for row in rows])
-    except (OSError, ValueError, IndexError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read matrix from {path}: {exc}") from exc
+        with open(path, newline="", encoding="utf-8") as fh:
+            return json.load(fh) if as_json else list(csv.reader(fh))
+    except (OSError, ValueError, RecursionError, csv.Error) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
+def _from_payload(build, payload, path):
+    """build(payload), with a missing key or index, or a value of the wrong
+    type, form or size, raised as ParseError naming the file; package errors
+    pass as is."""
+    try:
+        return build(payload)
+    except HierPollError:
+        raise
+    except KeyError as exc:
+        raise ParseError(f"{path}: missing key {exc}") from None
+    except (IndexError, OverflowError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
+# ----------------------------------------------------------------- matrices
+def _matrix_from_rows(rows) -> np.ndarray:
+    rows = [r for r in rows if r and not r[0].lstrip().startswith("#")]
+    try:
+        float(rows[0][0])
+    except ValueError:
+        rows = rows[1:]  # optional header row
+    return np.array([[float(x) for x in row] for row in rows])
+
+
+def _matrix_from_json(data) -> np.ndarray:
+    if isinstance(data, dict) and "matrix" in data:
+        data = data["matrix"]
+    return np.asarray(data, dtype=float)
+
+
+def load_matrix(path) -> np.ndarray:
+    as_json = _is_json(path)
+    return _from_payload(_matrix_from_json if as_json else _matrix_from_rows,
+                         _read(path, as_json), path)
 
 
 def save_matrix(path, matrix) -> None:
     path = Path(path)
     arr = np.asarray(matrix, dtype=float)
-    if path.suffix.lower() == ".json":
+    if _is_json(path):
         path.write_text(json.dumps(arr.tolist()))
     else:
         path.write_text("\n".join(",".join(repr(float(v)) for v in row)
@@ -87,30 +120,13 @@ def channel_from_dict(payload: dict) -> Channel:
     raise ParseError(f"unknown channel recipe type {kind!r}")
 
 
-def _from_payload(build, payload, path):
-    """build(payload), with a missing key, or a value of the wrong type or
-    form, raised as ParseError naming the file; package errors pass as is."""
-    try:
-        return build(payload)
-    except HierPollError:
-        raise
-    except KeyError as exc:
-        raise ParseError(f"{path}: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: {exc}") from None
-
-
 def load_channel(path) -> Channel:
-    path = Path(path)
-    if path.suffix.lower() == ".json":
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ParseError(f"cannot read channel from {path}: {exc}") from exc
-        if isinstance(payload, dict):
-            return _from_payload(channel_from_dict, payload, path)
-        return make_channel(np.asarray(payload, dtype=float))
-    return make_channel(load_matrix(path))
+    if not _is_json(path):
+        return make_channel(load_matrix(path))
+    payload = _read(path, as_json=True)
+    if not isinstance(payload, dict):
+        payload = {"matrix": payload}
+    return _from_payload(channel_from_dict, payload, path)
 
 
 def chain_to_dict(chain) -> dict:
@@ -172,10 +188,7 @@ def model_from_dict(payload: dict) -> PollingModel:
 
 
 def load_model(path) -> tuple[PollingModel, dict]:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read model config from {path}: {exc}") from exc
+    payload = _read(path, as_json=True)
     return _from_payload(model_from_dict, payload, path), payload
 
 

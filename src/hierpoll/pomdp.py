@@ -50,7 +50,6 @@ from .errors import (
 )
 from .stochastic import ConvexPolynomial, StochasticMatrix, _readonly, as_array, validate_stochastic
 
-BELIEF_TOL = 1e-10
 MAX_SWEEPS = 10 ** 5
 _VI_TOL = 1e-8             # default sup-norm change at which sweeps stop
 _MAX_POINTS = 300_000      # grid-size cap (value_iteration's default)
@@ -59,13 +58,9 @@ OFF_GRID = -(1 << 40)      # rank-table sentinel; exceeds any grid size
 
 
 def validate_belief(pi) -> np.ndarray:
+    """`pi` as a float array, checked as the one row of a StochasticMatrix."""
     pi = np.asarray(pi, dtype=float)
-    if pi.ndim != 1 or pi.size < 1 or not np.isfinite(pi).all():
-        raise ValueError("belief must be a finite 1-d probability vector")
-    if pi.min() < -BELIEF_TOL:
-        raise ValueError(f"belief has negative mass {pi.min():.3e}")
-    if abs(pi.sum() - 1.0) > BELIEF_TOL:
-        raise ValueError(f"belief mass {pi.sum():.12f} != 1")
+    StochasticMatrix(pi[None])
     return pi
 
 
@@ -76,8 +71,8 @@ class CostSpec:
     The variant only chooses the uncertainty h of the state estimate: the
     belief entropy in bits for intent polling, the quadratic estimation
     error 1 - pi'pi for expectation and friendship polling. Offsets are
-    zero except for intent polling. Monotonicity across actions (cheaper
-    but noisier as u grows) is enforced at construction.
+    zero except for intent polling. Finite costs, monotone across actions
+    (cheaper but noisier as u grows), are enforced at construction.
     """
 
     variant: str
@@ -122,6 +117,11 @@ class CostSpec:
                 raise InvalidCostSpec("offsets must be strictly increasing in u")
         else:
             raise InvalidCostSpec(f"unknown variant {self.variant!r}")
+        # NaN fails every ordering test above, so it is caught here
+        for name, v in (("measurement", self.measurement), ("weights", w),
+                        ("offsets", g2), ("level_costs", self.level_costs)):
+            if v is not None and not np.isfinite(v).all():
+                raise InvalidCostSpec(f"{name} must be finite, got {v}")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "offsets", g2)
 

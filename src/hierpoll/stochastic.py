@@ -182,13 +182,7 @@ class ConvexPolynomial:
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.coefficients, dtype=float))
-        if c.ndim != 1 or c.size == 0:
-            raise ValueError("coefficients must be a non-empty 1-d sequence")
-        if np.any(c < -ENTRY_TOL):
-            raise ValueError(f"negative coefficient {c.min():.3e}")
-        if abs(c.sum() - 1.0) > ROW_SUM_TOL:
-            raise ValueError(f"coefficients sum to {c.sum():.12f}, expected 1")
-        object.__setattr__(self, "coefficients", _readonly(c))
+        object.__setattr__(self, "coefficients", StochasticMatrix(c[None]).entries[0])
 
     @property
     def degree(self) -> int:

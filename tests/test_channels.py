@@ -1,4 +1,5 @@
 import json
+import math
 from unittest import mock
 
 import numpy as np
@@ -169,6 +170,29 @@ class TestFriendshipChannel:
         # and any residual pair still routes through the surrogate chain
         chain = approximate_blackwell_chain([shallow, deep])
         assert chain.is_certified(1e-7)
+
+    def test_log_space_matches_exact_coefficients(self, rng):
+        # reference: exact integer multinomial coefficients times float powers
+        for X, n in ((2, 30), (3, 7), (4, 5)):
+            B = random_stochastic(X, X, rng)
+            B[0, 1:] = 0.0
+            B[0, 0] = 1.0
+            ch = friendship_channel(B, n)
+            for j, label in enumerate(ch.output_labels):
+                counts = [int(c.split("/")[0]) for c in label.split(",")]
+                coef = math.factorial(n) // math.prod(math.factorial(k) for k in counts)
+                ref = coef * np.prod(B ** counts, axis=1)
+                assert np.abs(ch.matrix.entries[:, j] - ref).max() <= 1e-12
+
+    def test_large_counts_stay_in_float_range(self):
+        # 3000! overflows a float; the pmf is formed in log space
+        ch = friendship_channel(np.full((2, 2), 0.5), 3000)
+        assert ch.n_outputs == 3001
+        k = ch.output_labels.index("1500/3000,1500/3000")
+        assert ch.matrix.entries[0, k] == pytest.approx(
+            math.comb(3000, 1500) / 2 ** 3000, rel=1e-10)
+        # one state has one outcome, so no factorial of the count is formed
+        assert friendship_channel(np.ones((1, 1)), 10 ** 12).matrix.entries.tolist() == [[1.0]]
 
     def test_alphabet_cap(self):
         with pytest.raises(AlphabetTooLarge):

@@ -28,13 +28,17 @@ from conftest import hmm_sample
 REFERENCE = json.loads((Path(__file__).parent / "data" / "cli_reference.json").read_text())
 
 
-def _model_config_without(*keys):
-    """The example-1 model config with the entry at the key path removed."""
+def _edited_model_config(keys, *value):
+    """The example-1 model config with the entry at the key path removed, or
+    set to `value` when one is given."""
     config = model_to_dict(example1_model(0.5))
     node = config
     for k in keys[:-1]:
         node = node[k]
-    del node[keys[-1]]
+    if value:
+        node[keys[-1]] = value[0]
+    else:
+        del node[keys[-1]]
     return config
 
 
@@ -42,8 +46,8 @@ def _model_config_without(*keys):
 BAD_FILES = {
     "no-alphabet.json": {"sequences": [["a"]]},
     "sequences-not-list.json": {"alphabet": ["a"], "sequences": 5},
-    "no-costs.json": _model_config_without("costs"),
-    "no-variant.json": _model_config_without("costs", "variant"),
+    "no-costs.json": _edited_model_config(("costs",)),
+    "no-variant.json": _edited_model_config(("costs", "variant")),
     "intent-no-B.json": {"type": "intent", "beta": [1.0]},
     "friendship-no-n.json": {"type": "friendship", "B_level": [[1.0]]},
     "config-list.json": [model_to_dict(example1_model(0.5))],
@@ -51,6 +55,18 @@ BAD_FILES = {
     "friendship-n-word.json": {"type": "friendship", "B_level": [[1.0]], "n_friends": "two"},
     "intent-beta-short.json": {"type": "intent", "B": [[0.9, 0.1], [0.2, 0.8]],
                                "beta": [0.5]},
+    "cost-nan.json": _edited_model_config(("costs", "measurement", 0), math.nan),
+    # bytes that are not UTF-8, and bare-array channels of the wrong form
+    "undecodable.json": b"[[0.5, 0.5], [0.5, \xff]]",
+    "undecodable.csv": b"a,b\n0.5,\xff\n",
+    "ragged.json": [[0.5, 0.5], [0.5]],
+    "words.json": [["a", "b"], ["c", "d"]],
+    # values beyond float or int range: an integer literal of 400 digits, and
+    # an infinite count
+    "huge-int.json": b"[[1" + b"0" * 400 + b", 0.5], [0.5, 0.5]]",
+    "friendship-n-inf.json": {"type": "friendship", "B_level": [[1.0]],
+                              "n_friends": math.inf},
+    "deep.json": b"[" * 100_000 + b"]" * 100_000,
 }
 
 
@@ -281,12 +297,7 @@ class TestSolveSimulate:
         ["example2", "--pairs", "0"],
         ["example2", "--states", "0"],
         ["dominance", "{o1}", "{o1}", "--threads", "0"],
-        ["dominance", "{o1}", "{o1}", "--tol", "nan"],
-        ["dominance", "{o1}", "{o1}", "--tol", "-1"],
         ["dominance", "{o1}", "{o1}", "--cert-tol", "inf"],
-        ["example1", "--vi-tol", "nan"],
-        ["solve", "--config", "{config}", "--vi-tol", "-1e-8"],
-        ["simulate", "--config", "{config}", "--policy", "grid", "--vi-tol", "nan"],
         ["capacity", "{o1}", "--tol", "-1"],
         ["estimate", "{o1}", "--states", "3", "--tol", "nan"],
         ["example1", "--rho-list", ""],
@@ -303,15 +314,35 @@ class TestSolveSimulate:
         ["solve", "--config", "{bad:rho-not-float.json}"],
         ["capacity", "{bad:friendship-n-word.json}"],
         ["capacity", "{bad:intent-beta-short.json}"],
+        ["solve", "--config", "{config}", "--vi-tol", "1e-8"],
+        ["simulate", "--config", "{bad:cost-nan.json}", "--runs", "4", "--horizon", "3"],
+        ["dominance", "{bad:undecodable.json}", "{o1}"],
+        ["dominance", "{bad:undecodable.csv}", "{o1}"],
+        ["capacity", "{bad:undecodable.json}"],
+        ["solve", "--config", "{bad:undecodable.json}"],
+        ["estimate", "{bad:undecodable.json}", "--states", "2"],
+        ["estimate", "{bad:undecodable.csv}", "--states", "2"],
+        ["capacity", "{bad:ragged.json}"],
+        ["renyi", "{bad:ragged.json}"],
+        ["capacity", "{bad:words.json}"],
+        ["renyi", "{bad:words.json}"],
+        ["capacity", "{bad:huge-int.json}"],
+        ["capacity", "{bad:friendship-n-inf.json}"],
+        ["solve", "--config", "{bad:deep.json}"],
     ], ids=["fixed-not-int", "fixed-out-of-range", "runs-0", "horizon-0",
             "alphas-not-float", "grid-m-0", "pairs-0", "states-0", "threads-0",
-            "tol-nan", "tol-negative", "cert-tol-inf", "example1-vi-tol-nan",
-            "solve-vi-tol-negative", "simulate-vi-tol-nan", "capacity-tol-negative",
+            "cert-tol-inf", "capacity-tol-negative",
             "estimate-tol-nan", "rho-list-empty", "rho-list-blank", "alphas-empty",
             "ctilde-weight-nan", "data-no-alphabet", "data-sequences-not-list",
             "config-no-costs", "config-no-variant", "intent-recipe-no-B",
             "friendship-recipe-no-n-friends", "config-is-list", "config-rho-not-float",
-            "friendship-n-friends-not-int", "intent-beta-not-stochastic"])
+            "friendship-n-friends-not-int", "intent-beta-not-stochastic",
+            "unknown-option", "config-cost-nan", "dominance-undecodable-json",
+            "dominance-undecodable-csv", "capacity-undecodable-json",
+            "solve-undecodable-json", "estimate-undecodable-json",
+            "estimate-undecodable-csv", "capacity-ragged-channel", "renyi-ragged-channel",
+            "capacity-word-channel", "renyi-word-channel", "capacity-huge-int",
+            "friendship-n-friends-inf", "solve-deeply-nested-json"])
     def test_bad_options_exit_two(self, argv, model_config, channel_files, tmp_path,
                                   capsys):
         argv = [a.replace("{config}", model_config).replace("{o1}", channel_files[0])
@@ -319,7 +350,9 @@ class TestSolveSimulate:
         for k, a in enumerate(argv):
             if a.startswith("{bad:"):
                 argv[k] = str(tmp_path / a[5:-1])
-                Path(argv[k]).write_text(json.dumps(BAD_FILES[a[5:-1]]))
+                content = BAD_FILES[a[5:-1]]
+                Path(argv[k]).write_bytes(content if isinstance(content, bytes)
+                                          else json.dumps(content).encode())
         try:
             rc = main(argv)
         except SystemExit as exc:      # argparse rejects an option's value
@@ -357,6 +390,18 @@ class TestInfoCommands:
         assert main(["capacity", o1, o2]) == 0
         meta = [l for l in capsys.readouterr().out.splitlines() if l.startswith("#")]
         assert f"# gap_bits={gaps}" in meta
+
+    def test_capacity_of_a_large_friendship_recipe(self, tmp_path, capsys):
+        # 3000 friends: the multinomial pmf is formed in log space, not from
+        # an exact factorial too large for a float
+        recipe = tmp_path / "friends.json"
+        recipe.write_text(json.dumps({"type": "friendship", "n_friends": 3000,
+                                      "B_level": [[0.5, 0.5], [0.5, 0.5]]}))
+        assert main(["capacity", str(recipe)]) == 0
+        captured = capsys.readouterr()
+        lines = [l for l in captured.out.splitlines() if not l.startswith("#")]
+        assert float(lines[1].split(",")[1]) == pytest.approx(0.0, abs=1e-9)
+        assert captured.err == ""
 
     def test_renyi_rows(self, channel_files, capsys):
         o1, *_ = channel_files

@@ -12,7 +12,10 @@ from hierpoll.errors import (
     InvalidAction,
     InvalidCostSpec,
     ModelShapeMismatch,
+    NegativeEntry,
     NonConvergence,
+    NonFiniteEntry,
+    RowSumMismatch,
     UncertifiedChain,
     UncertifiedDominance,
     ZeroLikelihood,
@@ -49,6 +52,9 @@ def model(O1, O2, P3):
     return example1_model(rho=0.5)
 
 
+_BETAS = (ConvexPolynomial([1.0]), ConvexPolynomial([0.5, 0.5]))
+
+
 class TestCostSpec:
     def test_monotonicity_rejected(self):
         with pytest.raises(InvalidCostSpec):
@@ -60,6 +66,19 @@ class TestCostSpec:
     def test_non_finite_ctilde_weight_rejected(self, weight):
         with pytest.raises(InvalidCostSpec, match="ctilde_weight"):
             CostSpec.expectation([0.5, 0.25], [0.5, 1.0], ctilde_weight=weight)
+
+    @pytest.mark.parametrize("field, make", [
+        ("measurement", lambda: CostSpec.expectation([np.nan, 0.25], [0.5, 1.0])),
+        ("weights", lambda: CostSpec.friendship([0.5, 0.25], [0.5, np.inf])),
+        ("offsets", lambda: CostSpec.intent([1.0, 0.5], _BETAS, [2.0, 1.0], [np.nan, 2.0])),
+        # the NaN level is beyond every beta, so the measurements stay finite
+        ("level_costs", lambda: CostSpec.intent([1.0, 0.5, np.nan], _BETAS,
+                                                [2.0, 1.0], [1.0, 2.0])),
+    ], ids=["measurement", "weights", "offsets", "level_costs"])
+    def test_non_finite_costs_rejected(self, field, make):
+        # NaN fails every ordering test, so it must be checked on its own
+        with pytest.raises(InvalidCostSpec, match=f"{field} must be finite"):
+            make()
 
     def test_intent_monotonicity(self):
         from hierpoll.stochastic import ConvexPolynomial
@@ -229,6 +248,24 @@ class TestFilterUpdate:
                 validate_belief(post)
                 total += sigma
             assert total == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("pi, error", [
+    ([np.nan, 1.0], NonFiniteEntry),
+    ([1.2, -0.2], NegativeEntry),
+    ([0.5, 0.5 + 2e-10], RowSumMismatch),
+    ([], RowSumMismatch),
+    (1.0, RowSumMismatch),
+    ([[0.5, 0.5]], RowSumMismatch),
+], ids=["nan", "negative", "sum", "empty", "scalar", "2-d"])
+def test_validate_belief_raises_the_stochastic_errors(pi, error):
+    with pytest.raises(error):
+        validate_belief(pi)
+
+
+def test_validate_belief_keeps_its_tolerances():
+    pi = [0.5, 0.5 + 5e-11, -5e-13]
+    assert validate_belief(pi).tolist() == pi
 
 
 def searchsorted_interpolation_data(grid, PI):

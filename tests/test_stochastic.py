@@ -4,6 +4,7 @@ import pytest
 from hierpoll.errors import (
     DegenerateDegreeZero,
     NegativeEntry,
+    NonFiniteEntry,
     NonzeroRemainder,
     NotSquare,
     NotUltrametric,
@@ -160,6 +161,24 @@ class TestMatrixPolynomial:
             coeffs = rng.dirichlet(np.ones(deg + 1))
             B = random_stochastic(n, n, rng)
             validate_stochastic(eval_matrix_polynomial(ConvexPolynomial(coeffs), B).entries)
+
+
+class TestConvexPolynomial:
+    @pytest.mark.parametrize("coeffs, error", [
+        ([np.nan, 1.0], NonFiniteEntry),
+        ([np.inf, 0.0], NonFiniteEntry),
+        ([1.2, -0.2], NegativeEntry),
+        ([0.5, 0.6], RowSumMismatch),
+        ([], RowSumMismatch),
+        ([[0.5, 0.5]], RowSumMismatch),
+    ], ids=["nan", "inf", "negative", "sum", "empty", "2-d"])
+    def test_coefficients_checked_as_a_stochastic_row(self, coeffs, error):
+        with pytest.raises(error):
+            ConvexPolynomial(coeffs)
+
+    def test_constant_and_read_only(self):
+        f = ConvexPolynomial(1.0)
+        assert f.coefficients.tolist() == [1.0] and not f.coefficients.flags.writeable
 
 
 class TestHurwitz:
