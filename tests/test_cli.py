@@ -297,7 +297,12 @@ class TestSolveSimulate:
         ["example2", "--pairs", "0"],
         ["example2", "--states", "0"],
         ["dominance", "{o1}", "{o1}", "--threads", "0"],
+        ["dominance", "{o1}", "{o1}", "--tol", "nan"],
+        ["dominance", "{o1}", "{o1}", "--tol", "-1"],
         ["dominance", "{o1}", "{o1}", "--cert-tol", "inf"],
+        ["example1", "--vi-tol", "nan"],
+        ["solve", "--config", "{config}", "--vi-tol", "-1e-8"],
+        ["simulate", "--config", "{config}", "--policy", "grid", "--vi-tol", "nan"],
         ["capacity", "{o1}", "--tol", "-1"],
         ["estimate", "{o1}", "--states", "3", "--tol", "nan"],
         ["example1", "--rho-list", ""],
@@ -331,7 +336,8 @@ class TestSolveSimulate:
         ["solve", "--config", "{bad:deep.json}"],
     ], ids=["fixed-not-int", "fixed-out-of-range", "runs-0", "horizon-0",
             "alphas-not-float", "grid-m-0", "pairs-0", "states-0", "threads-0",
-            "cert-tol-inf", "capacity-tol-negative",
+            "tol-nan", "tol-negative", "cert-tol-inf", "example1-vi-tol-nan",
+            "solve-vi-tol-negative", "simulate-vi-tol-nan", "capacity-tol-negative",
             "estimate-tol-nan", "rho-list-empty", "rho-list-blank", "alphas-empty",
             "ctilde-weight-nan", "data-no-alphabet", "data-sequences-not-list",
             "config-no-costs", "config-no-variant", "intent-recipe-no-B",
