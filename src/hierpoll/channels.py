@@ -26,6 +26,7 @@ from .errors import (
     AlphabetTooLarge,
     DegreeExceedsLevels,
     DimensionMismatch,
+    InvalidArgument,
     NotUltrametric,
 )
 from .stochastic import (
@@ -42,6 +43,7 @@ from .stochastic import (
 
 CERT_TOL = 1e-7        # deficiency at or below which dominance counts as certified
 _CERT_RESIDUAL = 1e-9  # residual at or below which H^-1 W is accepted without an LP
+_MAX_OUTCOMES = 10 ** 6  # output-alphabet cap of friendship_channel
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,7 @@ class HierarchyModel:
         if not self.B.is_square:
             raise DimensionMismatch("level confusion matrix must be square")
         if self.N < 0:
-            raise ValueError("N must be >= 0")
+            raise InvalidArgument("N must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -96,7 +98,7 @@ class DominanceChain:
 
     garblings[u] maps channels[u] onto channels[u+1] exactly;
     deficiencies[u] records the residual against the originally requested
-    (u+1)-th channel, zero (within tolerance) certifying exact dominance.
+    (u+1)-th channel, at most CERT_TOL certifying exact dominance.
     """
 
     channels: tuple[Channel, ...]
@@ -109,10 +111,10 @@ class DominanceChain:
         if len(self.deficiencies) != len(self.garblings):
             raise DimensionMismatch("need exactly one deficiency per garbling")
         if any(d < 0 for d in self.deficiencies):
-            raise ValueError("deficiencies must be nonnegative")
+            raise InvalidArgument("deficiencies must be nonnegative")
 
-    def is_certified(self, tol: float = CERT_TOL) -> bool:
-        return all(d <= tol for d in self.deficiencies)
+    def is_certified(self) -> bool:
+        return all(d <= CERT_TOL for d in self.deficiencies)
 
 
 # ------------------------------------------------------------ constructors
@@ -132,7 +134,7 @@ def expectation_channel(h: HierarchyModel, polled_depth: int, target_depth: int)
     is computed through it even though B^j is available directly.
     """
     if not (1 <= target_depth <= polled_depth):
-        raise ValueError("need 1 <= target_depth <= polled_depth")
+        raise InvalidArgument("need 1 <= target_depth <= polled_depth")
     if not is_ultrametric(h.B):
         raise NotUltrametric("expectation polling requires an ultrametric B")
     base = matrix_power(h.B, polled_depth)
@@ -154,7 +156,7 @@ def _compositions(total: int, parts: int) -> np.ndarray:
     return -np.diff(xi, axis=1, append=0)
 
 
-def friendship_channel(B_level, n_friends: int, max_outcomes: int = 10 ** 6) -> Channel:
+def friendship_channel(B_level, n_friends: int) -> Channel:
     """Multinomial channel: a polled node reports the opinion counts among
     its n_friends peers, each peer's opinion drawn from the node's row of
     B_level. Output alphabet is every composition (n_1,...,n_X) of n_friends.
@@ -164,11 +166,11 @@ def friendship_channel(B_level, n_friends: int, max_outcomes: int = 10 ** 6) -> 
         raise DimensionMismatch("B_level must be square")
     validate_stochastic(B)
     if n_friends < 1:
-        raise ValueError("n_friends must be >= 1")
+        raise InvalidArgument("n_friends must be >= 1")
     X = B.shape[0]
     n_out = math.comb(n_friends + X - 1, X - 1)
-    if n_out > max_outcomes:
-        raise AlphabetTooLarge(f"{n_out} outcomes exceed the cap {max_outcomes}")
+    if n_out > _MAX_OUTCOMES:
+        raise AlphabetTooLarge(f"{n_out} outcomes exceed the cap {_MAX_OUTCOMES}")
     comps = _compositions(n_friends, X)
     # entry (i, j) = exp(log multinomial coefficient + sum_h n_h log B[i,h]), so
     # no factorial leaves float range and the work follows the outcome count;
@@ -178,6 +180,9 @@ def friendship_channel(B_level, n_friends: int, max_outcomes: int = 10 ** 6) -> 
     log_fact = np.array([math.lgamma(k + 1) for k in counts.tolist()])[index.reshape(comps.shape)]
     log_B = np.log(B, out=np.full(B.shape, -1e300), where=B > 0)
     M = np.exp(math.lgamma(n_friends + 1) - log_fact.sum(axis=1) + log_B @ comps.T)
+    # each row sums to 1 in exact arithmetic, but lgamma's rounding, about 1e-16
+    # of n log n, puts the sums off by more than the row-sum check from ~1e5 friends
+    M /= M.sum(axis=1, keepdims=True)
     labels = tuple(",".join(f"{k}/{n_friends}" for k in comp) for comp in comps.tolist())
     return make_channel(validate_stochastic(M), output_labels=labels)
 
@@ -287,9 +292,9 @@ def lecam_deficiency(W, H) -> LeCamResult:
     return LeCamResult(delta=garbling_residual(Wm, Hm, R), garbling=validate_stochastic(R))
 
 
-def blackwell_dominates(A, B_ch, tol: float = CERT_TOL) -> bool:
+def blackwell_dominates(A, B_ch) -> bool:
     """True iff A >=_B B_ch, i.e. some garbling of A reproduces B_ch."""
-    return lecam_deficiency(B_ch, A).delta <= tol
+    return lecam_deficiency(B_ch, A).delta <= CERT_TOL
 
 
 def approximate_blackwell_chain(channels) -> DominanceChain:
@@ -302,7 +307,7 @@ def approximate_blackwell_chain(channels) -> DominanceChain:
     """
     chs = [ch if isinstance(ch, Channel) else make_channel(ch) for ch in channels]
     if not chs:
-        raise ValueError("need at least one channel")
+        raise InvalidArgument("need at least one channel")
     n_in = chs[0].n_inputs
     if any(c.n_inputs != n_in for c in chs):
         raise DimensionMismatch("all channels must share the input alphabet")

@@ -114,9 +114,9 @@ def cmd_dominance(args) -> int:
     for i, j, d in results:
         pairwise[i, j] = d
     chain = approximate_blackwell_chain(channels)
-    certified = chain.is_certified(args.cert_tol)
+    certified = chain.is_certified()
     for u, d in enumerate(chain.deficiencies):
-        mark = "certified" if d <= args.cert_tol else "NOT certified"
+        mark = "certified" if d <= CERT_TOL else "NOT certified"
         print(f"# O({u + 1}) >= O({u + 2}): deficiency {d:.3e} ({mark})",
               file=sys.stderr)
     report = {
@@ -179,8 +179,7 @@ def cmd_example2(args) -> int:
     pi0[0] = 1.0
 
     def run_pair(p):
-        P, B, channels, costs = example2_parts(args.states, [args.seed, p],
-                                               ctilde_weight=args.ctilde_weight)
+        P, B, channels, costs = example2_parts(args.states, [args.seed, p])
         residual = max(garbling_residual(channels[u + 1].matrix.entries,
                                          channels[u].matrix.entries,
                                          eval_matrix_polynomial(quotients[u], B).entries)
@@ -195,7 +194,7 @@ def cmd_example2(args) -> int:
     worst_residual = max(r for r, _ in results)
     print(f"# chain audit: worst quotient-garbling residual over {args.pairs} "
           f"draws = {worst_residual:.3e}", file=sys.stderr)
-    ok &= worst_residual <= 1e-6
+    ok &= worst_residual <= CERT_TOL
     values = np.array([[v for v, _ in losses] for _, losses in results])
     errors = np.array([[e for _, e in losses] for _, losses in results])
     rows = [(rho, "L2", float(values[:, k].mean()),
@@ -324,8 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dominance", help="certify a dominance chain from channel files")
     p.add_argument("channels", nargs="+", help="channel JSON/CSV files, most informative first")
-    p.add_argument("--cert-tol", type=_tolerance, default=CERT_TOL,
-                   help="deficiency below which a step counts as certified")
     _add_common(p)
     p.set_defaults(func=cmd_dominance)
 
@@ -345,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", type=_positive_int, default=10)
     p.add_argument("--runs", type=_positive_int, default=1000)
     p.add_argument("--horizon", type=_positive_int, default=100)
-    p.add_argument("--ctilde-weight", type=float, default=1.0)
     _add_common(p)
     p.set_defaults(func=cmd_example2)
 

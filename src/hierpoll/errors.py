@@ -9,6 +9,10 @@ class HierPollError(Exception):
     """Base class for all package errors."""
 
 
+class InvalidArgument(HierPollError, ValueError):
+    """An argument outside the range its function accepts."""
+
+
 # ---------------------------------------------------------------- matrices
 class StochasticMatrixError(HierPollError, ValueError):
     pass

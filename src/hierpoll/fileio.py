@@ -49,11 +49,12 @@ def _read(path, as_json: bool):
 
 def _from_payload(build, payload, path):
     """build(payload), with a missing key or index, or a value of the wrong
-    type, form or size, raised as ParseError naming the file; package errors
-    pass as is."""
+    type, form or size, raised as ParseError naming the file; a package error
+    keeps its type and attributes and gains the file name in its message."""
     try:
         return build(payload)
-    except HierPollError:
+    except HierPollError as exc:
+        exc.args = (f"{path}: {exc}",)
         raise
     except KeyError as exc:
         raise ParseError(f"{path}: missing key {exc}") from None
@@ -102,7 +103,7 @@ def channel_to_dict(ch: Channel) -> dict:
 
 def channel_from_dict(payload: dict) -> Channel:
     kind = payload.get("type", "matrix")
-    if kind == "matrix" or "matrix" in payload and "type" not in payload:
+    if kind == "matrix":
         return make_channel(np.asarray(payload["matrix"], dtype=float),
                             payload.get("inputs"), payload.get("outputs"))
     if kind == "intent":
@@ -122,7 +123,7 @@ def channel_from_dict(payload: dict) -> Channel:
 
 def load_channel(path) -> Channel:
     if not _is_json(path):
-        return make_channel(load_matrix(path))
+        return _from_payload(make_channel, load_matrix(path), path)
     payload = _read(path, as_json=True)
     if not isinstance(payload, dict):
         payload = {"matrix": payload}

@@ -248,7 +248,7 @@ def verify_orderings(chain: DominanceChain, alphas) -> InfoReport:
     Capacities must be nonincreasing and every state pair's divergence must be
     nonincreasing at every alpha, both within the numeric slack _ORDERING_SLACK.
     """
-    if not chain.is_certified(CERT_TOL):
+    if not chain.is_certified():
         raise UncertifiedChain(
             f"chain deficiencies {chain.deficiencies} exceed {CERT_TOL}")
     alphas = tuple(float(a) for a in alphas)

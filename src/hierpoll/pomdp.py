@@ -41,6 +41,7 @@ from .errors import (
     BeliefOffGrid,
     GridTooLarge,
     InvalidAction,
+    InvalidArgument,
     InvalidCostSpec,
     ModelShapeMismatch,
     NonConvergence,
@@ -50,9 +51,9 @@ from .errors import (
 )
 from .stochastic import ConvexPolynomial, StochasticMatrix, _readonly, as_array, validate_stochastic
 
-MAX_SWEEPS = 10 ** 5
-_VI_TOL = 1e-8             # default sup-norm change at which sweeps stop
-_MAX_POINTS = 300_000      # grid-size cap (value_iteration's default)
+MAX_SWEEPS = 10 ** 5       # Bellman sweeps before NonConvergence
+_VI_TOL = 1e-8             # sup-norm change at which sweeps stop
+_MAX_POINTS = 300_000      # grid-size cap
 _BOUND_SLACK = 1e-6        # numeric slack of the sensitivity verifiers' inequalities
 OFF_GRID = -(1 << 40)      # rank-table sentinel; exceeds any grid size
 
@@ -62,6 +63,14 @@ def validate_belief(pi) -> np.ndarray:
     pi = np.asarray(pi, dtype=float)
     StochasticMatrix(pi[None])
     return pi
+
+
+def _steps(v) -> np.ndarray:
+    """Successive differences of v, without floating-point warnings: a step
+    that overflows keeps its sign as +-inf, and a non-finite entry is left to
+    the finiteness check that follows the ordering checks."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.diff(v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,14 +101,14 @@ class CostSpec:
         if self.ctilde_weight is not None and not math.isfinite(self.ctilde_weight):
             raise InvalidCostSpec(f"ctilde_weight must be finite, got {self.ctilde_weight}")
         if self.variant in ("expectation", "friendship"):
-            if np.any(np.diff(self.measurement) > 1e-12):
+            if np.any(_steps(self.measurement) > 1e-12):
                 raise InvalidCostSpec("measurement costs must be nonincreasing in u")
             if self.weights is None:
                 raise InvalidCostSpec(f"{self.variant} costs need error weights")
             w = np.asarray(self.weights, dtype=float)
             if w.size != U:
                 raise InvalidCostSpec("one error weight per action required")
-            if np.any(np.diff(w) <= 0):
+            if np.any(_steps(w) <= 0):
                 raise InvalidCostSpec("error weights must be strictly increasing in u")
             g2 = np.zeros(U)
         elif self.variant == "intent":
@@ -111,9 +120,9 @@ class CostSpec:
                 raise InvalidCostSpec("per-action weight vectors must match U")
             if np.any(w <= 0) or np.any(g2 <= 0):
                 raise InvalidCostSpec("intent weights must be positive")
-            if np.any(np.diff(w) >= 0):
+            if np.any(_steps(w) >= 0):
                 raise InvalidCostSpec("entropy weights must be strictly decreasing in u")
-            if np.any(np.diff(g2) <= 0):
+            if np.any(_steps(g2) <= 0):
                 raise InvalidCostSpec("offsets must be strictly increasing in u")
         else:
             raise InvalidCostSpec(f"unknown variant {self.variant!r}")
@@ -136,7 +145,7 @@ class CostSpec:
     @classmethod
     def intent(cls, level_costs, betas, entropy_weights, offsets, ctilde_weight=None):
         s = np.asarray(level_costs, dtype=float)
-        if np.any(np.diff(s) > 1e-12):
+        if np.any(_steps(s) > 1e-12):
             raise InvalidCostSpec("level costs must be nonincreasing in the level")
         betas = tuple(betas)
         for b in betas:
@@ -221,7 +230,7 @@ class PollingModel:
         if len(chans) != self.costs.num_actions:
             raise ModelShapeMismatch("one cost entry per channel required")
         if not 0.0 <= self.rho < 1.0:
-            raise ValueError("discount factor must lie in [0, 1)")
+            raise InvalidArgument("discount factor must lie in [0, 1)")
         L = np.zeros((len(chans), X, max(c.n_outputs for c in chans)))
         for u, c in enumerate(chans):
             L[u, :, :c.n_outputs] = c.matrix.entries
@@ -266,7 +275,7 @@ def filter_update(pi, y: int, u: int, model: PollingModel):
     pi = np.asarray(pi, dtype=float)
     O = model.observation(u)
     if not 0 <= y < O.shape[1]:
-        raise ValueError(f"observation index {y} outside the output alphabet")
+        raise InvalidArgument(f"observation index {y} outside the output alphabet")
     post, sigma = bayes_update(model.P.entries.T @ pi, O[:, y])
     if sigma <= 1e-300:
         raise ZeroLikelihood(f"observation {y} has zero likelihood under action {u}")
@@ -298,7 +307,7 @@ class FreudenthalGrid:
 
     def __init__(self, M: int, X: int):
         if M < 1 or X < 2:
-            raise ValueError("need M >= 1 and X >= 2")
+            raise InvalidArgument("need M >= 1 and X >= 2")
         self.M = int(M)
         self.X = int(X)
         self.lattice = _compositions(self.M, self.X)
@@ -330,7 +339,7 @@ class FreudenthalGrid:
         PI = np.atleast_2d(np.asarray(PI, dtype=float))
         n, X = PI.shape
         if X != self.X:
-            raise ValueError(f"belief dimension {X} != grid dimension {self.X}")
+            raise InvalidArgument(f"belief dimension {X} != grid dimension {self.X}")
         if not np.isfinite(PI).all():
             raise BeliefOffGrid("belief rows must be finite")
         # coordinate-major layout (X, n): every step is a vector op over beliefs
@@ -449,70 +458,68 @@ class Lookahead:
         return self.C + self.rho * (self.sigma * interp).sum(axis=1).T
 
 
-def _checked_grid(M: int, X: int, max_points: int) -> FreudenthalGrid:
+def _checked_grid(M: int, X: int) -> FreudenthalGrid:
     size = grid_size(M, X)
-    if size > max_points:
+    if size > _MAX_POINTS:
         raise GridTooLarge(
-            f"grid with {size} points exceeds the cap of {max_points}; "
+            f"grid with {size} points exceeds the cap of {_MAX_POINTS}; "
             f"use a coarser resolution or the simulation-based loss metrics")
     return FreudenthalGrid(M, X)
 
 
-def _sweep(backup: Lookahead, tol: float, max_sweeps: int, policy=None):
-    """Bellman sweeps from V = 0 until the sup-norm change drops below tol:
+def _sweep(backup: Lookahead, policy=None):
+    """Bellman sweeps from V = 0 until the sup-norm change drops below _VI_TOL:
     V <- min_u Q(V), or V <- Q(V)[policy] with a pinned 1-based policy.
     Returns V and the change of every sweep."""
     sel = None if policy is None else (np.asarray(policy, dtype=int) - 1)[:, None]
     V = np.zeros(backup.C.shape[0])
     deltas = []
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         Q = backup.q_values(V)
         V_new = Q.min(axis=1) if sel is None else np.take_along_axis(Q, sel, axis=1)[:, 0]
         deltas.append(float(np.abs(V_new - V).max()))
         V = V_new
-        if deltas[-1] < tol:
+        if deltas[-1] < _VI_TOL:
             return V, deltas
     what = "value iteration" if policy is None else "policy evaluation"
-    raise NonConvergence(f"{what} did not converge within {max_sweeps} sweeps")
+    raise NonConvergence(f"{what} did not converge within {MAX_SWEEPS} sweeps")
 
 
-def _solve(backup: Lookahead, tol: float, max_sweeps: int) -> GridValueFunction:
+def _solve(backup: Lookahead) -> GridValueFunction:
     """Optimal values on the backup's grid and the greedy policy they induce."""
-    V, deltas = _sweep(backup, tol, max_sweeps)
+    V, deltas = _sweep(backup)
     policy = np.argmin(backup.q_values(V), axis=1) + 1
     return GridValueFunction(grid=backup.grid, values=V, policy=policy,
                              sweeps=len(deltas), sweep_deltas=np.array(deltas))
 
 
-def value_iteration(model: PollingModel, M: int, tol: float = _VI_TOL,
-                    max_sweeps: int = MAX_SWEEPS,
-                    max_points: int = _MAX_POINTS) -> GridValueFunction:
+def value_iteration(model: PollingModel, M: int) -> GridValueFunction:
     """Discounted value iteration on the triangulated belief simplex.
 
     Off-grid posteriors are evaluated by barycentric interpolation, so each
     sweep is a monotone rho-contraction up to interpolation slack; sweeps
-    stop when the sup-norm change drops below tol.
+    stop when the sup-norm change drops below _VI_TOL.
     """
-    grid = _checked_grid(M, model.n_states, max_points)
-    return _solve(Lookahead(model, grid, grid.points), tol, max_sweeps)
+    grid = _checked_grid(M, model.n_states)
+    return _solve(Lookahead(model, grid, grid.points))
 
 
 def evaluate_policy_on_grid(model: PollingModel, policy: np.ndarray, M: int) -> np.ndarray:
     """Fixed-policy discounted value on the grid (same backup, u pinned)."""
-    grid = _checked_grid(M, model.n_states, _MAX_POINTS)
+    grid = _checked_grid(M, model.n_states)
     if policy.shape != (grid.size,):
         raise ModelShapeMismatch("policy must assign an action to every grid point")
-    return _sweep(Lookahead(model, grid, grid.points), _VI_TOL, MAX_SWEEPS, policy)[0]
+    return _sweep(Lookahead(model, grid, grid.points), policy)[0]
 
 
 # ------------------------------------------------------------- verifiers
-def certify_channel_chain(model: PollingModel, tol: float = CERT_TOL) -> tuple[float, ...]:
+def certify_channel_chain(model: PollingModel) -> tuple[float, ...]:
     """Deficiencies delta(O(u+1), O(u)) for consecutive actions; raises
-    UncertifiedChain when one exceeds tol."""
+    UncertifiedChain when one exceeds CERT_TOL."""
     out = tuple(lecam_deficiency(model.observation(u + 1), model.observation(u)).delta
                 for u in range(1, model.n_actions))
-    if any(d > tol for d in out):
-        raise UncertifiedChain(f"chain deficiencies {out} exceed {tol}")
+    if any(d > CERT_TOL for d in out):
+        raise UncertifiedChain(f"chain deficiencies {out} exceed {CERT_TOL}")
     return out
 
 
@@ -538,14 +545,14 @@ class MyopicBoundReport:
         return not self.violations and self.coincide_on_action_one
 
 
-def verify_myopic_bound(model: PollingModel, M: int, tol: float = _VI_TOL) -> MyopicBoundReport:
+def verify_myopic_bound(model: PollingModel, M: int) -> MyopicBoundReport:
     """Check mu*(g) <= myopic(g) everywhere, with equality forced on action 1.
 
     Requires the channels to form a certified dominance chain (CERT_TOL);
     the instantaneous costs are concave for all three families by construction.
     """
     deficiencies = certify_channel_chain(model)
-    gvf = value_iteration(model, M, tol=tol)
+    gvf = value_iteration(model, M)
     myopic = myopic_policy(gvf.points, model.costs)
     violations = tuple(int(i) for i in np.nonzero(gvf.policy > myopic)[0])
     coincide = bool(np.all(gvf.policy[myopic == 1] == 1))
@@ -607,8 +614,8 @@ def verify_sensitivity_bounds(theta: PollingModel, gamma: PollingModel,
     v_gamma = value_iteration(gamma, M)
     grid = v_gamma.grid
     theta_backup = Lookahead(theta, grid, grid.points)
-    v_theta = _solve(theta_backup, _VI_TOL, MAX_SWEEPS)
-    j_cross, _ = _sweep(theta_backup, _VI_TOL, MAX_SWEEPS, policy=v_gamma.policy)
+    v_theta = _solve(theta_backup)
+    j_cross, _ = _sweep(theta_backup, policy=v_gamma.policy)
 
     lhs_model = float(np.abs(v_gamma.values - j_cross).max())
     lhs_policy = float((j_cross - v_theta.values).max())

@@ -101,13 +101,14 @@ def example1_model(rho: float) -> PollingModel:
     )
 
 
-def example2_parts(X: int = 20, seed=0, ctilde_weight: float | None = 1.0):
+def example2_parts(X: int = 20, seed=0):
     """Random (P, B) draw plus the five intent channels and costs.
 
     P and the level confusion matrix B are Dirichlet(1,...,1) stochastic;
     the channels are B f_u(B) for the deflated sampling polynomials. Level
     measurement costs are zero, so the stage cost is the scaled belief
-    entropy plus the per-action offset. Returns (P, B, channels, costs).
+    entropy plus the per-action offset; the proxy cost ctilde has weight 1.
+    Returns (P, B, channels, costs).
     """
     rng = np.random.default_rng(seed)
     P = rng.dirichlet(np.ones(X), size=X)
@@ -121,13 +122,12 @@ def example2_parts(X: int = 20, seed=0, ctilde_weight: float | None = 1.0):
         betas=polys,
         entropy_weights=EXAMPLE2_GAMMA1,
         offsets=EXAMPLE2_GAMMA2,
-        ctilde_weight=ctilde_weight,
+        ctilde_weight=1.0,
     )
     return validate_stochastic(P), B, channels, costs
 
 
-def example2_model(rho: float, X: int = 20, seed=0,
-                   ctilde_weight: float | None = 1.0) -> PollingModel:
+def example2_model(rho: float, X: int = 20, seed=0) -> PollingModel:
     """Large randomized intent-polling benchmark (single (P, B) draw)."""
-    P, _, channels, costs = example2_parts(X, seed, ctilde_weight)
+    P, _, channels, costs = example2_parts(X, seed)
     return PollingModel(P=P, channels=channels, costs=costs, rho=rho)

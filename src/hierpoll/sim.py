@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidAction, UndefinedCTilde
+from .errors import InvalidAction, InvalidArgument, UndefinedCTilde
 from .pomdp import (
     CostSpec,
     GridValueFunction,
@@ -102,12 +102,12 @@ def _rollout(model: PollingModel, policy, pi0: np.ndarray, horizon: int,
     (runs, horizon) stage costs, with `proxy` also ctilde at the same steps.
     """
     if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+        raise InvalidArgument("horizon must be >= 1")
     draws = _uniform_streams(seed, range(runs) if np.isscalar(runs) else runs,
                              horizon)
     runs, X = draws.shape[0], model.n_states
     if runs < 1:
-        raise ValueError("runs must be >= 1")
+        raise InvalidArgument("runs must be >= 1")
     cumP = np.cumsum(model.P.entries, axis=1)
     cumO = np.cumsum(model.likelihoods, axis=2)
 
@@ -167,9 +167,9 @@ class CostEstimate:
 
     def __post_init__(self):
         if self.runs < 1:
-            raise ValueError("need at least one run")
+            raise InvalidArgument("need at least one run")
         if self.stderr < 0:
-            raise ValueError("standard error must be nonnegative")
+            raise InvalidArgument("standard error must be nonnegative")
 
 
 def _summary(model: PollingModel, costs: np.ndarray, rho: float,

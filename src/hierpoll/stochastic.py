@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (
     DegenerateDegreeZero,
+    InvalidArgument,
     NegativeEigenvalue,
     NegativeEntry,
     NegativeQuotientCoefficient,
@@ -62,7 +63,8 @@ class StochasticMatrix:
         if np.any(entries < -ENTRY_TOL):
             i, j = np.unravel_index(np.argmin(entries), entries.shape)
             raise NegativeEntry(f"entry ({i},{j}) = {entries[i, j]:.3e} is negative")
-        sums = entries.sum(axis=1)
+        with np.errstate(over="ignore"):  # a row that overflows is off by inf
+            sums = entries.sum(axis=1)
         dev = np.abs(sums - 1.0)
         if np.any(dev > ROW_SUM_TOL):
             i = int(np.argmax(dev))
@@ -142,7 +144,7 @@ def matrix_power(Q, k: int) -> StochasticMatrix:
     """k-th power of a square stochastic matrix, k = 0 giving the identity."""
     A = _square(Q)
     if k < 0:
-        raise ValueError("exponent must be a nonnegative integer")
+        raise InvalidArgument("exponent must be a nonnegative integer")
     return StochasticMatrix(np.linalg.matrix_power(A, int(k)))
 
 
@@ -157,7 +159,7 @@ def fractional_power(Q, j: int, K: int) -> StochasticMatrix:
     """
     A = _square(Q)
     if j < 1 or K < 1:
-        raise ValueError("j and K must be positive integers")
+        raise InvalidArgument("j and K must be positive integers")
     if not is_ultrametric(A):
         raise NotUltrametric("fractional powers require an ultrametric base")
     lam, V = np.linalg.eigh(A)
@@ -231,7 +233,7 @@ def polynomial_quotient(p: ConvexPolynomial, q: ConvexPolynomial) -> ConvexPolyn
     below -_QUOTIENT_TOL signals that p or q is not Hurwitz-compatible.
     """
     if p.degree <= q.degree:
-        raise ValueError("dividend degree must exceed divisor degree")
+        raise InvalidArgument("dividend degree must exceed divisor degree")
     ph = p.coefficients[: p.degree + 1][::-1]
     qh = q.coefficients[: q.degree + 1][::-1]
     quo, rem = np.polydiv(ph, qh)
@@ -273,7 +275,7 @@ def deflate_chain(f: ConvexPolynomial, steps: int) -> list[ConvexPolynomial]:
     convex and Hurwitz. Division errors from non-Hurwitz inputs propagate.
     """
     if steps < 0:
-        raise ValueError("steps must be nonnegative")
+        raise InvalidArgument("steps must be nonnegative")
     out = [f]
     for _ in range(steps):
         candidates = _smallest_root_factors(out[-1])

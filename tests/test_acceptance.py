@@ -203,7 +203,7 @@ def test_criterion_5_capacity_and_renyi_orderings(fractional_power_chains):
 def test_criterion_6_myopic_upper_bound():
     t0 = time.perf_counter()
     for rho in (0.3, 0.5, 0.7):
-        report = verify_myopic_bound(example1_model(rho), M=60, tol=1e-8)
+        report = verify_myopic_bound(example1_model(rho), M=60)
         assert report.grid_points == 1891
         assert report.violations == ()
         assert report.coincide_on_action_one
@@ -218,7 +218,7 @@ def test_criterion_7_loss_metric_structure():
     pi0 = uniform_belief(3)
 
     model0 = example1_model(0.0)
-    gvf0 = value_iteration(model0, 60, tol=1e-8)
+    gvf0 = value_iteration(model0, 60)
     jb = estimate_cost(model0, MyopicPolicy(), pi0, 100, 1000, SEED)
     jo = estimate_cost(model0, GridPolicy(gvf0), pi0, 100, 1000, SEED)
     se = np.hypot(jb.stderr, jo.stderr)
@@ -227,7 +227,7 @@ def test_criterion_7_loss_metric_structure():
     values = {}
     for rho in (0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
         model = example1_model(rho)
-        gvf = value_iteration(model, 60, tol=1e-8)
+        gvf = value_iteration(model, 60)
         jb = estimate_cost(model, MyopicPolicy(), pi0, 100, 1000, SEED)
         jo = estimate_cost(model, GridPolicy(gvf), pi0, 100, 1000, SEED)
         se = np.hypot(jb.stderr, jo.stderr)

@@ -180,7 +180,7 @@ class TestDominanceCommand:
         assert main(["dominance", channel_files[0], str(bad)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "error: entry (1,0) = nan is not finite" in captured.err
+        assert f"error: {bad}: entry (1,0) = nan is not finite" in captured.err
         assert "infeasible" not in captured.err
 
 
@@ -386,6 +386,19 @@ class TestInfoCommands:
         assert captured.out == ""
         assert captured.err.startswith("error:") and "Traceback" not in captured.err
         assert str(channel) in captured.err
+
+    @pytest.mark.parametrize("name, text", [
+        ("bad.json", '{"type": "intent", "B": [[0.9, 0.1], [0.2, 0.8]], "beta": [0.5]}'),
+        ("bad.csv", "0.25,0.25\n0.5,0.5\n"),
+    ])
+    def test_build_error_names_the_file(self, name, text, channel_files, tmp_path, capsys):
+        bad = tmp_path / name
+        bad.write_text(text)
+        assert main(["capacity", channel_files[0], str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {bad}: row 0 sums to 0.500000000000 "
+                                f"(deviation 5.000e-01)\n")
 
     def test_capacity_reports_each_gap_in_meta(self, channel_files, capsys):
         o1, o2, *_ = channel_files

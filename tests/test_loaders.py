@@ -7,13 +7,14 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hierpoll.cli import main
-from hierpoll.errors import HierPollError
+from hierpoll.errors import HierPollError, MaxIterationsExceeded
 from hierpoll.estimate import load_observations
-from hierpoll.fileio import load_channel, load_matrix, load_model
+from hierpoll.fileio import _from_payload, load_channel, load_matrix, load_model
 
 # the keys and recipe names the loaders read, so that generated objects get
 # past the first lookup often enough to reach the builders behind it
@@ -58,7 +59,8 @@ def test_loaders_return_or_raise_a_package_error(content, suffix, call):
         for loader in LOADERS:
             try:
                 loader(path)
-            except HierPollError:
+            except HierPollError as exc:
+                assert str(path) in str(exc), (loader, exc)
                 failed.add(loader)
         loader, argv = call
         if loader in failed:
@@ -69,3 +71,12 @@ def test_loaders_return_or_raise_a_package_error(content, suffix, call):
             assert out.getvalue() == ""
             assert err.getvalue().startswith("error:")
             assert "Traceback" not in err.getvalue()
+
+
+def test_package_error_keeps_its_type_and_index():
+    def build(payload):
+        raise MaxIterationsExceeded("did not converge", index=3)
+
+    with pytest.raises(MaxIterationsExceeded, match=r"^input\.json: did not converge$") as info:
+        _from_payload(build, None, "input.json")
+    assert info.value.index == 3

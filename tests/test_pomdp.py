@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hierpoll.channels import make_channel
+from hierpoll import pomdp
+from hierpoll.channels import lecam_deficiency, make_channel
 from hierpoll.errors import (
     BeliefOffGrid,
     GridTooLarge,
@@ -539,16 +540,17 @@ class TestValueIteration:
         assert np.all(deltas[2:] <= model.rho * deltas[1:-1] + 1e-9)
 
     def test_converged_flag_and_tolerance(self, model):
-        gvf = value_iteration(model, M=12, tol=1e-8)
+        gvf = value_iteration(model, M=12)
         assert gvf.sweep_deltas[-1] < 1e-8
 
-    def test_sweep_cap_raises(self, model):
+    def test_sweep_cap_raises(self, model, monkeypatch):
+        monkeypatch.setattr(pomdp, "MAX_SWEEPS", 2)
         with pytest.raises(NonConvergence):
-            value_iteration(model, M=12, max_sweeps=2)
+            value_iteration(model, M=12)
 
     def test_grid_too_large(self, model):
         with pytest.raises(GridTooLarge):
-            value_iteration(model, M=3000, max_points=10_000)
+            value_iteration(model, M=3000)
 
     def test_policy_evaluation_of_optimal_policy_matches(self, model):
         gvf = value_iteration(model, M=12)
@@ -576,10 +578,10 @@ class TestMyopicBound:
         # action is not a dominance chain
         model = PollingModel(P3, (O2, O1), example1_costs(), rho=0.5)
         with pytest.raises(UncertifiedChain):
-            certify_channel_chain(model, 1e-7)
+            certify_channel_chain(model)
         with pytest.raises(UncertifiedChain):
             verify_myopic_bound(model, M=6)
-        assert max(certify_channel_chain(model, tol=1.0)) > 1e-3
+        assert lecam_deficiency(model.observation(2), model.observation(1)).delta > 1e-3
 
     def test_inverted_costs_unconstructible(self):
         with pytest.raises(InvalidCostSpec):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -264,7 +266,8 @@ class TestLossL2:
         assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_intent_requires_ctilde_weight(self):
-        model = example2_model(rho=0.3, X=4, seed=1, ctilde_weight=None)
+        model = example2_model(rho=0.3, X=4, seed=1)
+        model = replace(model, costs=replace(model.costs, ctilde_weight=None))
         with pytest.raises(UndefinedCTilde):
             loss_L2(model, runs=10, horizon=5, seed=2)
 
