@@ -8,7 +8,8 @@ the Le Cam deficiency delta, always reported as the residual of a returned
 garbling. For a square invertible stronger channel H, the closed-form
 garbling H^-1 W certifies dominance when its residual is within tolerance;
 every other pair is settled by a garbling linear program, whose optimum is
-the deficiency. Chains of channels are certified step by step.
+the deficiency. Every verdict on a deficiency asks `certifies`, the one
+comparison with CERT_TOL, which it reads at each call.
 
 Convention: delta(W, H) = 0 certifies H >=_B W, i.e. the deficiency is
 measured for the weaker channel W relative to the stronger H.
@@ -28,6 +29,8 @@ from .errors import (
     DimensionMismatch,
     InvalidArgument,
     NotUltrametric,
+    UncertifiedChain,
+    UncertifiedDominance,
 )
 from .stochastic import (
     ConvexPolynomial,
@@ -114,7 +117,7 @@ class DominanceChain:
             raise InvalidArgument("deficiencies must be nonnegative")
 
     def is_certified(self) -> bool:
-        return all(d <= CERT_TOL for d in self.deficiencies)
+        return all(map(certifies, self.deficiencies))
 
 
 # ------------------------------------------------------------ constructors
@@ -270,7 +273,7 @@ def lecam_deficiency(W, H) -> LeCamResult:
     The infinity norm is the maximum absolute row sum. Any stochastic R
     bounds the deficiency from above by ||W - HR||_inf, and the reported
     delta is always that residual of the returned garbling, so the garbling
-    attains it. delta <= CERT_TOL certifies H >=_B W.
+    attains it.
 
     - Certificate: when H is square and invertible, H^-1 W is the only
       matrix with HR = W. Clipped at 0 and renormalised, it is returned
@@ -292,9 +295,35 @@ def lecam_deficiency(W, H) -> LeCamResult:
     return LeCamResult(delta=garbling_residual(Wm, Hm, R), garbling=validate_stochastic(R))
 
 
+def certifies(delta: float) -> bool:
+    """Whether delta(W, H), or a garbling residual, certifies H >=_B W."""
+    return delta <= CERT_TOL
+
+
+def certify_chain(deficiencies) -> tuple[float, ...]:
+    """The steps' deficiencies; raises UncertifiedChain unless all certify."""
+    out = tuple(deficiencies)
+    if not all(map(certifies, out)):
+        raise UncertifiedChain(f"chain deficiencies {out} exceed {CERT_TOL}")
+    return out
+
+
 def blackwell_dominates(A, B_ch) -> bool:
     """True iff A >=_B B_ch, i.e. some garbling of A reproduces B_ch."""
-    return lecam_deficiency(B_ch, A).delta <= CERT_TOL
+    return certifies(lecam_deficiency(B_ch, A).delta)
+
+
+def certify_dominance(A, B_ch, name: str) -> float:
+    """delta(B_ch, A); raises UncertifiedDominance naming `name` unless A >=_B B_ch."""
+    delta = lecam_deficiency(B_ch, A).delta
+    if not certifies(delta):
+        raise UncertifiedDominance(f"{name}: deficiency {delta:.3e} exceeds {CERT_TOL}")
+    return delta
+
+
+def certify_channel_chain(channels) -> tuple[float, ...]:
+    """certify_chain of delta(O(u+1), O(u)) over consecutive channels O."""
+    return certify_chain(lecam_deficiency(b, a).delta for a, b in zip(channels, channels[1:]))
 
 
 def approximate_blackwell_chain(channels) -> DominanceChain:

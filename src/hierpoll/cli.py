@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .channels import CERT_TOL, approximate_blackwell_chain, garbling_residual, lecam_deficiency
+from .channels import approximate_blackwell_chain, certifies, garbling_residual, lecam_deficiency
 from .errors import HierPollError, MaxIterationsExceeded, ParseError
 from .estimate import em_fit, estimate_to_dict, load_observations
 from .fileio import (
@@ -116,7 +116,7 @@ def cmd_dominance(args) -> int:
     chain = approximate_blackwell_chain(channels)
     certified = chain.is_certified()
     for u, d in enumerate(chain.deficiencies):
-        mark = "certified" if d <= CERT_TOL else "NOT certified"
+        mark = "certified" if certifies(d) else "NOT certified"
         print(f"# O({u + 1}) >= O({u + 2}): deficiency {d:.3e} ({mark})",
               file=sys.stderr)
     report = {
@@ -194,7 +194,7 @@ def cmd_example2(args) -> int:
     worst_residual = max(r for r, _ in results)
     print(f"# chain audit: worst quotient-garbling residual over {args.pairs} "
           f"draws = {worst_residual:.3e}", file=sys.stderr)
-    ok &= worst_residual <= CERT_TOL
+    ok &= certifies(worst_residual)
     values = np.array([[v for v, _ in losses] for _, losses in results])
     errors = np.array([[e for _, e in losses] for _, losses in results])
     rows = [(rho, "L2", float(values[:, k].mean()),

@@ -164,8 +164,7 @@ def cost_spec_from_dict(payload: dict) -> CostSpec:
             entropy_weights=payload["gamma1"],
             offsets=payload["gamma2"],
             ctilde_weight=cw)
-    maker = CostSpec.expectation if variant == "expectation" else CostSpec.friendship
-    return maker(payload["measurement"], payload["error_weights"], ctilde_weight=cw)
+    return CostSpec(variant, payload["measurement"], payload["error_weights"], ctilde_weight=cw)
 
 
 def model_to_dict(model: PollingModel) -> dict:

@@ -21,12 +21,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import CERT_TOL, DominanceChain
+from .channels import DominanceChain, certify_chain
 from .errors import (
     AlphaOutOfRange,
     DimensionMismatch,
+    InvalidArgument,
     MaxIterationsExceeded,
-    UncertifiedChain,
 )
 from .stochastic import as_array
 
@@ -78,8 +78,11 @@ def shannon_capacities(channels, tol: float = 1e-10) -> list[Capacity]:
     nondecreasing and converge to the capacity. Each channel stops when its
     estimate changes by less than tol. The channels run together as the
     diagonal blocks of one matrix, so an iteration costs a fixed number of
-    numpy calls whatever the number of channels.
+    numpy calls whatever the number of channels. A tol that is not > 0
+    raises InvalidArgument, since no change could fall below it.
     """
+    if not tol > 0:
+        raise InvalidArgument(f"tol must be > 0, got {tol}")
     blocks = [O[:, O.any(axis=0)] for O in map(as_array, channels)]
     results = []
     start = 0
@@ -248,9 +251,7 @@ def verify_orderings(chain: DominanceChain, alphas) -> InfoReport:
     Capacities must be nonincreasing and every state pair's divergence must be
     nonincreasing at every alpha, both within the numeric slack _ORDERING_SLACK.
     """
-    if not chain.is_certified():
-        raise UncertifiedChain(
-            f"chain deficiencies {chain.deficiencies} exceed {CERT_TOL}")
+    certify_chain(chain.deficiencies)
     alphas = tuple(float(a) for a in alphas)
     caps = [c.bits for c in shannon_capacities(chain.channels)]
     divs = [channel_divergences(ch, alphas) for ch in chain.channels]

@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import CERT_TOL, Channel, _compositions, lecam_deficiency, make_channel
+from .channels import Channel, _compositions, certify_channel_chain, certify_dominance, make_channel
 from .errors import (
     BeliefOffGrid,
     GridTooLarge,
@@ -45,8 +45,6 @@ from .errors import (
     InvalidCostSpec,
     ModelShapeMismatch,
     NonConvergence,
-    UncertifiedChain,
-    UncertifiedDominance,
     ZeroLikelihood,
 )
 from .stochastic import ConvexPolynomial, StochasticMatrix, _readonly, as_array, validate_stochastic
@@ -513,16 +511,6 @@ def evaluate_policy_on_grid(model: PollingModel, policy: np.ndarray, M: int) -> 
 
 
 # ------------------------------------------------------------- verifiers
-def certify_channel_chain(model: PollingModel) -> tuple[float, ...]:
-    """Deficiencies delta(O(u+1), O(u)) for consecutive actions; raises
-    UncertifiedChain when one exceeds CERT_TOL."""
-    out = tuple(lecam_deficiency(model.observation(u + 1), model.observation(u)).delta
-                for u in range(1, model.n_actions))
-    if any(d > CERT_TOL for d in out):
-        raise UncertifiedChain(f"chain deficiencies {out} exceed {CERT_TOL}")
-    return out
-
-
 def _interpolation_allowance(grid: FreudenthalGrid, *value_arrays) -> float:
     """Lipschitz-style slack: largest value change across one grid edge."""
     pairs = grid.neighbor_pairs()
@@ -548,10 +536,10 @@ class MyopicBoundReport:
 def verify_myopic_bound(model: PollingModel, M: int) -> MyopicBoundReport:
     """Check mu*(g) <= myopic(g) everywhere, with equality forced on action 1.
 
-    Requires the channels to form a certified dominance chain (CERT_TOL);
-    the instantaneous costs are concave for all three families by construction.
+    Requires the channels to form a certified dominance chain; the
+    instantaneous costs are concave for all three families by construction.
     """
-    deficiencies = certify_channel_chain(model)
+    deficiencies = certify_channel_chain(model.channels)
     gvf = value_iteration(model, M)
     myopic = myopic_policy(gvf.points, model.costs)
     violations = tuple(int(i) for i in np.nonzero(gvf.policy > myopic)[0])
@@ -641,15 +629,11 @@ def verify_ordinal_sensitivity(theta1: PollingModel, theta2: PollingModel, M: in
     V_1(g) <= V_2(g) everywhere once O1(u) >=_B O2(u) is certified per action."""
     if theta1.n_actions != theta2.n_actions:
         raise ModelShapeMismatch("models must share the action set")
-    defs = []
-    for u in range(1, theta1.n_actions + 1):
-        defs.append(lecam_deficiency(theta2.observation(u), theta1.observation(u)).delta)
-        if defs[-1] > CERT_TOL:
-            raise UncertifiedDominance(
-                f"channel {u}: deficiency {defs[-1]:.3e} exceeds {CERT_TOL}")
+    defs = tuple(certify_dominance(O1, O2, f"channel {u}")
+                 for u, (O1, O2) in enumerate(zip(theta1.channels, theta2.channels), start=1))
     v1 = value_iteration(theta1, M)
     v2 = value_iteration(theta2, M)
     allowance = _interpolation_allowance(v1.grid, v1.values, v2.values)
     excess = float((v1.values - v2.values).max())
-    return OrdinalReport(deficiencies=tuple(defs), max_excess=excess,
+    return OrdinalReport(deficiencies=defs, max_excess=excess,
                          allowance=allowance, holds=excess <= _BOUND_SLACK + allowance)

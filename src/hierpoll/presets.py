@@ -86,9 +86,8 @@ def example2_polynomials() -> list[ConvexPolynomial]:
     return list(reversed(chain))
 
 
-def example1_costs(ctilde_weight=None) -> CostSpec:
-    return CostSpec.expectation(EXAMPLE1_MEASUREMENT, EXAMPLE1_ERROR_WEIGHTS,
-                                ctilde_weight=ctilde_weight)
+def example1_costs() -> CostSpec:
+    return CostSpec.expectation(EXAMPLE1_MEASUREMENT, EXAMPLE1_ERROR_WEIGHTS)
 
 
 def example1_model(rho: float) -> PollingModel:

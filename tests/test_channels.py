@@ -15,6 +15,7 @@ from hierpoll.channels import (
     HierarchyModel,
     approximate_blackwell_chain,
     blackwell_dominates,
+    certify_channel_chain,
     expectation_channel,
     friendship_channel,
     garbling_residual,
@@ -28,8 +29,11 @@ from hierpoll.errors import (
     DegreeExceedsLevels,
     DimensionMismatch,
     NonFiniteEntry,
+    UncertifiedChain,
+    UncertifiedDominance,
 )
-from hierpoll.pomdp import certify_channel_chain
+from hierpoll.infotheory import verify_orderings
+from hierpoll.pomdp import verify_myopic_bound, verify_ordinal_sensitivity
 from hierpoll.presets import example1_model, example2_polynomials, intent_weight_polynomial
 from hierpoll.stochastic import (
     ConvexPolynomial,
@@ -357,7 +361,7 @@ class TestDeficiencyPaths:
         assert pairwise[np.tril_indices(n, -1)].min() > 1e-3
 
     def test_example1_chain_needs_no_lp(self, lp_calls):
-        assert max(certify_channel_chain(example1_model(0.9))) <= 1e-12
+        assert max(certify_channel_chain(example1_model(0.9).channels)) <= 1e-12
         assert lp_calls == []
 
 
@@ -460,3 +464,30 @@ class TestDominanceChainType:
         ch = make_channel(O1)
         with pytest.raises(DimensionMismatch):
             DominanceChain((ch, ch), (), ())
+
+
+class TestOneVerdict:
+    def test_a_patched_bound_flips_every_verdict(self, O1, O2, tmp_path, capsys,
+                                                 monkeypatch):
+        model = example1_model(0.5)
+        chain = approximate_blackwell_chain([O1, O2])
+        assert blackwell_dominates(O1, O2) and chain.is_certified()
+        # below every deficiency, an exact 0 included, so nothing certifies
+        monkeypatch.setattr(channels, "CERT_TOL", -1.0)
+        assert not blackwell_dominates(O1, O2)
+        assert not chain.is_certified()
+        with pytest.raises(UncertifiedChain):
+            verify_myopic_bound(model, M=6)
+        with pytest.raises(UncertifiedChain):
+            verify_orderings(chain, alphas=[0.5])
+        with pytest.raises(UncertifiedDominance):
+            verify_ordinal_sensitivity(model, model, M=6)
+        files = []
+        for name, M in (("o1.json", O1), ("o2.json", O2)):
+            (tmp_path / name).write_text(json.dumps(M.tolist()))
+            files.append(str(tmp_path / name))
+        assert main(["dominance", *files, "--threads", "1"]) == 1
+        assert "(NOT certified)" in capsys.readouterr().err
+        assert main(["example2", "--states", "3", "--pairs", "1", "--runs", "4",
+                     "--horizon", "3", "--rho-list", "0", "--threads", "1",
+                     "--out", str(tmp_path / "l2.csv")]) == 1

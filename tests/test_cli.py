@@ -11,11 +11,12 @@ import pytest
 
 from hierpoll import infotheory
 from hierpoll.cli import main
-from hierpoll.errors import ParseError
+from hierpoll.errors import InvalidCostSpec, ParseError
 from hierpoll.fileio import (
     channel_from_dict,
     channel_to_dict,
     load_matrix,
+    load_model,
     model_from_dict,
     model_to_dict,
     render_table,
@@ -48,6 +49,7 @@ BAD_FILES = {
     "sequences-not-list.json": {"alphabet": ["a"], "sequences": 5},
     "no-costs.json": _edited_model_config(("costs",)),
     "no-variant.json": _edited_model_config(("costs", "variant")),
+    "unknown-variant.json": _edited_model_config(("costs", "variant"), "bogus"),
     "intent-no-B.json": {"type": "intent", "beta": [1.0]},
     "friendship-no-n.json": {"type": "friendship", "B_level": [[1.0]]},
     "config-list.json": [model_to_dict(example1_model(0.5))],
@@ -138,6 +140,15 @@ class TestFileFormats:
         intent = example2_model(0.3, X=4, seed=2)
         back = model_from_dict(model_to_dict(intent))
         assert back.costs.equivalent(intent.costs)
+        friendship = _edited_model_config(("costs", "variant"), "friendship")
+        assert model_from_dict(friendship).costs.variant == "friendship"
+
+    def test_unknown_cost_variant_is_rejected_naming_the_file(self, tmp_path):
+        p = tmp_path / "model.json"
+        p.write_text(json.dumps(_edited_model_config(("costs", "variant"), "bogus")))
+        with pytest.raises(InvalidCostSpec) as info:
+            load_model(p)
+        assert str(info.value) == f"{p}: unknown variant 'bogus'"
 
     def test_render_table_deterministic(self):
         rows = [(0.1, 1 / 3), (0.2, 2 / 7)]
@@ -304,6 +315,7 @@ class TestSolveSimulate:
         ["solve", "--config", "{config}", "--vi-tol", "-1e-8"],
         ["simulate", "--config", "{config}", "--policy", "grid", "--vi-tol", "nan"],
         ["capacity", "{o1}", "--tol", "-1"],
+        ["capacity", "{o1}", "--tol", "0"],
         ["estimate", "{o1}", "--states", "3", "--tol", "nan"],
         ["example1", "--rho-list", ""],
         ["example2", "--rho-list", ","],
@@ -313,6 +325,7 @@ class TestSolveSimulate:
         ["estimate", "{bad:sequences-not-list.json}", "--states", "1"],
         ["solve", "--config", "{bad:no-costs.json}"],
         ["solve", "--config", "{bad:no-variant.json}"],
+        ["solve", "--config", "{bad:unknown-variant.json}"],
         ["capacity", "{bad:intent-no-B.json}"],
         ["capacity", "{bad:friendship-no-n.json}"],
         ["solve", "--config", "{bad:config-list.json}"],
@@ -338,10 +351,10 @@ class TestSolveSimulate:
             "alphas-not-float", "grid-m-0", "pairs-0", "states-0", "threads-0",
             "tol-nan", "tol-negative", "cert-tol-inf", "example1-vi-tol-nan",
             "solve-vi-tol-negative", "simulate-vi-tol-nan", "capacity-tol-negative",
-            "estimate-tol-nan", "rho-list-empty", "rho-list-blank", "alphas-empty",
-            "ctilde-weight-nan", "data-no-alphabet", "data-sequences-not-list",
-            "config-no-costs", "config-no-variant", "intent-recipe-no-B",
-            "friendship-recipe-no-n-friends", "config-is-list", "config-rho-not-float",
+            "capacity-tol-zero", "estimate-tol-nan", "rho-list-empty", "rho-list-blank",
+            "alphas-empty", "ctilde-weight-nan", "data-no-alphabet", "data-sequences-not-list",
+            "config-no-costs", "config-no-variant", "config-unknown-variant",
+            "intent-recipe-no-B", "friendship-recipe-no-n-friends", "config-is-list", "config-rho-not-float",
             "friendship-n-friends-not-int", "intent-beta-not-stochastic",
             "unknown-option", "config-cost-nan", "dominance-undecodable-json",
             "dominance-undecodable-csv", "capacity-undecodable-json",

@@ -8,6 +8,7 @@ from hierpoll.channels import DominanceChain, approximate_blackwell_chain, make_
 from hierpoll.errors import (
     AlphaOutOfRange,
     DimensionMismatch,
+    InvalidArgument,
     MaxIterationsExceeded,
     UncertifiedChain,
 )
@@ -154,6 +155,14 @@ class TestShannonCapacity:
         monkeypatch.setattr(infotheory, "_MAX_ITERATIONS", 3)
         with pytest.raises(MaxIterationsExceeded):
             shannon_capacity([[0.9, 0.1], [0.3, 0.7]])
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan")])
+    def test_a_tol_no_change_can_meet_is_rejected(self, tol, monkeypatch):
+        # a 1x1 channel's estimate never changes, so at tol <= 0 it would
+        # run to the cap; the cap is lowered to keep a failure quick
+        monkeypatch.setattr(infotheory, "_MAX_ITERATIONS", 10)
+        with pytest.raises(InvalidArgument, match="tol must be > 0"):
+            shannon_capacities([[[1.0]]], tol=tol)
 
 
 class TestPackedCapacities:

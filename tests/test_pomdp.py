@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hierpoll import pomdp
-from hierpoll.channels import lecam_deficiency, make_channel
+from hierpoll.channels import certify_channel_chain, lecam_deficiency, make_channel
 from hierpoll.errors import (
     BeliefOffGrid,
     GridTooLarge,
@@ -28,7 +28,6 @@ from hierpoll.pomdp import (
     PollingModel,
     bayes_update,
     belief_cost,
-    certify_channel_chain,
     cost_matrix,
     evaluate_policy_on_grid,
     filter_update,
@@ -578,7 +577,7 @@ class TestMyopicBound:
         # action is not a dominance chain
         model = PollingModel(P3, (O2, O1), example1_costs(), rho=0.5)
         with pytest.raises(UncertifiedChain):
-            certify_channel_chain(model)
+            certify_channel_chain(model.channels)
         with pytest.raises(UncertifiedChain):
             verify_myopic_bound(model, M=6)
         assert lecam_deficiency(model.observation(2), model.observation(1)).delta > 1e-3
