@@ -11,14 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .channels import approximate_blackwell_chain, certifies, garbling_residual, lecam_deficiency
-from .errors import HierPollError, MaxIterationsExceeded, ParseError
+from .errors import HierPollError, LPSolverFailure, MaxIterationsExceeded, ParseError
 from .estimate import em_fit, estimate_to_dict, load_observations
 from .fileio import (
     chain_to_dict,
@@ -65,8 +63,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output file (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--threads", type=_positive_int, default=os.cpu_count(),
-                   help="worker cap; results are independent of it")
+    p.add_argument("--threads", type=_positive_int, default=1,
+                   help="accepted and ignored: every command runs on one thread")
 
 
 def _tolerance(text: str) -> float:
@@ -102,17 +100,13 @@ def cmd_dominance(args) -> int:
         print("error: need at least two channel files", file=sys.stderr)
         return 2
     n = len(channels)
-
-    def deficiency(pair):
-        i, j = pair
-        return i, j, lecam_deficiency(channels[j], channels[i]).delta
-
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    with ThreadPoolExecutor(max_workers=args.threads) as ex:
-        results = list(ex.map(deficiency, pairs))
     pairwise = np.zeros((n, n))
-    for i, j, d in results:
-        pairwise[i, j] = d
+    for i, j in pairs:
+        try:
+            pairwise[i, j] = lecam_deficiency(channels[j], channels[i]).delta
+        except LPSolverFailure as exc:
+            raise LPSolverFailure(f"{args.channels[i]} vs {args.channels[j]}: {exc}") from exc
     chain = approximate_blackwell_chain(channels)
     certified = chain.is_certified()
     for u, d in enumerate(chain.deficiencies):
@@ -128,7 +122,7 @@ def cmd_dominance(args) -> int:
     if args.format == "json":
         write_output(json.dumps(report, indent=2) + "\n", args.out)
     else:
-        rows = [(i + 1, j + 1, pairwise[i, j]) for i in range(n) for j in range(n) if i != j]
+        rows = [(i + 1, j + 1, pairwise[i, j]) for i, j in pairs]
         write_output(render_table(("dominating", "dominated", "deficiency"), rows,
                                   "csv", report["meta"]), args.out)
     return 0 if certified else 1
@@ -189,8 +183,7 @@ def cmd_example2(args) -> int:
         return residual, [loss_ratio(*pair) for pair in l2_components(
             model, args.rho_list, args.runs, args.horizon, _pair_seed(args.seed, p), pi0=pi0)]
 
-    with ThreadPoolExecutor(max_workers=args.threads) as ex:
-        results = list(ex.map(run_pair, range(args.pairs)))
+    results = [run_pair(p) for p in range(args.pairs)]
     worst_residual = max(r for r, _ in results)
     print(f"# chain audit: worst quotient-garbling residual over {args.pairs} "
           f"draws = {worst_residual:.3e}", file=sys.stderr)
@@ -308,8 +301,7 @@ def cmd_estimate(args) -> int:
         rows = list(enumerate(est.log_likelihoods))
         write_output(render_table(("iteration", "log_likelihood"), rows, "csv",
                                   meta), args.out)
-    trace_ok = bool(np.all(np.diff(est.log_likelihoods) >= -1e-8))
-    return 0 if trace_ok else 1
+    return 0 if est.ascends else 1
 
 
 # -------------------------------------------------------------------- parser

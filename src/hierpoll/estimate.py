@@ -50,6 +50,7 @@ _PROJECTION_TOL = 1e-9
 _MAX_CYCLES = 1000    # projection cycles before ProjectionStalled
 _MAX_HALVINGS = 30    # ascent-guard bisections before the previous estimate is kept
 _INIT_NOISE = 0.01
+_ASCENT_SLACK = 1e-8  # largest log-likelihood drop between iterations judged rounding
 
 
 @dataclass(frozen=True)
@@ -80,6 +81,11 @@ class EmEstimate:
     log_likelihoods: np.ndarray    # one entry per iteration, nondecreasing
     iterations: int
     converged: bool
+
+    @property
+    def ascends(self) -> bool:
+        """Whether no iteration lowers the log-likelihood by more than _ASCENT_SLACK."""
+        return bool(np.all(np.diff(self.log_likelihoods) >= -_ASCENT_SLACK))
 
 
 def project_ultrametric(M_raw) -> StochasticMatrix:

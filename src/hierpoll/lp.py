@@ -10,8 +10,11 @@ on ties); after a run of degenerate pivots the loop switches to Bland's
 rule, whose lowest-index entering/leaving choices guarantee termination.
 Leaving-row ties are broken toward the largest pivot element for numerical
 stability. The pivot sequence, and hence the reported optimum, is
-deterministic. Problem sizes here are at most a few thousand variables,
-where the dense tableau is both simple and fast enough.
+deterministic. Pivots accumulate rounding error in the tableau, so the
+final basis is checked against A itself (`_check_final_basis`): a drifted
+tableau raises rather than report a vertex that is infeasible or not
+optimal. Problem sizes here are at most a few thousand variables, where
+the dense tableau is both simple and fast enough.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ from .errors import LPSolverFailure
 _DEGENERATE_RUN_LIMIT = 30  # consecutive zero-progress pivots before Bland
 _MAX_PIVOTS = 50_000
 _PIVOT_TOL = 1e-9  # reduced costs and pivot elements smaller than this count as zero
-_FEASIBILITY_TOL = 1e-7  # a basic value below -this is not a feasible start
+_FEASIBILITY_TOL = 1e-7  # bound on negative basic values, reduced costs and ||Ax - b||_inf
 
 
 @dataclass(frozen=True)
@@ -75,20 +78,39 @@ def _iterate(T: np.ndarray, basis: np.ndarray) -> int:
     raise LPSolverFailure(f"simplex did not terminate within {_MAX_PIVOTS} pivots")
 
 
+def _check_final_basis(c, A, b, basis, x) -> None:
+    """Raise LPSolverFailure unless the final basis, recomputed from A, is
+    feasible (x_B = A_B^-1 b >= 0) and optimal (c - A'A_B^-T c_B >= 0), and
+    the tableau's x solves A x = b, each within _FEASIBILITY_TOL."""
+    A_B = A[:, basis]
+    try:
+        x_B = np.linalg.solve(A_B, b)
+        reduced = c - A.T @ np.linalg.solve(A_B.T, c[basis])
+    except np.linalg.LinAlgError as exc:
+        raise LPSolverFailure(f"singular final basis: {exc}") from exc
+    low, cost = x_B.min(initial=0.0), reduced.min()
+    residual = np.abs(A @ x - b).max(initial=0.0)
+    if min(low, cost) < -_FEASIBILITY_TOL or residual > _FEASIBILITY_TOL:
+        raise LPSolverFailure(f"final tableau has drifted: basic value {low:.3e}, "
+                              f"reduced cost {cost:.3e}, ||Ax - b|| {residual:.3e}")
+
+
 def solve_lp(c, A_eq, b_eq, basis) -> LPSolution:
     """Minimise c'x over {A_eq x = b_eq, x >= 0} from the given basis.
 
     basis[r] is the column basic in row r of the starting tableau, one per
     row. A basis whose columns are singular (or not square), or whose basic
-    solution has a negative entry, raises LPSolverFailure.
+    solution has a negative entry, raises LPSolverFailure, as does a final
+    basis that fails `_check_final_basis`. The returned x is the tableau's.
     """
     c = np.asarray(c, dtype=float)
     A = np.asarray(A_eq, dtype=float)
+    b = np.asarray(b_eq, dtype=float)
     basis = np.array(basis, dtype=int)  # a copy: pivots rewrite it
     m = A.shape[0]
     T = np.empty((m + 1, c.size + 1))
     try:
-        T[:m] = np.linalg.solve(A[:, basis], np.column_stack([A, b_eq]))
+        T[:m] = np.linalg.solve(A[:, basis], np.column_stack([A, b]))
     except np.linalg.LinAlgError as exc:
         raise LPSolverFailure(f"singular starting basis: {exc}") from exc
     worst = T[:m, -1].min(initial=0.0)
@@ -98,4 +120,5 @@ def solve_lp(c, A_eq, b_eq, basis) -> LPSolution:
     iterations = _iterate(T, basis)
     x = np.zeros(c.size)
     x[basis] = T[:m, -1]
+    _check_final_basis(c, A, b, basis, x)
     return LPSolution(x=x, value=float(c @ x), iterations=iterations)

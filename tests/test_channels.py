@@ -15,6 +15,7 @@ from hierpoll.channels import (
     HierarchyModel,
     approximate_blackwell_chain,
     blackwell_dominates,
+    certifies,
     certify_channel_chain,
     expectation_channel,
     friendship_channel,
@@ -28,6 +29,7 @@ from hierpoll.errors import (
     AlphabetTooLarge,
     DegreeExceedsLevels,
     DimensionMismatch,
+    LPSolverFailure,
     NonFiniteEntry,
     UncertifiedChain,
     UncertifiedDominance,
@@ -175,6 +177,33 @@ class TestFriendshipChannel:
         # and any residual pair still routes through the surrogate chain
         chain = approximate_blackwell_chain([shallow, deep])
         assert chain.is_certified()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_one_more_friend_dominates(self, O1, n):
+        # dropping one of n+1 reports at random garbles them into n reports,
+        # so the LP must certify the non-square pair
+        fewer, more = friendship_channel(O1, n), friendship_channel(O1, n + 1)
+        assert certifies(lecam_deficiency(fewer, more).delta)
+
+    def test_six_vs_five_friends_is_never_refuted(self, O1, tmp_path, capsys):
+        # the dense simplex drifts on this pair (cond(A_B) ~ 2e5): it may fail
+        # loudly, but must not call a dominated pair undominated
+        try:
+            assert certifies(lecam_deficiency(friendship_channel(O1, 5),
+                                              friendship_channel(O1, 6)).delta)
+        except LPSolverFailure:
+            pass
+        files = []
+        for n in (6, 5):
+            (tmp_path / f"f{n}.json").write_text(json.dumps(
+                {"type": "friendship", "B_level": O1.tolist(), "n_friends": n}))
+            files.append(str(tmp_path / f"f{n}.json"))
+        rc = main(["dominance", *files])
+        err = capsys.readouterr().err
+        assert rc in (0, 2)
+        assert "NOT certified" not in err
+        if rc == 2:
+            assert err.startswith("error: ") and all(f in err for f in files)
 
     def test_log_space_matches_exact_coefficients(self, rng):
         # reference: exact integer multinomial coefficients times float powers

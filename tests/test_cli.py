@@ -1,17 +1,19 @@
 import csv
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hierpoll import infotheory
+from hierpoll import cli, estimate, infotheory
 from hierpoll.cli import main
-from hierpoll.errors import InvalidCostSpec, ParseError
+from hierpoll.errors import InvalidCostSpec, LPSolverFailure, ParseError
 from hierpoll.fileio import (
     channel_from_dict,
     channel_to_dict,
@@ -194,6 +196,18 @@ class TestDominanceCommand:
         assert f"error: {bad}: entry (1,0) = nan is not finite" in captured.err
         assert "infeasible" not in captured.err
 
+    def test_lp_failure_names_both_channel_files(self, channel_files, monkeypatch, capsys):
+        o1, o2, _ = channel_files
+
+        def fail(W, H):
+            raise LPSolverFailure("final tableau has drifted")
+
+        monkeypatch.setattr(cli, "lecam_deficiency", fail)
+        assert main(["dominance", o1, o2]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {o1} vs {o2}: final tableau has drifted\n"
+
 
 class TestExampleCommands:
     def test_example1_small_sweep(self, tmp_path, capsys):
@@ -218,6 +232,19 @@ class TestExampleCommands:
                   "--out", str(out)])
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("argv", [
+        ["dominance", "{ident}", "{o1}", "{o2}"],
+        ["example2", "--states", "4", "--pairs", "3", "--runs", "20", "--horizon", "10"],
+    ], ids=["dominance", "example2"])
+    def test_commands_start_no_thread(self, argv, channel_files, tmp_path, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"thread {thread.name} started")
+
+        files = dict(zip(("o1", "o2", "ident"), channel_files))
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        argv = [a.format(**files) for a in argv]
+        assert main(argv + ["--threads", "2", "--out", str(tmp_path / "out")]) == 0
 
     def test_example2_small_sweep(self, tmp_path, capsys):
         out = tmp_path / "l2.csv"
@@ -445,11 +472,13 @@ class TestInfoCommands:
 
 def test_cli_import_leaves_scipy_unloaded():
     # importing scipy.optimize at start-up more than doubles the resident
-    # memory of every CLI run; the library keeps numpy as its only import
+    # memory of every CLI run; the library keeps numpy as its only import.
+    # Every command runs on one thread, so no executor is imported either
     import hierpoll
     src = str(Path(hierpoll.__file__).resolve().parents[1])
     code = ("import sys, hierpoll.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+            " or m.startswith('concurrent.futures')))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
@@ -469,6 +498,25 @@ class TestEstimateCommand:
         payload = json.loads(capsys.readouterr().out)
         trace = payload["log_likelihoods"]
         assert np.all(np.diff(trace) >= -1e-8)
+
+    @pytest.mark.parametrize("drop, rc", [(0.5, 0), (2.0, 1)],
+                             ids=["within-slack", "past-slack"])
+    def test_a_falling_trace_exits_one(self, drop, rc, tmp_path, monkeypatch, capsys):
+        # mutant: the last iteration lowers the log-likelihood by `drop` slacks
+        y = hmm_sample(np.asarray(example1_model(0.5).P), EXAMPLE1_O1, 500, seed=3)
+        f = tmp_path / "obs.csv"
+        f.write_text("a,b,c\n" + ",".join("abc"[i] for i in y) + "\n")
+        fit = cli.em_fit
+
+        def falling(*args, **kwargs):
+            est = fit(*args, **kwargs)
+            trace = est.log_likelihoods.copy()
+            trace[-1] = trace[-2] - drop * estimate._ASCENT_SLACK
+            return dataclasses.replace(est, log_likelihoods=trace)
+
+        monkeypatch.setattr(cli, "em_fit", falling)
+        assert main(["estimate", str(f), "--states", "3", "--max-iter", "3",
+                     "--out", str(tmp_path / "fit.csv")]) == rc
 
     def test_parse_failure_exit_code(self, tmp_path, capsys):
         f = tmp_path / "bad.json"

@@ -49,6 +49,43 @@ def test_unbounded():
         solve_lp(c=[0.0, -1.0], A_eq=[[1.0, -1.0]], b_eq=[1.0], basis=[0])
 
 
+def test_stopped_before_optimum(monkeypatch):
+    # mutant: no pivot is made, so the slack basis at the origin is feasible
+    # but its reduced costs (-2, -3) are negative
+    monkeypatch.setattr(lp, "_iterate", lambda T, basis: 0)
+    with pytest.raises(LPSolverFailure, match="drifted: .*reduced cost -3"):
+        solve_from_slacks([-2.0, -3.0], [[1, 1], [6, 3], [1, 2]], [100, 360, 120])
+
+
+def shift_rhs(T, basis, A, b):
+    # the right-hand side drifts, so x no longer solves A x = b
+    T[0, -1] += 1e-3
+
+
+def move_to_infeasible_vertex(T, basis, A, b):
+    # the basis moves to the vertex y = -1 of x - y = 1, consistently in T
+    basis[0] = 1
+    T[:1] = np.linalg.solve(A[:, basis], np.column_stack([A, b]))
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (shift_rhs, r"\|\|Ax - b\|\| 1\.000e-03"),
+    (move_to_infeasible_vertex, "basic value -1.000e[+]00"),
+], ids=["rhs-drift", "infeasible-basis"])
+def test_drifted_tableau_fails_loudly(mutate, message, monkeypatch):
+    A, b = np.array([[1.0, -1.0]]), np.array([1.0])
+    iterate = lp._iterate
+
+    def drifting(T, basis):
+        pivots = iterate(T, basis)
+        mutate(T, basis, A, b)
+        return pivots
+
+    monkeypatch.setattr(lp, "_iterate", drifting)
+    with pytest.raises(LPSolverFailure, match=message):
+        solve_lp(c=[1.0, 0.0], A_eq=A, b_eq=b, basis=[0])
+
+
 def test_degenerate_does_not_cycle():
     # classic degenerate vertex: redundant constraints through the optimum
     _, value = solve_from_slacks([-1.0, -1.0], [[1, 0], [0, 1], [1, 1], [1, 1]],
