@@ -59,8 +59,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is not >= 0")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out", default=None, help="output file (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--threads", type=_positive_int, default=1,

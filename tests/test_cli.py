@@ -374,6 +374,10 @@ class TestSolveSimulate:
         ["capacity", "{bad:huge-int.json}"],
         ["capacity", "{bad:friendship-n-inf.json}"],
         ["solve", "--config", "{bad:deep.json}"],
+        ["example1", "--seed", "-1"],
+        ["example2", "--states", "3", "--pairs", "1", "--seed", "-1"],
+        ["simulate", "--config", "{config}", "--seed", "-1"],
+        ["estimate", "{o1}", "--states", "2", "--seed", "-1"],
     ], ids=["fixed-not-int", "fixed-out-of-range", "runs-0", "horizon-0",
             "alphas-not-float", "grid-m-0", "pairs-0", "states-0", "threads-0",
             "tol-nan", "tol-negative", "cert-tol-inf", "example1-vi-tol-nan",
@@ -388,7 +392,9 @@ class TestSolveSimulate:
             "solve-undecodable-json", "estimate-undecodable-json",
             "estimate-undecodable-csv", "capacity-ragged-channel", "renyi-ragged-channel",
             "capacity-word-channel", "renyi-word-channel", "capacity-huge-int",
-            "friendship-n-friends-inf", "solve-deeply-nested-json"])
+            "friendship-n-friends-inf", "solve-deeply-nested-json",
+            "example1-seed-negative", "example2-seed-negative", "simulate-seed-negative",
+            "estimate-seed-negative"])
     def test_bad_options_exit_two(self, argv, model_config, channel_files, tmp_path,
                                   capsys):
         argv = [a.replace("{config}", model_config).replace("{o1}", channel_files[0])

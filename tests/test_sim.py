@@ -1,10 +1,12 @@
+import inspect
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from hierpoll import sim
 from hierpoll.channels import make_channel
-from hierpoll.errors import InvalidAction, UndefinedCTilde
+from hierpoll.errors import InvalidAction, InvalidArgument, UndefinedCTilde
 from hierpoll.pomdp import (
     CostSpec,
     PollingModel,
@@ -20,6 +22,7 @@ from hierpoll.sim import (
     GridPolicy,
     MyopicPolicy,
     _rollout,
+    _uniform_streams,
     ctilde_values,
     estimate_cost,
     l1_components,
@@ -42,6 +45,49 @@ def single_action_model(c=0.7, rho=0.5):
     # one state, one action: the stage cost is exactly the measurement cost
     return PollingModel(np.array([[1.0]]), (make_channel(np.array([[1.0]])),),
                         CostSpec.expectation([c], [1.0]), rho=rho)
+
+
+def default_rng_streams(seed, run_ids, horizon):
+    """The reference: one `default_rng([seed, r])` per run."""
+    return np.array([np.random.default_rng([seed, r]).random(1 + 2 * horizon)
+                     for r in run_ids])
+
+
+class TestUniformStreams:
+    """Batched seeding against numpy's own. These tests import neither scipy
+    nor hypothesis, so CI also runs them at the lowest numpy that
+    pyproject.toml allows."""
+
+    @pytest.mark.parametrize("horizon", [1, 100])
+    @pytest.mark.parametrize("run_ids", [range(1000), [0], [7, 2**32 - 1, 2**32, 2**40]],
+                             ids=["first-1000", "zero", "wide"])
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**70 + 3])
+    def test_bit_identical_to_default_rng(self, seed, run_ids, horizon):
+        assert np.array_equal(_uniform_streams(seed, run_ids, horizon),
+                              default_rng_streams(seed, run_ids, horizon))
+
+    @pytest.mark.parametrize("old, new", [
+        ("0x931E8875", "0x931E8876"),
+        ("(w1 << 96) | (w0 << 64)", "(w0 << 96) | (w1 << 64)"),
+        ("((initseq << 1) | 1)", "(initseq << 1)"),
+    ], ids=["hash-constant-off-by-one", "hi-lo-words-swapped", "inc-not-odd"])
+    def test_mutant_is_caught(self, old, new):
+        source = inspect.getsource(sim)
+        assert source.count(old) == 1
+        mutant = {"__name__": sim.__name__, "__package__": sim.__package__}
+        exec(compile(source.replace(old, new), sim.__file__, "exec"), mutant)
+        run_ids = [0, 7, 2**32]
+        assert not np.array_equal(mutant["_uniform_streams"](1, run_ids, 5),
+                                  default_rng_streams(1, run_ids, 5))
+
+    @pytest.mark.parametrize("seed, run_ids", [(-1, [0]), (0, [3, -1]), (0, [1.0])])
+    def test_negative_or_non_integer_key_is_invalid(self, seed, run_ids):
+        with pytest.raises(InvalidArgument, match="integers >= 0"):
+            _uniform_streams(seed, run_ids, 3)
+
+    def test_simulate_rejects_negative_run_index(self, model):
+        with pytest.raises(InvalidArgument):
+            simulate(model, MyopicPolicy(), uniform_belief(3), 5, seed=0, run_index=-1)
 
 
 class TestSimulate:
