@@ -40,6 +40,7 @@ from .stochastic import (
     _max_min_closure,
     _ultrametric_gaps,
     as_array,
+    check_seed,
     is_ultrametric,
     validate_stochastic,
 )
@@ -246,7 +247,7 @@ def _guarded_emission_step(B_old, counts):
 
 def default_initialization(X: int, seed: int):
     """Diagonal-heavy start, mildly perturbed so symmetric states separate."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     P0 = 0.9 * np.eye(X) + 0.1 / X
     P0 /= P0.sum(axis=1, keepdims=True)
     raw = 0.6 * np.eye(X) + 0.4 / X + _INIT_NOISE * rng.random((X, X))

@@ -340,34 +340,49 @@ class FreudenthalGrid:
             raise InvalidArgument(f"belief dimension {X} != grid dimension {self.X}")
         if not np.isfinite(PI).all():
             raise BeliefOffGrid("belief rows must be finite")
-        # coordinate-major layout (X, n): every step is a vector op over beliefs
-        xi = self.M * _accumulate(np.ascontiguousarray(PI.T[::-1]))[::-1]
-        v = np.floor(xi + 1e-9)
+        # coordinate-major layout (X, n): every step is a vector op over
+        # beliefs, and PI.T is a plain view for states-first callers
+        coords, xi = PI.T, np.empty((X, n))
+        xi[-1] = coords[-1]
+        for i in range(X - 2, -1, -1):
+            np.add(xi[i + 1], coords[i], out=xi[i])
+        xi *= self.M
+        v = xi + 1e-9
+        np.floor(v, out=v)
         # base vertex on the grid: xi_0 = M and xi nonincreasing down to >= 0
         if not ((v[0] == self.M).all() and (v[:-1] >= v[1:]).all() and (v[-1] >= 0).all()):
             raise BeliefOffGrid("interpolation vertex fell outside the grid")
-        d = np.maximum(xi[1:] - v[1:], 0.0)
-        cols = v[1:].astype(np.int64) + self._columns
+        d = xi[1:]
+        d -= v[1:]
+        np.maximum(d, 0.0, out=d)
+        cols = v[1:].astype(np.int64)
+        cols += self._columns
         low = np.take(self._terms, cols)
-        step = np.take(self._terms, cols + 1) - low                   # per coordinate
+        cols += 1
+        step = np.take(self._terms, cols)                              # per coordinate
+        step -= low
         # equal base coordinates stepped out of order (negative mass) leave the
         # grid from the later coordinate's step until the earlier one's
-        tie = (v[1:-1] == v[2:]) & (d[:-1] < d[1:])
-        step[1:] += OFF_GRID * tie
-        step[:-1] -= OFF_GRID * tie
+        tie = OFF_GRID * ((v[1:-1] == v[2:]) & (d[:-1] < d[1:]))
+        step[1:] += tie
+        step[:-1] -= tie
         # place of each coordinate in the stable descending order of d
         place = np.tile(np.arange(n), (X - 1, 1))      # flat, into (X-1, n) rows
         for a, b in combinations(range(X - 1), 2):
             b_first = n * (d[b] > d[a])
             place[a] += b_first
             place[b] += n - b_first
-        dsort, walk = np.empty_like(d, order="C"), np.empty_like(step, order="C")
-        dsort.ravel()[place], walk.ravel()[place] = d, step
-        w = np.concatenate([1.0 - dsort[:1], dsort[:-1] - dsort[1:], dsort[-1:]])
-        idx = _accumulate(np.concatenate([low.sum(axis=0, keepdims=True), walk]))
+        # rows 1.. of w and idx take the sorted d and steps, then become the
+        # weights d_(k-1) - d_(k) and the cumulative vertex indices
+        w, idx = np.empty((X, n)), np.empty((X, n), dtype=np.int64)
+        w[1:].ravel()[place], idx[1:].ravel()[place] = d, step
+        np.subtract(1.0, w[1], out=w[0])
+        np.subtract(w[1:-1], w[2:], out=w[1:-1])
+        low.sum(axis=0, out=idx[0])
+        _accumulate(idx)
         if np.any((idx < 0) & (w > 1e-12)):
             raise BeliefOffGrid("interpolation vertex fell outside the grid")
-        return np.maximum(idx, 0).T, w.T
+        return np.maximum(idx, 0, out=idx).T, w.T
 
     def interpolate(self, values: np.ndarray, PI) -> np.ndarray:
         idx, w = self.interpolation_data(PI)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .channels import HierarchyModel, intent_channel, make_channel
 from .pomdp import CostSpec, PollingModel
-from .stochastic import ConvexPolynomial, deflate_chain, validate_stochastic
+from .stochastic import ConvexPolynomial, check_seed, deflate_chain, validate_stochastic
 
 # --- three-state benchmark (X = 3, two polling actions) -------------------
 EXAMPLE1_P = np.array([
@@ -109,7 +109,7 @@ def example2_parts(X: int = 20, seed=0):
     entropy plus the per-action offset; the proxy cost ctilde has weight 1.
     Returns (P, B, channels, costs).
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     P = rng.dirichlet(np.ones(X), size=X)
     B = rng.dirichlet(np.ones(X), size=X)
     polys = example2_polynomials()

@@ -16,9 +16,16 @@ uniforms up front and frees them when it ends: an array of that size kept
 alive across rollouts leaves glibc serving the per-step temporaries from
 fresh mappings, which made `example1` 10-40% slower in two measurements.
 Symbols are drawn from, and filtered with, the model's
-(U, X, Y_max) likelihood tensor, whose zero padding is never drawn. A
-grid-policy step reads its stage costs and filtered beliefs from the
-policy's `Lookahead`, which holds them for every action and symbol.
+(U, X, Y_max) likelihood tensor. Draws count the cumulative law below each
+uniform, with the laws held categories first (one column per state, or per
+action and state), so a step's draws are one `take` of columns and one sum
+over a leading axis. Every cumulative law is +inf from its last category of
+positive probability on: a uniform at or above a row's mass, which a valid
+row leaves up to ROW_SUM_TOL below 1, lands there, and zero padding is
+never drawn. A grid-policy step reads its stage costs and filtered beliefs
+from the policy's `Lookahead`, which holds them for every action and
+symbol. `l1_components` rolls the grid policy out for every rho but 0, where
+it acts and costs as the myopic policy on the only step that counts.
 """
 from __future__ import annotations
 
@@ -38,6 +45,7 @@ from .pomdp import (
     myopic_policy,
     value_iteration,
 )
+from .stochastic import check_seed
 
 
 # ----------------------------------------------------------------- policies
@@ -107,10 +115,8 @@ _HASH_CHUNK = 256
 
 
 def _entropy_words(n) -> list[int]:
-    """A seed or run index as SeedSequence reads it: 32-bit words, least
-    significant first, one word for 0."""
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise InvalidArgument(f"seed and run index must be integers >= 0, got {n!r}")
+    """A checked seed or run index as SeedSequence reads it: 32-bit words,
+    least significant first, one word for 0."""
     n = int(n)
     words = [n & _MASK32]
     while n := n >> 32:
@@ -161,6 +167,7 @@ def _uniform_streams(seed: int, run_ids, horizon: int) -> np.ndarray:
     bit for bit. Runs are hashed _HASH_CHUNK at a time, grouped by entropy
     length; then each run's PCG64 state is formed as `srandom_r` does,
     loaded into one reused generator and drawn straight into its row."""
+    check_seed([seed, *run_ids])
     seed_words = _entropy_words(seed)
     # Built per rollout and freed with it: one array shared by a caller's
     # rollouts made each of them slower (see the module docstring).
@@ -190,8 +197,21 @@ def _uniform_streams(seed: int, run_ids, horizon: int) -> np.ndarray:
     return draws
 
 
-def _sample_categorical(cum_rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    return (cum_rows < uniforms[:, None]).sum(axis=-1)
+def _cumulative_law(probabilities: np.ndarray, axis: int) -> np.ndarray:
+    """Cumulative sums along `axis`, +inf from the first category at which a
+    row reaches its total. A validated row may sum to 1 - ROW_SUM_TOL, and a
+    uniform at or above that mass then falls in the row's last category of
+    positive probability, never past it or on a padded symbol; draws below
+    the mass are unchanged."""
+    cum = np.cumsum(probabilities, axis=axis)
+    cum[cum >= np.take(cum, [-1], axis=axis)] = np.inf
+    return cum
+
+
+def _sample_categorical(cum_columns: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """One category per uniform, from cumulative laws held categories first,
+    one column per draw."""
+    return (cum_columns < uniforms).sum(axis=0)
 
 
 def _rollout(model: PollingModel, policy, pi0: np.ndarray, horizon: int,
@@ -207,10 +227,14 @@ def _rollout(model: PollingModel, policy, pi0: np.ndarray, horizon: int,
     runs, X = draws.shape[0], model.n_states
     if runs < 1:
         raise InvalidArgument("runs must be >= 1")
-    cumP = np.cumsum(model.P.entries, axis=1)
-    cumO = np.cumsum(model.likelihoods, axis=2)
+    U, _, Y = model.likelihoods.shape
+    # categories first: column i of cumP is state i's law, column (u-1) X + i
+    # of cumO that of action u's symbols from state i
+    cumP = np.ascontiguousarray(_cumulative_law(model.P.entries, 1).T)
+    cumO = np.ascontiguousarray(
+        _cumulative_law(model.likelihoods, 2).transpose(2, 0, 1)).reshape(Y, U * X)
 
-    x = _sample_categorical(np.cumsum(pi0), draws[:, 0])
+    x = _sample_categorical(_cumulative_law(pi0, 0)[:, None], draws[:, 0])
     PI = np.tile(pi0, (runs, 1))
     out = {"costs": np.empty((runs, horizon))}
     if proxy:
@@ -225,21 +249,23 @@ def _rollout(model: PollingModel, policy, pi0: np.ndarray, horizon: int,
 
     grid, rows = isinstance(policy, GridPolicy), np.arange(runs)
     for k in range(horizon):
-        a = policy.actions(PI, model)
+        a = policy.actions(PI, model) - 1                   # 0-based from here
         allc = policy.lookahead.C if grid else cost_matrix(PI, model.costs)
-        out["costs"][:, k] = np.take_along_axis(allc, (a - 1)[:, None], axis=1)[:, 0]
+        out["costs"][:, k] = allc.take(rows * U + a)
         if proxy:
             out["ctilde"][:, k] = ctilde_values(PI, model.costs, allc)
-        x = _sample_categorical(cumP[x], draws[:, 1 + 2 * k])
-        y = _sample_categorical(cumO[a - 1, x], draws[:, 2 + 2 * k])
-        if grid:  # the lookahead's posterior for the chosen action and symbol
-            PI = policy.lookahead.T[:, a - 1, y, rows].T
+        x = _sample_categorical(cumP.take(x, axis=1), draws[:, 1 + 2 * k])
+        y = _sample_categorical(cumO.take(a * X + x, axis=1), draws[:, 2 + 2 * k])
+        if grid:  # the lookahead's posterior for the chosen action and symbol,
+            # in C-ordered rows: cost_matrix's einsum rounds by layout, and on
+            # rows it matches the one-belief cost
+            PI = policy.lookahead.T.reshape(X, -1).T.take((a * Y + y) * runs + rows, axis=0)
         else:
             PI = bayes_update((PI @ model.P.entries).T,
-                              model.likelihoods[a - 1, :, y].T)[0].T
+                              model.likelihoods[a, :, y].T)[0].T
         if record:
             out["states"][:, k + 1] = x
-            out["actions"][:, k] = a
+            out["actions"][:, k] = a + 1
             out["observations"][:, k] = y
             out["beliefs"][:, k + 1] = PI
     return out
@@ -313,7 +339,10 @@ def l1_components(model: PollingModel, rhos, M: int, runs: int, horizon: int,
     the optimality-loss ratio, on common random numbers so the Monte Carlo
     noise largely cancels. One rho-free myopic rollout serves every rho, which
     enters only in the discounting; the grid policy, solved per rho by
-    `solve(model)` (value iteration by default), is rolled out once per rho."""
+    `solve(model)` (value iteration by default), is rolled out once per rho
+    but rho = 0. There its lookahead adds 0 * (...) to the stage cost, so it
+    takes the myopic actions, and the summary reads step 0 alone: its
+    estimate is the myopic one, bit for bit."""
     pi0 = uniform_belief(model.n_states) if pi0 is None else np.asarray(pi0, float)
     costs = _rollout(model, MyopicPolicy(), pi0, horizon, seed, runs)["costs"]
     j_myopic = [_summary(model, costs, rho, seed) for rho in rhos]
@@ -322,7 +351,8 @@ def l1_components(model: PollingModel, rhos, M: int, runs: int, horizon: int,
     for rho, jb in zip(rhos, j_myopic):
         at_rho = replace(model, rho=rho)
         gvf = value_iteration(at_rho, M) if solve is None else solve(at_rho)
-        out.append((jb, estimate_cost(at_rho, GridPolicy(gvf), pi0, horizon, runs, seed)))
+        out.append((jb, jb if rho == 0 else
+                    estimate_cost(at_rho, GridPolicy(gvf), pi0, horizon, runs, seed)))
     return out
 
 

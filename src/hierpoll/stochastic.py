@@ -48,6 +48,15 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def check_seed(seed):
+    """`seed` unchanged when it is an integer >= 0 or a list or tuple of
+    them, as numpy's SeedSequence takes it; InvalidArgument otherwise."""
+    for n in seed if isinstance(seed, (list, tuple)) else [seed]:
+        if not isinstance(n, (int, np.integer)) or n < 0:
+            raise InvalidArgument(f"seeds and run indices must be integers >= 0, got {n!r}")
+    return seed
+
+
 @dataclass(frozen=True)
 class StochasticMatrix:
     """Row-stochastic real matrix: entries in [0, 1], rows summing to 1."""

@@ -266,7 +266,11 @@ class TestExampleCommands:
         (["example2", "--states", "5", "--pairs", "2", "--rho-list", "0.1,0.5,0.9"], 2),
         (["example1", "--rho-list", "0.3,0.6", "--grid-m", "12", "--runs", "50",
           "--horizon", "20"], 3),
-    ], ids=["example2-one-per-pair", "example1-one-myopic-one-grid-per-rho"])
+        # at rho = 0 the grid estimate is the myopic one: one grid rollout fewer
+        (["example1", "--rho-list", "0,0.3,0.6", "--grid-m", "12", "--runs", "50",
+          "--horizon", "20"], 3),
+    ], ids=["example2-one-per-pair", "example1-one-myopic-one-grid-per-rho",
+            "example1-no-grid-rollout-at-rho-zero"])
     def test_each_trajectory_set_is_rolled_out_once(self, argv, rollouts, tmp_path,
                                                     monkeypatch):
         from hierpoll import sim

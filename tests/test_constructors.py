@@ -16,7 +16,7 @@ from hierpoll.channels import (
 )
 from hierpoll.errors import HierPollError, InvalidArgument
 from hierpoll.pomdp import CostSpec, PollingModel
-from hierpoll.presets import EXAMPLE1_O1, example1_costs, example1_model
+from hierpoll.presets import EXAMPLE1_O1, example1_costs, example1_model, example2_parts
 from hierpoll.stochastic import ConvexPolynomial, validate_stochastic
 
 # stochastic matrices that are valid but degenerate (identity, rank one, a
@@ -77,3 +77,9 @@ def test_discount_outside_unit_interval_is_typed(rho):
     else:
         with pytest.raises(InvalidArgument):
             PollingModel(model.P, model.channels, model.costs, rho)
+
+
+@pytest.mark.parametrize("seed", [-1, [-1, 0], [0, -2], 1.5, [0, "1"]])
+def test_example2_parts_rejects_seed_numpy_would_not_take(seed):
+    with pytest.raises(InvalidArgument, match="integers >= 0"):
+        example2_parts(3, seed)

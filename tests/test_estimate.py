@@ -9,6 +9,7 @@ from hierpoll import estimate
 from hierpoll.errors import (
     AlphabetMismatch,
     EmptyData,
+    InvalidArgument,
     ParseError,
     ProjectionStalled,
     UnknownSymbol,
@@ -17,6 +18,7 @@ from hierpoll.errors import (
 from hierpoll.estimate import (
     ObservationDataset,
     _forward_backward,
+    default_initialization,
     em_fit,
     estimate_to_dict,
     load_observations,
@@ -228,6 +230,13 @@ class TestEmFit:
         ds = ObservationDataset((np.array([0, 1]),), ("a", "b"))
         with pytest.raises(AlphabetMismatch):
             em_fit(ds, X=3)
+
+    def test_negative_seed_is_invalid_argument(self):
+        with pytest.raises(InvalidArgument, match="integers >= 0"):
+            default_initialization(3, -1)
+        ds = ObservationDataset((np.array([0, 1, 2, 1]),), ("a", "b", "c"))
+        with pytest.raises(InvalidArgument, match="integers >= 0"):
+            em_fit(ds, X=3, seed=-1)
 
     def test_recovers_generated_model(self):
         y = hmm_sample(EXAMPLE1_P, EXAMPLE1_O1, 50_000, seed=42)

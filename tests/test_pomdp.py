@@ -309,7 +309,7 @@ def searchsorted_interpolation_data(grid, PI):
     return np.where(idx < 0, 0, idx), np.clip(w, 0.0, None)
 
 
-ORACLE_GRIDS = [(60, 3), (12, 3), (20, 4), (10, 5), (2, 2), (60, 2), (6, 8)]
+ORACLE_GRIDS = [(60, 3), (12, 3), (20, 4), (10, 5), (2, 2), (60, 2), (6, 8), (3, 20)]
 
 
 class TestFreudenthalGrid:
@@ -325,9 +325,11 @@ class TestFreudenthalGrid:
         for beliefs in (grid.points, rng.dirichlet(np.ones(X), 2000), faces,
                         grid.points * (1 + 4e-16), nudged):
             want_idx, want_w = searchsorted_interpolation_data(grid, beliefs)
-            idx, w = grid.interpolation_data(beliefs)
-            assert np.array_equal(idx, want_idx)
-            assert np.array_equal(w, want_w)
+            # belief rows, and states-first rows as Lookahead passes them
+            for rows in (beliefs, np.ascontiguousarray(beliefs.T).T):
+                idx, w = grid.interpolation_data(rows)
+                assert np.array_equal(idx, want_idx)
+                assert np.array_equal(w, want_w)
 
     @pytest.mark.parametrize("M, X", ORACLE_GRIDS, ids=[f"M{m}-X{x}" for m, x in ORACLE_GRIDS])
     def test_index_of_ranks_lattice_and_rejects_invalid(self, M, X):

@@ -90,6 +90,52 @@ class TestUniformStreams:
             simulate(model, MyopicPolicy(), uniform_belief(3), 5, seed=0, run_index=-1)
 
 
+SHORT = 0.1 - 5e-11   # leaves a row 5e-11 short of 1, within ROW_SUM_TOL
+
+
+def short_rows_model():
+    """The rows of states 0 and 1, in P and in both channels, sum to 1 - 5e-11
+    and end in zeros or padding: channel 2 has two symbols, padded to three."""
+    P = np.array([[0.9, SHORT, 0.0], [0.9, SHORT, 0.0], [0.2, 0.3, 0.5]])
+    O1 = np.array([[0.7, 0.2 + SHORT, 0.0], [0.7, 0.2 + SHORT, 0.0], [0.1, 0.1, 0.8]])
+    O2 = np.array([[0.6, 0.3 + SHORT], [0.6, 0.3 + SHORT], [0.5, 0.5]])
+    return PollingModel(P, (make_channel(O1), make_channel(O2)),
+                        CostSpec.expectation([0.5, 0.1], [0.2, 1.0]), rho=0.5)
+
+
+class TestSampling:
+    @pytest.mark.parametrize("policy", [FixedPolicy(1), FixedPolicy(2), "grid"])
+    def test_uniform_above_a_short_row_lands_on_its_last_category(self, policy,
+                                                                  monkeypatch):
+        # a uniform of 1 - 1e-11 used to be counted past the last category
+        model = short_rows_model()
+        if policy == "grid":
+            policy = GridPolicy(value_iteration(model, M=6))
+        monkeypatch.setattr(sim, "_uniform_streams", lambda seed, run_ids, horizon:
+                            np.full((len(run_ids), 1 + 2 * horizon), 1 - 1e-11))
+        pi0 = np.array([0.5, 0.4 + SHORT, 0.0])
+        data = _rollout(model, policy, pi0, 6, seed=0, runs=4, record=True)
+        assert (data["states"] == 1).all()
+        assert (data["observations"] == 1).all()
+        assert np.isfinite(estimate_cost(model, policy, pi0, 6, 4, seed=0).mean)
+
+    def test_draws_below_the_mass_are_unchanged(self, rng):
+        # against the plain count of cumulative sums below the uniform
+        laws = random_stochastic(40, 5, rng) * (rng.random((40, 5)) < 0.7)
+        laws = np.hstack([laws, np.zeros((40, 2))])        # padding
+        laws[laws.sum(axis=1) == 0, 0] = 1.0
+        laws /= laws.sum(axis=1, keepdims=True)
+        cum = np.cumsum(laws, axis=1)
+        u = rng.random(40 * 500)
+        rows = np.repeat(np.arange(40), 500)
+        below = u < cum[rows, -1]
+        want = (cum[rows] < u[:, None]).sum(axis=1)
+        got = sim._sample_categorical(
+            np.ascontiguousarray(sim._cumulative_law(laws, 1).T).take(rows, axis=1), u)
+        assert np.array_equal(got[below], want[below])
+        assert (laws[rows, got] > 0).all()
+
+
 class TestSimulate:
     def test_deterministic_chain_keeps_vertex_belief(self):
         model = PollingModel(np.eye(3), (make_channel(np.eye(3)),),
@@ -382,3 +428,18 @@ class TestSharedRollouts:
             assert j_bar == estimate_cost(exact, MyopicPolicy(), pi0, horizon, runs, seed)
             gvf = value_iteration(exact, M)
             assert j_star == estimate_cost(exact, GridPolicy(gvf), pi0, horizon, runs, seed)
+
+    @pytest.mark.parametrize("make", [lambda: example1_model(0.3), intent_model],
+                             ids=["example1", "intent-x4"])
+    def test_rho_zero_grid_estimate_equals_a_grid_rollout(self, make, rng):
+        # l1_components reuses the myopic estimate at rho = 0; a real grid
+        # rollout must give the same mean and stderr, bit for bit
+        model = at_rho(make(), 0.0)
+        M, runs, horizon, seed = 8, 200, 40, 7
+        pi0 = rng.dirichlet(np.ones(model.n_states))
+        ((j_bar, j_star),) = l1_components(model, [0.0], M, runs, horizon, seed, pi0)
+        rolled = estimate_cost(model, GridPolicy(value_iteration(model, M)), pi0,
+                               horizon, runs, seed)
+        assert j_star is j_bar
+        assert (j_star.mean, j_star.stderr) == (rolled.mean, rolled.stderr)
+        assert j_star == rolled
