@@ -7,7 +7,11 @@ agree to within tol. At the stop, Gallager's bound max_x D(O_x || rO) is an
 upper bound on the capacity, so each result carries a certified gap.
 `shannon_capacities` runs many channels as one packed iteration: the
 channels are the diagonal blocks of one matrix, each keeps its own iterates
-and stop, and a channel leaves the packing once it stops.
+and stop, and a channel leaves the packing once it stops. The stop is
+decided once per block of _BLOCK passes, from the iterates each pass
+stores, and the loop resumes from the first pass at which it fires. The
+results are bit for bit those of a loop that decides after every pass, and
+a pass costs twelve numpy calls.
 
 Renyi divergence of order alpha in [0, 1) uses the standard exponents
 (alpha on the left argument, 1 - alpha on the right), the only convention
@@ -34,6 +38,7 @@ _LOG2 = np.log(2.0)
 _MAX_ITERATIONS = 10 ** 5  # Blahut-Arimoto updates before MaxIterationsExceeded
 _PACK_ENTRIES = 2 ** 16     # most entries of one block-diagonal Blahut-Arimoto packing
 _Q_FLOOR = 1e-300           # output mass below which a log ratio is taken against the floor
+_BLOCK = 64                 # Blahut-Arimoto passes between two stop decisions
 _ORDERING_SLACK = 1e-8      # numeric slack of the capacity and Renyi ordering margins
 
 
@@ -119,43 +124,84 @@ def _pack(blocks):
     return B, _kl_rows(B, np.ones(B.shape[1])), starts, np.repeat(np.arange(len(rows)), rows)
 
 
+def _first(mask: np.ndarray, none: int) -> int:
+    """Index of the first true entry of a 1-d mask, or `none` if there is none."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else none
+
+
+def _buffers(B: np.ndarray, r: np.ndarray):
+    """A block's rows of r (one more, for the input after the block), q and
+    D, with r the input of its first pass."""
+    n, m = B.shape
+    R = np.empty((_BLOCK + 1, n))
+    R[0] = r
+    return R, np.empty((_BLOCK, m)), np.empty((_BLOCK, n))
+
+
 def _blahut_arimoto(blocks, first: int, tol: float) -> list[Capacity]:
     """Blahut-Arimoto on channels with no all-zero output column, run as one
     packed iteration; a channel leaves the packing once it stops. `first` is
-    the input index of blocks[0], named if a channel hits the iteration cap."""
+    the input index of blocks[0], named if a channel hits the iteration cap.
+
+    A pass only updates: it writes its input r, output marginal q and row
+    divergences D into row t of (_BLOCK, n) buffers and the next input into
+    row t + 1. After a block of passes, one reduceat gives every estimate of
+    the block, and the loop resumes from the first pass at which a channel
+    stops or q falls below _Q_FLOOR. Passes before that one are exactly
+    those of a loop that decides after every pass. A floor pass needs D from
+    _kl_rows, so the block is run again from it with the floor tested on
+    every pass; the passes after a floor pass in the first run are discarded
+    unread, and their arithmetic runs with its warnings off."""
     results: list[Capacity | None] = [None] * len(blocks)
     active = np.arange(len(blocks))
-    B, H, starts, owner = _pack(blocks)
-    r = np.concatenate([np.full(O.shape[0], 1.0 / O.shape[0]) for O in blocks])
     prev = np.full(len(blocks), -np.inf)
-    for _ in range(_MAX_ITERATIONS):
-        q = r @ B
-        if q.min() >= _Q_FLOOR:
-            D = H - B @ np.log(q)                    # nats
-        else:
-            D = _kl_rows(B, q)
-        estimate = np.add.reduceat(r * D, starts) / _LOG2
-        stop = np.abs(estimate - prev) < tol
-        stopped = stop.any()
-        if stopped:
-            # max_x D(O_x || q) bounds C for any q; a row reaching a symbol
-            # of q below the floor has no finite bound from this q
-            bound = np.where(((B > 0) & (q < _Q_FLOOR)).any(axis=1), np.inf, D)
-            upper = np.maximum.reduceat(bound, starts) / _LOG2
-            ends = np.append(starts[1:], r.size)
-            for k in np.flatnonzero(stop):
-                results[int(active[k])] = Capacity(
-                    float(estimate[k]), r[starts[k]:ends[k]].copy(),
-                    float(max(upper[k], estimate[k])))
-        prev = estimate
-        w = r * np.exp(D - np.maximum.reduceat(D, starts)[owner])
-        r = w / np.add.reduceat(w, starts)[owner]
-        if stopped:
-            keep = ~stop
-            if not keep.any():
-                return results
-            r, prev, active = r[keep[owner]], prev[keep], active[keep]
-            B, H, starts, owner = _pack([blocks[k] for k in active])
+    B, H, starts, owner = _pack(blocks)
+    R, Q, D = _buffers(B, np.concatenate([np.full(O.shape[0], 1.0 / O.shape[0])
+                                          for O in blocks]))
+    done, checked = 0, False
+    while done < _MAX_ITERATIONS:
+        passes = min(_BLOCK, _MAX_ITERATIONS - done)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for t in range(passes):
+                r, q, d = R[t], Q[t], D[t]
+                r.dot(B, out=q)
+                if checked and q.min() < _Q_FLOOR:
+                    d[:] = _kl_rows(B, q)
+                else:
+                    np.subtract(H, B.dot(np.log(q)), out=d)     # nats
+                w = r * np.exp(d - np.maximum.reduceat(d, starts)[owner])
+                np.divide(w, np.add.reduceat(w, starts)[owner], out=R[t + 1])
+            estimates = np.add.reduceat(R[:passes] * D[:passes], starts, axis=1) / _LOG2
+            stops = np.abs(np.diff(estimates, axis=0, prepend=prev[None])) < tol
+        floor = passes if checked else _first(Q[:passes].min(axis=1) < _Q_FLOOR, passes)
+        s = min(floor, _first(stops.any(axis=1), passes))
+        checked = s == floor < passes
+        if s == floor:
+            # no channel stops before pass s, which ends the block or is a
+            # floor pass. The next block starts at it, and after a floor pass
+            # tests the floor on every pass, so a stop at s waits for D from
+            # _kl_rows
+            done, R[0] = done + s, R[s]
+            prev = estimates[s - 1] if s else prev
+            continue
+        done += s + 1
+        r, q, d, estimate, stop = R[s], Q[s], D[s], estimates[s], stops[s]
+        # max_x D(O_x || q) bounds C for any q; a row reaching a symbol of q
+        # below the floor has no finite bound from this q
+        bound = np.where(((B > 0) & (q < _Q_FLOOR)).any(axis=1), np.inf, d)
+        upper = np.maximum.reduceat(bound, starts) / _LOG2
+        ends = np.append(starts[1:], r.size)
+        for k in np.flatnonzero(stop):
+            results[int(active[k])] = Capacity(
+                float(estimate[k]), r[starts[k]:ends[k]].copy(),
+                float(max(upper[k], estimate[k])))
+        keep = ~stop
+        if not keep.any():
+            return results
+        prev, active, survivors = estimate[keep], active[keep], R[s + 1][keep[owner]]
+        B, H, starts, owner = _pack([blocks[k] for k in active])
+        R, Q, D = _buffers(B, survivors)
     index = first + int(active[0])
     raise MaxIterationsExceeded(
         f"Blahut-Arimoto did not converge on the channel at index {index} within "

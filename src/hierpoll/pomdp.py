@@ -168,6 +168,12 @@ class CostSpec:
             t = np.where(PI > 0, PI * np.log2(np.maximum(PI, 1e-300)), 0.0)
         return -t.sum(axis=-1)
 
+    def stage_costs(self, h: np.ndarray) -> np.ndarray:
+        """C(pi, u) for every action u of the belief rows whose uncertainty
+        is h, shape (n, U)."""
+        return (self.measurement[None, :] + h[:, None] * self.weights[None, :]
+                + self.offsets[None, :])
+
     def equivalent(self, other: "CostSpec") -> bool:
         return self.variant == other.variant and all(
             np.array_equal(getattr(self, k), getattr(other, k))
@@ -176,10 +182,7 @@ class CostSpec:
 
 def cost_matrix(PI, costs: CostSpec) -> np.ndarray:
     """Stage costs for every belief row and every action, shape (n, U)."""
-    PI = np.atleast_2d(np.asarray(PI, dtype=float))
-    return (costs.measurement[None, :]
-            + costs.uncertainty(PI)[:, None] * costs.weights[None, :]
-            + costs.offsets[None, :])
+    return costs.stage_costs(costs.uncertainty(np.atleast_2d(np.asarray(PI, dtype=float))))
 
 
 def belief_cost(pi, u: int, costs: CostSpec) -> float:

@@ -24,8 +24,10 @@ positive probability on: a uniform at or above a row's mass, which a valid
 row leaves up to ROW_SUM_TOL below 1, lands there, and zero padding is
 never drawn. A grid-policy step reads its stage costs and filtered beliefs
 from the policy's `Lookahead`, which holds them for every action and
-symbol. `l1_components` rolls the grid policy out for every rho but 0, where
-it acts and costs as the myopic policy on the only step that counts.
+symbol; a myopic step reads its stage costs, and the uncertainty h that
+ctilde needs, from what the policy formed to choose, so h is computed once
+per step. `l1_components` rolls the grid policy out for every rho but 0,
+where it acts and costs as the myopic policy on the only step that counts.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidAction, InvalidArgument, UndefinedCTilde
+from .errors import InvalidAction, InvalidArgument, ModelShapeMismatch, UndefinedCTilde
 from .pomdp import (
     CostSpec,
     GridValueFunction,
@@ -42,7 +44,7 @@ from .pomdp import (
     bayes_update,
     cost_matrix,
     max_stage_cost,
-    myopic_policy,
+    validate_belief,
     value_iteration,
 )
 from .stochastic import check_seed
@@ -50,10 +52,21 @@ from .stochastic import check_seed
 
 # ----------------------------------------------------------------- policies
 class MyopicPolicy:
-    """Minimize the instantaneous cost; ties go to the smaller action."""
+    """Minimize the instantaneous cost; ties go to the smaller action.
+
+    Keeps the uncertainty h and the stage costs C of its last call's belief
+    rows, from which a rollout takes the step's costs and ctilde instead of
+    forming them again; so one instance serves one rollout at a time.
+    """
+
+    def __init__(self):
+        self.h: np.ndarray | None = None
+        self.C: np.ndarray | None = None
 
     def actions(self, PI: np.ndarray, model: PollingModel) -> np.ndarray:
-        return myopic_policy(PI, model.costs)
+        self.h = model.costs.uncertainty(PI)
+        self.C = model.costs.stage_costs(self.h)
+        return np.argmin(self.C, axis=1) + 1
 
 
 class FixedPolicy:
@@ -219,12 +232,20 @@ def _rollout(model: PollingModel, policy, pi0: np.ndarray, horizon: int,
     """Vectorized simulation of independent rollouts, `runs` being a run
     count or the run indices to draw. Reads no discount factor: returns the
     (runs, horizon) stage costs, with `proxy` also ctilde at the same steps.
+    pi0 must be one belief over the model's states: another shape raises
+    ModelShapeMismatch, and a vector that is not a distribution fails as a
+    row of a StochasticMatrix does.
     """
     if horizon < 1:
         raise InvalidArgument("horizon must be >= 1")
+    X = model.n_states
+    if np.shape(pi0) != (X,):
+        raise ModelShapeMismatch(f"initial belief of shape {np.shape(pi0)} "
+                                 f"for a {X}-state model")
+    pi0 = validate_belief(pi0)
     draws = _uniform_streams(seed, range(runs) if np.isscalar(runs) else runs,
                              horizon)
-    runs, X = draws.shape[0], model.n_states
+    runs = draws.shape[0]
     if runs < 1:
         raise InvalidArgument("runs must be >= 1")
     U, _, Y = model.likelihoods.shape
@@ -247,13 +268,19 @@ def _rollout(model: PollingModel, policy, pi0: np.ndarray, horizon: int,
         out["states"][:, 0] = x
         out["beliefs"][:, 0] = PI
 
-    grid, rows = isinstance(policy, GridPolicy), np.arange(runs)
+    grid, myopic = isinstance(policy, GridPolicy), isinstance(policy, MyopicPolicy)
+    rows, h = np.arange(runs), None
     for k in range(horizon):
         a = policy.actions(PI, model) - 1                   # 0-based from here
-        allc = policy.lookahead.C if grid else cost_matrix(PI, model.costs)
+        if grid:
+            allc = policy.lookahead.C
+        elif myopic:
+            allc, h = policy.C, policy.h
+        else:
+            allc = cost_matrix(PI, model.costs)
         out["costs"][:, k] = allc.take(rows * U + a)
         if proxy:
-            out["ctilde"][:, k] = ctilde_values(PI, model.costs, allc)
+            out["ctilde"][:, k] = ctilde_values(PI, model.costs, allc, h)
         x = _sample_categorical(cumP.take(x, axis=1), draws[:, 1 + 2 * k])
         y = _sample_categorical(cumO.take(a * X + x, axis=1), draws[:, 2 + 2 * k])
         if grid:  # the lookahead's posterior for the chosen action and symbol,
@@ -274,8 +301,7 @@ def _rollout(model: PollingModel, policy, pi0: np.ndarray, horizon: int,
 def simulate(model: PollingModel, policy, pi0, horizon: int, seed: int,
              run_index: int = 0) -> Trajectory:
     """Single reproducible rollout; identical to run `run_index` of a batch."""
-    data = _rollout(model, policy, np.asarray(pi0, dtype=float), horizon, seed,
-                    runs=[run_index], record=True)
+    data = _rollout(model, policy, pi0, horizon, seed, runs=[run_index], record=True)
     return Trajectory(**{name: rows[0] for name, rows in data.items()})
 
 
@@ -316,8 +342,7 @@ def _summary(model: PollingModel, costs: np.ndarray, rho: float,
 def estimate_cost(model: PollingModel, policy, pi0, horizon: int, runs: int,
                   seed: int) -> CostEstimate:
     """Mean discounted cost over seeded independent rollouts."""
-    costs = _rollout(model, policy, np.asarray(pi0, dtype=float), horizon, seed,
-                     runs)["costs"]
+    costs = _rollout(model, policy, pi0, horizon, seed, runs)["costs"]
     return _summary(model, costs, model.rho, seed)
 
 
@@ -364,10 +389,11 @@ def loss_L1(model: PollingModel, M: int, runs: int, horizon: int, seed: int,
     return loss_ratio(*components)[0]
 
 
-def ctilde_values(PI, costs: CostSpec, allc=None) -> np.ndarray:
+def ctilde_values(PI, costs: CostSpec, allc=None, h=None) -> np.ndarray:
     """Piecewise stage proxy: the action-1 cost where action 1 is strictly
     cheapest, otherwise the action-U cost plus a weighted action-1
-    uncertainty term. `allc`, when given, is cost_matrix(PI, costs)."""
+    uncertainty term. `allc` and `h`, when given, are cost_matrix(PI, costs)
+    and costs.uncertainty of the rows of PI."""
     PI = np.atleast_2d(np.asarray(PI, dtype=float))
     if allc is None:
         allc = cost_matrix(PI, costs)
@@ -378,7 +404,9 @@ def ctilde_values(PI, costs: CostSpec, allc=None) -> np.ndarray:
         raise UndefinedCTilde(
             "intent costs need an explicit ctilde_weight for the proxy bound")
     weight = float(costs.weights[0] if costs.ctilde_weight is None else costs.ctilde_weight)
-    eta1 = costs.weights[0] * costs.uncertainty(PI) + costs.offsets[0]
+    if h is None:
+        h = costs.uncertainty(PI)
+    eta1 = costs.weights[0] * h + costs.offsets[0]
     return np.where(in_s1, allc[:, 0], allc[:, -1] + weight * eta1)
 
 

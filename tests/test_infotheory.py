@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from hierpoll.errors import (
     MaxIterationsExceeded,
     UncertifiedChain,
 )
+from hierpoll.presets import example2_parts
 from hierpoll.infotheory import (
     channel_divergences,
     kl_divergence,
@@ -50,6 +53,53 @@ def _reference_capacity(O, tol=1e-10, max_iterations=10 ** 5):
         w = r * np.exp(D - D.max())
         r = w / w.sum()
     raise AssertionError("oracle did not converge")
+
+
+def _per_pass_capacities(channels, tol=1e-10):
+    """The packed Blahut-Arimoto loop that tests its floor and stop after
+    every pass, the bit-for-bit oracle for the block loop; Capacity per
+    channel, or AssertionError at the iteration cap."""
+    blocks = [O[:, O.any(axis=0)] for O in (np.asarray(c, dtype=float) for c in channels)]
+    results = [None] * len(blocks)
+    active = np.arange(len(blocks))
+    B, H, starts, owner = infotheory._pack(blocks)
+    r = np.concatenate([np.full(O.shape[0], 1.0 / O.shape[0]) for O in blocks])
+    prev = np.full(len(blocks), -np.inf)
+    for _ in range(infotheory._MAX_ITERATIONS):
+        q = r @ B
+        if q.min() >= 1e-300:
+            D = H - B @ np.log(q)
+        else:
+            D = infotheory._kl_rows(B, q)
+        estimate = np.add.reduceat(r * D, starts) / np.log(2.0)
+        stop = np.abs(estimate - prev) < tol
+        stopped = stop.any()
+        if stopped:
+            bound = np.where(((B > 0) & (q < 1e-300)).any(axis=1), np.inf, D)
+            upper = np.maximum.reduceat(bound, starts) / np.log(2.0)
+            ends = np.append(starts[1:], r.size)
+            for k in np.flatnonzero(stop):
+                results[int(active[k])] = infotheory.Capacity(
+                    float(estimate[k]), r[starts[k]:ends[k]].copy(),
+                    float(max(upper[k], estimate[k])))
+        prev = estimate
+        w = r * np.exp(D - np.maximum.reduceat(D, starts)[owner])
+        r = w / np.add.reduceat(w, starts)[owner]
+        if stopped:
+            keep = ~stop
+            if not keep.any():
+                return results
+            r, prev, active = r[keep[owner]], prev[keep], active[keep]
+            B, H, starts, owner = infotheory._pack([blocks[k] for k in active])
+    raise AssertionError("oracle did not converge")
+
+
+def _assert_bitwise_equal(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.bits == b.bits
+        assert np.array_equal(a.input, b.input)
+        assert a.upper_bits == b.upper_bits
 
 
 def _reference_renyi(p, q, alpha):
@@ -214,6 +264,100 @@ class TestPackedCapacities:
     def test_gap_is_zero_where_every_row_is_equally_informative(self):
         for O in (np.eye(3), np.full((4, 4), 0.25)):
             assert shannon_capacities([O])[0].gap_bits == pytest.approx(0.0, abs=1e-12)
+
+
+class TestBlockedStop:
+    """The block loop against the per-pass oracle, bit for bit."""
+
+    SLOW = [[0.5, 0.5], [0.45, 0.55], [0.55, 0.45], [0.5, 0.5]]
+
+    def test_mixed_channels(self, rng):
+        mixed = [_sparse_channel(X, Y, rng) for X, Y in
+                 [(2, 3), (5, 4), (3, 7), (6, 6), (4, 2), (7, 5)]]
+        _assert_bitwise_equal(shannon_capacities(mixed), _per_pass_capacities(mixed))
+
+    def test_ten_state_intent_chain(self):
+        # the chain's first three channels stop after 425, 2,055 and 6,732
+        # passes; the last two, at 16,067 and 37,946, would add about a
+        # second of oracle time
+        channels = [ch.matrix for ch in example2_parts(10, 0)[2][:3]]
+        _assert_bitwise_equal(shannon_capacities(channels),
+                              _per_pass_capacities(channels))
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_stop_next_to_a_block_boundary(self, rng, monkeypatch, offset):
+        # the slow channel stops at pass n; with blocks of n + 1, n and n - 1
+        # passes, its stop is the last pass of a block, the first pass of
+        # the next block, or the second; the fast channel leaves earlier
+        fast = random_stochastic(4, 4, rng)
+        n = _reference_capacity(self.SLOW)[2]
+        assert _reference_capacity(fast)[2] < n - 2
+        want = _per_pass_capacities([fast, self.SLOW])
+        monkeypatch.setattr(infotheory, "_BLOCK", n + 1 - offset)
+        _assert_bitwise_equal(shannon_capacities([fast, self.SLOW]), want)
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_short_blocks(self, rng, monkeypatch, block):
+        channels = [random_stochastic(3, 4, rng), self.SLOW, np.eye(2)]
+        want = _per_pass_capacities(channels)
+        monkeypatch.setattr(infotheory, "_BLOCK", block)
+        _assert_bitwise_equal(shannon_capacities(channels), want)
+
+    @pytest.mark.parametrize("channels", [[SLOW], [np.eye(2), SLOW]])
+    def test_the_cap_is_exact(self, monkeypatch, channels):
+        # the slow channel stops at pass n, in the second block or later:
+        # a cap of n passes raises and names it, one more pass returns
+        n = _reference_capacity(self.SLOW)[2]
+        assert n > infotheory._BLOCK
+        monkeypatch.setattr(infotheory, "_MAX_ITERATIONS", n)
+        with pytest.raises(MaxIterationsExceeded) as info:
+            shannon_capacities(channels)
+        assert info.value.index == len(channels) - 1
+        monkeypatch.setattr(infotheory, "_MAX_ITERATIONS", n + 1)
+        _assert_bitwise_equal(shannon_capacities(channels), _per_pass_capacities(channels))
+
+
+class TestOutputFloor:
+    """Channels whose output marginal falls below the floor, so that D comes
+    from _kl_rows; a block that meets such a pass is run again from it."""
+
+    ORDINARY = [[0.9, 0.1], [0.3, 0.7]]
+    # a 1e-310 entry is the only mass on its symbol, so q there is always
+    # below the floor
+    TINY = [[0.5, 0.5, 1e-310], [0.3, 0.7, 0.0]]
+
+    def _check(self, channels, floored):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = shannon_capacities(channels)
+        _assert_bitwise_equal(got, _per_pass_capacities(channels))
+        assert [np.isinf(c.upper_bits) for c in got] == floored
+
+    def test_every_pass_on_the_floor(self):
+        self._check([self.TINY, self.ORDINARY], [True, False])
+        self._check([self.ORDINARY, self.TINY], [False, True])
+
+    def test_every_block_size_up_to_the_stop(self, monkeypatch):
+        # the channels stop after 18 and 101 passes; over these block sizes a
+        # stop falls on every position in a block, and on the first pass of
+        # a block that meets the floor there, where the stop must wait for
+        # the run that takes D from _kl_rows
+        want = _per_pass_capacities([self.TINY, self.ORDINARY])
+        for block in range(1, 103):
+            monkeypatch.setattr(infotheory, "_BLOCK", block)
+            _assert_bitwise_equal(shannon_capacities([self.TINY, self.ORDINARY]), want)
+
+    def test_floor_reached_within_a_block(self):
+        # the third row's divergence is log 2 below the other two, so its
+        # weight halves every pass, and q on its 1e-290 symbol crosses the
+        # floor some 30 passes in, partway through the first block
+        fading = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 1e-290]])
+        r, first_floor = np.full(3, 1 / 3), 0
+        while (r @ fading).min() >= 1e-300:
+            w = r * np.exp(infotheory._kl_rows(fading, r @ fading))
+            r, first_floor = w / w.sum(), first_floor + 1
+        assert 0 < first_floor < infotheory._BLOCK
+        self._check([fading, self.ORDINARY], [True, False])
 
 
 class TestDataProcessingInequality:

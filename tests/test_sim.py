@@ -6,7 +6,14 @@ import pytest
 
 from hierpoll import sim
 from hierpoll.channels import make_channel
-from hierpoll.errors import InvalidAction, InvalidArgument, UndefinedCTilde
+from hierpoll.errors import (
+    HierPollError,
+    InvalidAction,
+    InvalidArgument,
+    ModelShapeMismatch,
+    RowSumMismatch,
+    UndefinedCTilde,
+)
 from hierpoll.pomdp import (
     CostSpec,
     PollingModel,
@@ -261,6 +268,44 @@ class TestEstimateCost:
         assert est.mean == pytest.approx(6.530371725237865, rel=1e-6)
 
 
+class TestInitialBelief:
+    """Every rollout entry point checks pi0 under either policy."""
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        return GridPolicy(value_iteration(example1_model(rho=0.5), M=6))
+
+    BAD = pytest.mark.parametrize("pi0, error", [
+        ([0.5, 0.5, 0.5], RowSumMismatch),
+        ([0.5, 0.5], ModelShapeMismatch),
+        ([[0.2, 0.3, 0.5]], ModelShapeMismatch),
+    ], ids=["mass-1.5", "two-of-three", "two-dimensional"])
+
+    @BAD
+    @pytest.mark.parametrize("policy", ["myopic", "grid"])
+    def test_estimate_cost_and_simulate_reject(self, model, grid, policy, pi0, error):
+        chosen = grid if policy == "grid" else MyopicPolicy()
+        for run in (lambda: estimate_cost(model, chosen, pi0, 20, 50, 0),
+                    lambda: simulate(model, chosen, pi0, 20, 0)):
+            with pytest.raises(error) as info:
+                run()
+            assert isinstance(info.value, HierPollError)
+
+    @BAD
+    def test_loss_components_reject(self, model, grid, pi0, error):
+        # the myopic rollout checks pi0 before any grid policy is solved
+        with pytest.raises(error):
+            l1_components(model, [0.5], 6, 50, 20, 0, pi0, solve=lambda _: grid.gvf)
+        with pytest.raises(error):
+            l2_components(model, [0.5], 50, 20, 0, pi0)
+
+    @pytest.mark.parametrize("policy", ["myopic", "grid"])
+    def test_accepted_belief_is_the_first_recorded(self, model, grid, policy):
+        pi0 = [0.2, 0.3, 0.5]
+        traj = simulate(model, grid if policy == "grid" else MyopicPolicy(), pi0, 5, 0)
+        assert np.array_equal(traj.beliefs[0], pi0)
+
+
 class TestEmpiricalLaws:
     def test_state_visits_match_stationary_distribution(self, O1):
         scipy_stats = pytest.importorskip("scipy.stats")
@@ -443,3 +488,30 @@ class TestSharedRollouts:
         assert j_star is j_bar
         assert (j_star.mean, j_star.stderr) == (rolled.mean, rolled.stderr)
         assert j_star == rolled
+
+
+class TestMyopicStageCosts:
+    """A myopic step forms h(pi) once; its costs, actions and ctilde come from it."""
+
+    @pytest.mark.parametrize("make", [lambda: example1_model(0.3), intent_model],
+                             ids=["example1", "intent-x4"])
+    def test_policy_keeps_the_costs_of_its_beliefs(self, make, rng):
+        model = make()
+        PI = rng.dirichlet(np.ones(model.n_states), size=50)
+        policy = MyopicPolicy()
+        actions = policy.actions(PI, model)
+        assert np.array_equal(actions, myopic_policy(PI, model.costs))
+        assert np.array_equal(policy.h, model.costs.uncertainty(PI))
+        assert np.array_equal(policy.C, cost_matrix(PI, model.costs))
+        assert np.array_equal(ctilde_values(PI, model.costs, policy.C, policy.h),
+                              ctilde_values(PI, model.costs))
+
+    def test_one_uncertainty_evaluation_per_step(self, monkeypatch):
+        model, horizon = intent_model(), 12
+        calls = []
+        uncertainty = CostSpec.uncertainty
+        monkeypatch.setattr(CostSpec, "uncertainty",
+                            lambda self, PI: calls.append(1) or uncertainty(self, PI))
+        _rollout(model, MyopicPolicy(), uniform_belief(model.n_states), horizon, 0, 30,
+                 proxy=True)
+        assert len(calls) == horizon
