@@ -63,6 +63,7 @@ from .sim import (  # noqa: F401
     FixedPolicy,
     GridPolicy,
     MyopicPolicy,
+    Step,
     Trajectory,
     estimate_cost,
     loss_L1,

@@ -21,8 +21,8 @@ Both kernels put the state axis first: `bayes_update` normalises over axis
 (X, U, Y_max, n) for n beliefs. A sum over a few states is then a few
 contiguous vector adds across all beliefs, where a short last axis would
 cost a reduction per row; for X <= 7 numpy adds in the same order either
-way, so the bits match. A grid-policy rollout takes each step's stage cost
-and next belief from the lookahead its policy built.
+way, so the bits match. A grid-policy step (a `sim.Step`) carries its
+lookahead's stage costs, h and posteriors to the rollout.
 
 Actions are 1-based everywhere (action 1 = most informative channel);
 observation symbols are 0-based indices into a channel's output alphabet.
@@ -447,19 +447,20 @@ class GridValueFunction:
 class Lookahead:
     """One-step Bellman lookahead from a fixed set of belief rows PI.
 
-    Holds the stage costs C (n, U), and states first, for every action and
-    symbol, the posteriors T (X, U, Y_max, n), their likelihoods sigma
-    (U, Y_max, n) and the grid interpolation data idx, w (X, U, Y_max, n),
-    so that q_values(V) = C + rho sum_y sigma_y V(T_y) costs one gather per
-    call and every short sum runs over a leading axis. All posteriors are
-    interpolated in one pass.
+    Holds the uncertainty h (n,) and stage costs C (n, U) of the rows and,
+    states first, for every action and symbol, the posteriors T
+    (X, U, Y_max, n), their likelihoods sigma (U, Y_max, n) and the grid
+    interpolation data idx, w (X, U, Y_max, n), so that q_values(V) =
+    C + rho sum_y sigma_y V(T_y) costs one gather per call and every short
+    sum runs over a leading axis. All posteriors are interpolated in one pass.
     """
 
     def __init__(self, model: PollingModel, grid: FreudenthalGrid, PI):
         PI = np.atleast_2d(np.asarray(PI, dtype=float))
         self.grid = grid
         self.rho = model.rho
-        self.C = cost_matrix(PI, model.costs)
+        self.h = model.costs.uncertainty(PI)
+        self.C = model.costs.stage_costs(self.h)
         # the (X, U, Y_max) copy makes the product, and T, C-ordered
         self.T, self.sigma = bayes_update(
             (PI @ model.P.entries).T[:, None, None, :],

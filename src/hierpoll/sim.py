@@ -22,16 +22,18 @@ action and state), so a step's draws are one `take` of columns and one sum
 over a leading axis. Every cumulative law is +inf from its last category of
 positive probability on: a uniform at or above a row's mass, which a valid
 row leaves up to ROW_SUM_TOL below 1, lands there, and zero padding is
-never drawn. A grid-policy step reads its stage costs and filtered beliefs
-from the policy's `Lookahead`, which holds them for every action and
-symbol; a myopic step reads its stage costs, and the uncertainty h that
-ctilde needs, from what the policy formed to choose, so h is computed once
-per step. `l1_components` rolls the grid policy out for every rho but 0,
-where it acts and costs as the myopic policy on the only step that counts.
+never drawn. A policy keeps nothing between calls: each step it returns a
+`Step` of the actions, stage costs C and uncertainty h of its belief rows,
+which the rollout charges and hands to ctilde, so h is formed once; and,
+if it formed them to choose, as the grid policy does, every action's and
+symbol's posteriors, from which the rollout takes the next beliefs instead
+of filtering. `l1_components` rolls the grid policy out for every rho but
+0, where it acts and costs as the myopic policy on the only step that counts.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,7 +44,6 @@ from .pomdp import (
     Lookahead,
     PollingModel,
     bayes_update,
-    cost_matrix,
     max_stage_cost,
     validate_belief,
     value_iteration,
@@ -51,50 +52,47 @@ from .stochastic import check_seed
 
 
 # ----------------------------------------------------------------- policies
+class Step(NamedTuple):
+    """A policy's answer for n belief rows PI: its actions, C =
+    cost_matrix(PI, model.costs) and h = model.costs.uncertainty(PI); and,
+    if it formed them, the posteriors of every action and symbol, states
+    first as `Lookahead.T`, which the rollout then takes instead of filtering."""
+
+    actions: np.ndarray                     # (n,) 1-based
+    C: np.ndarray                           # (n, U)
+    h: np.ndarray                           # (n,)
+    posteriors: np.ndarray | None = None    # (X, U, Y_max, n)
+
+
 class MyopicPolicy:
-    """Minimize the instantaneous cost; ties go to the smaller action.
+    """Minimize the instantaneous cost; ties go to the smaller action."""
 
-    Keeps the uncertainty h and the stage costs C of its last call's belief
-    rows, from which a rollout takes the step's costs and ctilde instead of
-    forming them again; so one instance serves one rollout at a time.
-    """
-
-    def __init__(self):
-        self.h: np.ndarray | None = None
-        self.C: np.ndarray | None = None
-
-    def actions(self, PI: np.ndarray, model: PollingModel) -> np.ndarray:
-        self.h = model.costs.uncertainty(PI)
-        self.C = model.costs.stage_costs(self.h)
-        return np.argmin(self.C, axis=1) + 1
+    def actions(self, PI: np.ndarray, model: PollingModel) -> Step:
+        h = model.costs.uncertainty(PI)
+        C = model.costs.stage_costs(h)
+        return Step(np.argmin(C, axis=1) + 1, C, h)
 
 
 class FixedPolicy:
     def __init__(self, u: int):
         self.u = int(u)
 
-    def actions(self, PI: np.ndarray, model: PollingModel) -> np.ndarray:
+    def actions(self, PI: np.ndarray, model: PollingModel) -> Step:
         if not 1 <= self.u <= model.n_actions:
             raise InvalidAction(f"fixed action {self.u} outside 1..{model.n_actions}")
-        return np.full(PI.shape[0], self.u, dtype=int)
+        h = model.costs.uncertainty(PI)
+        return Step(np.full(PI.shape[0], self.u, dtype=int), model.costs.stage_costs(h), h)
 
 
 class GridPolicy:
-    """Greedy one-step lookahead on an interpolated grid value function.
-
-    Keeps the `Lookahead` of its last call, from which a rollout takes the
-    step's stage costs and next beliefs instead of forming them again; so one
-    instance serves one rollout at a time.
-    """
+    """Greedy one-step lookahead on an interpolated grid value function."""
 
     def __init__(self, gvf: GridValueFunction):
         self.gvf = gvf
-        self.lookahead: Lookahead | None = None
 
-    def actions(self, PI: np.ndarray, model: PollingModel) -> np.ndarray:
-        self.lookahead = None  # never two alive at once, which would raise peak RSS
-        self.lookahead = Lookahead(model, self.gvf.grid, PI)
-        return np.argmin(self.lookahead.q_values(self.gvf.values), axis=1) + 1
+    def actions(self, PI: np.ndarray, model: PollingModel) -> Step:
+        la = Lookahead(model, self.gvf.grid, PI)
+        return Step(np.argmin(la.q_values(self.gvf.values), axis=1) + 1, la.C, la.h, la.T)
 
 
 # ------------------------------------------------------------------ rollout
@@ -227,6 +225,13 @@ def _sample_categorical(cum_columns: np.ndarray, uniforms: np.ndarray) -> np.nda
     return (cum_columns < uniforms).sum(axis=0)
 
 
+def _check_count(name: str, n):
+    """`n` if it is an integer >= 1 and not a bool; InvalidArgument otherwise."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise InvalidArgument(f"{name} must be an integer >= 1, got {n!r}")
+    return n
+
+
 def _rollout(model: PollingModel, policy, pi0: np.ndarray, horizon: int,
              seed: int, runs, proxy: bool = False, record: bool = False):
     """Vectorized simulation of independent rollouts, `runs` being a run
@@ -236,18 +241,18 @@ def _rollout(model: PollingModel, policy, pi0: np.ndarray, horizon: int,
     ModelShapeMismatch, and a vector that is not a distribution fails as a
     row of a StochasticMatrix does.
     """
-    if horizon < 1:
-        raise InvalidArgument("horizon must be >= 1")
+    _check_count("horizon", horizon)
     X = model.n_states
     if np.shape(pi0) != (X,):
         raise ModelShapeMismatch(f"initial belief of shape {np.shape(pi0)} "
                                  f"for a {X}-state model")
     pi0 = validate_belief(pi0)
-    draws = _uniform_streams(seed, range(runs) if np.isscalar(runs) else runs,
-                             horizon)
-    runs = draws.shape[0]
-    if runs < 1:
+    if np.isscalar(runs):
+        runs = range(_check_count("runs", runs))
+    elif len(runs) < 1:
         raise InvalidArgument("runs must be >= 1")
+    draws = _uniform_streams(seed, runs, horizon)
+    runs = draws.shape[0]
     U, _, Y = model.likelihoods.shape
     # categories first: column i of cumP is state i's law, column (u-1) X + i
     # of cumO that of action u's symbols from state i
@@ -268,33 +273,27 @@ def _rollout(model: PollingModel, policy, pi0: np.ndarray, horizon: int,
         out["states"][:, 0] = x
         out["beliefs"][:, 0] = PI
 
-    grid, myopic = isinstance(policy, GridPolicy), isinstance(policy, MyopicPolicy)
-    rows, h = np.arange(runs), None
+    rows = np.arange(runs)
     for k in range(horizon):
-        a = policy.actions(PI, model) - 1                   # 0-based from here
-        if grid:
-            allc = policy.lookahead.C
-        elif myopic:
-            allc, h = policy.C, policy.h
-        else:
-            allc = cost_matrix(PI, model.costs)
-        out["costs"][:, k] = allc.take(rows * U + a)
+        step = policy.actions(PI, model)
+        a = step.actions - 1                                # 0-based from here
+        out["costs"][:, k] = step.C.take(rows * U + a)
         if proxy:
-            out["ctilde"][:, k] = ctilde_values(PI, model.costs, allc, h)
+            out["ctilde"][:, k] = ctilde_values(PI, model.costs, step.C, step.h)
         x = _sample_categorical(cumP.take(x, axis=1), draws[:, 1 + 2 * k])
         y = _sample_categorical(cumO.take(a * X + x, axis=1), draws[:, 2 + 2 * k])
-        if grid:  # the lookahead's posterior for the chosen action and symbol,
-            # in C-ordered rows: cost_matrix's einsum rounds by layout, and on
-            # rows it matches the one-belief cost
-            PI = policy.lookahead.T.reshape(X, -1).T.take((a * Y + y) * runs + rows, axis=0)
-        else:
+        if step.posteriors is None:
             PI = bayes_update((PI @ model.P.entries).T,
                               model.likelihoods[a, :, y].T)[0].T
+        else:  # the chosen action's and symbol's posterior, in C-ordered rows:
+            # h's einsum rounds by layout, and on rows it matches one belief's
+            PI = step.posteriors.reshape(X, -1).T.take((a * Y + y) * runs + rows, axis=0)
         if record:
             out["states"][:, k + 1] = x
             out["actions"][:, k] = a + 1
             out["observations"][:, k] = y
             out["beliefs"][:, k + 1] = PI
+        del step  # never two steps' posteriors alive at once, which would raise peak RSS
     return out
 
 
@@ -395,8 +394,8 @@ def ctilde_values(PI, costs: CostSpec, allc=None, h=None) -> np.ndarray:
     uncertainty term. `allc` and `h`, when given, are cost_matrix(PI, costs)
     and costs.uncertainty of the rows of PI."""
     PI = np.atleast_2d(np.asarray(PI, dtype=float))
-    if allc is None:
-        allc = cost_matrix(PI, costs)
+    h = costs.uncertainty(PI) if h is None else h
+    allc = costs.stage_costs(h) if allc is None else allc
     if costs.num_actions == 1:
         return allc[:, 0]
     in_s1 = allc[:, 0] < allc[:, 1:].min(axis=1)
@@ -404,8 +403,6 @@ def ctilde_values(PI, costs: CostSpec, allc=None, h=None) -> np.ndarray:
         raise UndefinedCTilde(
             "intent costs need an explicit ctilde_weight for the proxy bound")
     weight = float(costs.weights[0] if costs.ctilde_weight is None else costs.ctilde_weight)
-    if h is None:
-        h = costs.uncertainty(PI)
     eta1 = costs.weights[0] * h + costs.offsets[0]
     return np.where(in_s1, allc[:, 0], allc[:, -1] + weight * eta1)
 

@@ -139,7 +139,18 @@ class TestMutualInformation:
         q = p @ O
         rows = sum(p[x] * kl_divergence(O[x], q) for x in range(X) if p[x] > 0)
         assert info == pytest.approx(rows, rel=1e-12, abs=1e-15)
-        assert shannon_capacity(O)[0] >= info - 1e-9
+        # BA's estimate bits only bounds C from below; upper_bits bounds it above
+        assert shannon_capacities([O])[0].upper_bits >= info - 1e-9
+
+    def test_is_below_the_capacity_bound_where_the_estimate_stops_short(self):
+        # BA's change-below-tol stop has left bits about 7e-9 under this MI
+        O = np.array([[0, 0, 1], [0, 0, 1], [0, .6, .4], [2 / 3, 1 / 3, 0], [0, 0, 1]])
+        p = np.array([0, 0, 0, .5, .5])
+        info = mutual_information(O, p)
+        assert info == pytest.approx(1.0, abs=1e-12)
+        capacity = shannon_capacities([O])[0]
+        assert capacity.bits <= capacity.upper_bits
+        assert capacity.upper_bits >= info - 1e-9
 
     def test_identity_channel_one_bit(self):
         assert mutual_information(np.eye(2), [0.5, 0.5]) == pytest.approx(1.0)

@@ -16,6 +16,7 @@ from hierpoll.errors import (
 )
 from hierpoll.pomdp import (
     CostSpec,
+    Lookahead,
     PollingModel,
     belief_cost,
     cost_matrix,
@@ -28,6 +29,7 @@ from hierpoll.sim import (
     FixedPolicy,
     GridPolicy,
     MyopicPolicy,
+    Step,
     _rollout,
     _uniform_streams,
     ctilde_values,
@@ -209,7 +211,9 @@ class TestSimulate:
 
         class RandomPolicy:
             def actions(self, PI, model):
-                return rng.integers(1, 3, size=PI.shape[0])
+                h = model.costs.uncertainty(PI)
+                return Step(rng.integers(1, 3, size=PI.shape[0]),
+                            model.costs.stage_costs(h), h)
 
         data = _rollout(model, RandomPolicy(), uniform_belief(3), 40, seed=9,
                         runs=25, record=True)
@@ -246,6 +250,26 @@ class TestEstimateCost:
     def test_rejects_empty_horizon(self, model, horizon):
         with pytest.raises(ValueError, match="horizon"):
             estimate_cost(model, MyopicPolicy(), uniform_belief(3), horizon, 10, 0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("runs", 2.5), ("runs", True), ("runs", np.float64(3.0)), ("runs", "3"),
+        ("runs", 0), ("horizon", 2.5), ("horizon", True), ("horizon", np.bool_(True)),
+    ], ids=["runs-2.5", "runs-True", "runs-float64", "runs-str", "runs-0",
+            "horizon-2.5", "horizon-True", "horizon-bool_"])
+    def test_rejects_counts_that_are_not_positive_integers(self, model, name, value):
+        counts = {"horizon": 5, "runs": 10, name: value}
+        with pytest.raises(InvalidArgument, match=name):
+            estimate_cost(model, MyopicPolicy(), uniform_belief(3), seed=0, **counts)
+
+    def test_rejects_an_empty_run_list(self, model):
+        with pytest.raises(InvalidArgument, match="runs"):
+            _rollout(model, MyopicPolicy(), uniform_belief(3), 5, 0, runs=[])
+
+    def test_accepts_numpy_integer_counts(self, model):
+        want = estimate_cost(model, MyopicPolicy(), uniform_belief(3), 5, 10, 0)
+        got = estimate_cost(model, MyopicPolicy(), uniform_belief(3),
+                            np.int64(5), np.int32(10), 0)
+        assert got == want
 
     def test_truncation_bias_bound(self, model):
         est = estimate_cost(model, MyopicPolicy(), uniform_belief(3),
@@ -342,15 +366,17 @@ class TestGridPolicy:
         gvf = value_iteration(model, M=12)
         rng = np.random.default_rng(0)
         PI = rng.dirichlet(np.ones(3), size=200)
-        assert np.array_equal(GridPolicy(gvf).actions(PI, model),
-                              MyopicPolicy().actions(PI, model))
+        grid, myopic = GridPolicy(gvf).actions(PI, model), MyopicPolicy().actions(PI, model)
+        assert np.array_equal(grid.actions, myopic.actions)
+        assert np.array_equal(grid.C, myopic.C)
+        assert np.array_equal(grid.h, myopic.h)
 
     def test_grid_points_reproduce_vi_policy(self):
         # the rollout lookahead at grid points is the one VI ended on
         model = example1_model(rho=0.9)
         gvf = value_iteration(model, M=12)
         assert set(gvf.policy.tolist()) == {1, 2}
-        assert np.array_equal(GridPolicy(gvf).actions(gvf.points, model), gvf.policy)
+        assert np.array_equal(GridPolicy(gvf).actions(gvf.points, model).actions, gvf.policy)
 
     @pytest.mark.parametrize("alphabets", [(3, 3), (3, 4)])
     def test_rollout_takes_filter_posteriors_and_costs_from_the_lookahead(
@@ -373,6 +399,52 @@ class TestGridPolicy:
         solo = simulate(model, policy, uniform_belief(3), 30, seed=4, run_index=5)
         assert np.array_equal(solo.beliefs, data["beliefs"][5])
         assert np.array_equal(solo.costs, data["costs"][5])
+
+
+class TestStatelessPolicies:
+    """A policy holds only what it was built with: its steps carry the costs,
+    uncertainty and posteriors that the rollout reads."""
+
+    @pytest.fixture(scope="class")
+    def gvf(self):
+        return value_iteration(example1_model(rho=0.9), M=6)
+
+    def test_attributes_are_the_constructor_arguments(self, gvf):
+        model = example1_model(rho=0.9)
+        for policy, args in ((MyopicPolicy(), {}), (FixedPolicy(2), {"u": 2}),
+                             (GridPolicy(gvf), {"gvf": gvf})):
+            assert vars(policy) == args
+            _rollout(model, policy, uniform_belief(3), 5, seed=1, runs=4, proxy=True)
+            assert vars(policy) == args
+
+    def test_grid_step_carries_its_lookahead(self, gvf, rng):
+        model = example1_model(rho=0.9)
+        PI = rng.dirichlet(np.ones(3), size=30)
+        step = GridPolicy(gvf).actions(PI, model)
+        la = Lookahead(model, gvf.grid, PI)
+        assert np.array_equal(step.actions, np.argmin(la.q_values(gvf.values), axis=1) + 1)
+        assert np.array_equal(step.C, cost_matrix(PI, model.costs))
+        assert np.array_equal(step.h, model.costs.uncertainty(PI))
+        assert np.array_equal(step.posteriors, la.T)
+
+    def test_a_call_between_steps_changes_nothing(self, gvf, rng):
+        # a policy that plans on an unrelated belief set before it answers
+        model = example1_model(rho=0.9)
+        other = rng.dirichlet(np.ones(3), size=7)
+
+        class Distracted(GridPolicy):
+            def actions(self, PI, model):
+                step = super().actions(PI, model)
+                super().actions(other, model)
+                return step
+
+        want = _rollout(model, GridPolicy(gvf), uniform_belief(3), 20, seed=2, runs=15,
+                        proxy=True, record=True)
+        got = _rollout(model, Distracted(gvf), uniform_belief(3), 20, seed=2, runs=15,
+                       proxy=True, record=True)
+        assert got.keys() == want.keys()
+        for name in want:
+            assert np.array_equal(got[name], want[name]), name
 
 
 class TestLossL1:
@@ -491,19 +563,20 @@ class TestSharedRollouts:
 
 
 class TestMyopicStageCosts:
-    """A myopic step forms h(pi) once; its costs, actions and ctilde come from it."""
+    """A myopic step forms h(pi) once; its Step's costs, actions and the
+    rollout's ctilde come from it."""
 
     @pytest.mark.parametrize("make", [lambda: example1_model(0.3), intent_model],
                              ids=["example1", "intent-x4"])
     def test_policy_keeps_the_costs_of_its_beliefs(self, make, rng):
         model = make()
         PI = rng.dirichlet(np.ones(model.n_states), size=50)
-        policy = MyopicPolicy()
-        actions = policy.actions(PI, model)
-        assert np.array_equal(actions, myopic_policy(PI, model.costs))
-        assert np.array_equal(policy.h, model.costs.uncertainty(PI))
-        assert np.array_equal(policy.C, cost_matrix(PI, model.costs))
-        assert np.array_equal(ctilde_values(PI, model.costs, policy.C, policy.h),
+        step = MyopicPolicy().actions(PI, model)
+        assert np.array_equal(step.actions, myopic_policy(PI, model.costs))
+        assert np.array_equal(step.h, model.costs.uncertainty(PI))
+        assert np.array_equal(step.C, cost_matrix(PI, model.costs))
+        assert step.posteriors is None
+        assert np.array_equal(ctilde_values(PI, model.costs, step.C, step.h),
                               ctilde_values(PI, model.costs))
 
     def test_one_uncertainty_evaluation_per_step(self, monkeypatch):
