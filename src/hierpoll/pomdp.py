@@ -21,8 +21,13 @@ Both kernels put the state axis first: `bayes_update` normalises over axis
 (X, U, Y_max, n) for n beliefs. A sum over a few states is then a few
 contiguous vector adds across all beliefs, where a short last axis would
 cost a reduction per row; for X <= 7 numpy adds in the same order either
-way, so the bits match. A grid-policy step (a `sim.Step`) carries its
-lookahead's stage costs, h and posteriors to the rollout.
+way, so the bits match. In the same way the stage costs C and the lookahead
+costs Q are (n, U) views of action-first (U, n) arrays, so their broadcasts
+and value iteration's min over actions run along the beliefs. A grid-policy
+step (a `sim.Step`) carries its lookahead's stage costs, h and posteriors
+to the rollout. Repairs that few batches need, a zero sigma in
+`bayes_update` and a tie or an off-grid vertex in `interpolation_data`,
+run only for a batch that has one.
 
 Actions are 1-based everywhere (action 1 = most informative channel);
 observation symbols are 0-based indices into a channel's output alphabet.
@@ -170,9 +175,10 @@ class CostSpec:
 
     def stage_costs(self, h: np.ndarray) -> np.ndarray:
         """C(pi, u) for every action u of the belief rows whose uncertainty
-        is h, shape (n, U)."""
-        return (self.measurement[None, :] + h[:, None] * self.weights[None, :]
-                + self.offsets[None, :])
+        is h, shape (n, U): the transposed view of an action-first (U, n)
+        array, so that each broadcast runs along the n beliefs."""
+        return (self.measurement[:, None] + h[None, :] * self.weights[:, None]
+                + self.offsets[:, None]).T
 
     def equivalent(self, other: "CostSpec") -> bool:
         return self.variant == other.variant and all(
@@ -263,6 +269,9 @@ def bayes_update(PR: np.ndarray, L: np.ndarray):
     unnorm = PR * L
     sigma = unnorm.sum(axis=0)
     seen = sigma > 0
+    if seen.all():
+        unnorm /= sigma
+        return unnorm, sigma
     post = np.where(seen, unnorm / np.where(seen, sigma, 1.0), 1.0 / unnorm.shape[0])
     return post, sigma
 
@@ -366,9 +375,10 @@ class FreudenthalGrid:
         step -= low
         # equal base coordinates stepped out of order (negative mass) leave the
         # grid from the later coordinate's step until the earlier one's
-        tie = OFF_GRID * ((v[1:-1] == v[2:]) & (d[:-1] < d[1:]))
-        step[1:] += tie
-        step[:-1] -= tie
+        tie = (v[1:-1] == v[2:]) & (d[:-1] < d[1:])
+        if tie.any():
+            step[1:] += OFF_GRID * tie
+            step[:-1] -= OFF_GRID * tie
         # place of each coordinate in the stable descending order of d
         place = np.tile(np.arange(n), (X - 1, 1))      # flat, into (X-1, n) rows
         for a, b in combinations(range(X - 1), 2):
@@ -383,9 +393,11 @@ class FreudenthalGrid:
         np.subtract(w[1:-1], w[2:], out=w[1:-1])
         low.sum(axis=0, out=idx[0])
         _accumulate(idx)
-        if np.any((idx < 0) & (w > 1e-12)):
-            raise BeliefOffGrid("interpolation vertex fell outside the grid")
-        return np.maximum(idx, 0, out=idx).T, w.T
+        if idx.min(initial=0) < 0:
+            if np.any((idx < 0) & (w > 1e-12)):
+                raise BeliefOffGrid("interpolation vertex fell outside the grid")
+            np.maximum(idx, 0, out=idx)
+        return idx.T, w.T
 
     def interpolate(self, values: np.ndarray, PI) -> np.ndarray:
         idx, w = self.interpolation_data(PI)
@@ -470,7 +482,8 @@ class Lookahead:
         self.idx, self.w = idx.T.reshape(self.T.shape), w.T.reshape(self.T.shape)
 
     def q_values(self, values: np.ndarray) -> np.ndarray:
-        """Lookahead costs of every belief row and action, shape (n, U)."""
+        """Lookahead costs of every belief row and action, shape (n, U), a
+        view of an action-first array as C is."""
         interp = (values[self.idx] * self.w).sum(axis=0)
         return self.C + self.rho * (self.sigma * interp).sum(axis=1).T
 

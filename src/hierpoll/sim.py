@@ -12,9 +12,16 @@ numpy's SeedSequence hashes the 32-bit words of seed and r into four 64-bit
 words, which seed PCG64. `_uniform_streams` reproduces that hash with uint32
 array arithmetic over many runs at once, and only loads each run's PCG64
 state and draws per run. A rollout builds its runs x (1 + 2 horizon)
-uniforms up front and frees them when it ends: an array of that size kept
-alive across rollouts leaves glibc serving the per-step temporaries from
-fresh mappings, which made `example1` 10-40% slower in two measurements.
+uniforms up front unless its caller passes them: `l1_components` draws them
+once for all of its rollouts and frees them when the sweep returns. On
+`example1` that runs in 0.486 s against 0.553 s for one array per rollout,
+with 15.6k against 13.8k minor page faults and 41.95 against 41.77 MB peak
+RSS (medians of 8 alternating pairs in the benchmark's child process, 2-vCPU
+x86-64 host). A shared array once made `example1` 10-40% slower, with 364k
+faults, as glibc served the ~150 KB per-step temporaries from fresh
+mappings. Pinning glibc's mmap threshold at 128 KB (MALLOC_MMAP_THRESHOLD_)
+still brings that back for either variant, so it is the arrays the sweep
+frees before its grid rollouts that now raise the threshold.
 Symbols are drawn from, and filtered with, the model's
 (U, X, Y_max) likelihood tensor. Draws count the cumulative law below each
 uniform, with the laws held categories first (one column per state, or per
@@ -74,7 +81,12 @@ class MyopicPolicy:
 
 
 class FixedPolicy:
+    """Always poll with action u, an integer (not a bool); an action outside
+    the model's 1..U raises InvalidAction at the first step."""
+
     def __init__(self, u: int):
+        if isinstance(u, bool) or not isinstance(u, (int, np.integer)):
+            raise InvalidAction(f"fixed action must be an integer, got {u!r}")
         self.u = int(u)
 
     def actions(self, PI: np.ndarray, model: PollingModel) -> Step:
@@ -180,8 +192,9 @@ def _uniform_streams(seed: int, run_ids, horizon: int) -> np.ndarray:
     loaded into one reused generator and drawn straight into its row."""
     check_seed([seed, *run_ids])
     seed_words = _entropy_words(seed)
-    # Built per rollout and freed with it: one array shared by a caller's
-    # rollouts made each of them slower (see the module docstring).
+    # One array serves all of l1_components' rollouts: 0.486 against 0.553 s
+    # for one per rollout on example1, with no return of the glibc-mapping
+    # slowdown once measured for it (see the module docstring).
     draws = np.empty((len(run_ids), 1 + 2 * horizon))
     bits = np.random.PCG64(0)
     generator = np.random.Generator(bits)
@@ -233,13 +246,16 @@ def _check_count(name: str, n):
 
 
 def _rollout(model: PollingModel, policy, pi0: np.ndarray, horizon: int,
-             seed: int, runs, proxy: bool = False, record: bool = False):
+             seed: int, runs, proxy: bool = False, record: bool = False,
+             streams: np.ndarray | None = None):
     """Vectorized simulation of independent rollouts, `runs` being a run
     count or the run indices to draw. Reads no discount factor: returns the
     (runs, horizon) stage costs, with `proxy` also ctilde at the same steps.
     pi0 must be one belief over the model's states: another shape raises
     ModelShapeMismatch, and a vector that is not a distribution fails as a
-    row of a StochasticMatrix does.
+    row of a StochasticMatrix does. `streams`, when given, must be
+    `_uniform_streams(seed, runs, horizon)`, which is then not drawn again;
+    another shape raises InvalidArgument.
     """
     _check_count("horizon", horizon)
     X = model.n_states
@@ -251,7 +267,13 @@ def _rollout(model: PollingModel, policy, pi0: np.ndarray, horizon: int,
         runs = range(_check_count("runs", runs))
     elif len(runs) < 1:
         raise InvalidArgument("runs must be >= 1")
-    draws = _uniform_streams(seed, runs, horizon)
+    if streams is None:
+        draws = _uniform_streams(seed, runs, horizon)
+    elif np.shape(streams) != (len(runs), 1 + 2 * horizon):
+        raise InvalidArgument(f"streams of shape {np.shape(streams)} for {len(runs)} "
+                              f"runs of horizon {horizon}")
+    else:
+        draws = streams
     runs = draws.shape[0]
     U, _, Y = model.likelihoods.shape
     # categories first: column i of cumP is state i's law, column (u-1) X + i
@@ -277,7 +299,7 @@ def _rollout(model: PollingModel, policy, pi0: np.ndarray, horizon: int,
     for k in range(horizon):
         step = policy.actions(PI, model)
         a = step.actions - 1                                # 0-based from here
-        out["costs"][:, k] = step.C.take(rows * U + a)
+        out["costs"][:, k] = step.C[rows, a]
         if proxy:
             out["ctilde"][:, k] = ctilde_values(PI, model.costs, step.C, step.h)
         x = _sample_categorical(cumP.take(x, axis=1), draws[:, 1 + 2 * k])
@@ -287,7 +309,7 @@ def _rollout(model: PollingModel, policy, pi0: np.ndarray, horizon: int,
                               model.likelihoods[a, :, y].T)[0].T
         else:  # the chosen action's and symbol's posterior, in C-ordered rows:
             # h's einsum rounds by layout, and on rows it matches one belief's
-            PI = step.posteriors.reshape(X, -1).T.take((a * Y + y) * runs + rows, axis=0)
+            PI = step.posteriors.reshape(X, -1).take((a * Y + y) * runs + rows, axis=1).T.copy()
         if record:
             out["states"][:, k + 1] = x
             out["actions"][:, k] = a + 1
@@ -339,9 +361,11 @@ def _summary(model: PollingModel, costs: np.ndarray, rho: float,
 
 
 def estimate_cost(model: PollingModel, policy, pi0, horizon: int, runs: int,
-                  seed: int) -> CostEstimate:
-    """Mean discounted cost over seeded independent rollouts."""
-    costs = _rollout(model, policy, pi0, horizon, seed, runs)["costs"]
+                  seed: int, *, streams: np.ndarray | None = None) -> CostEstimate:
+    """Mean discounted cost over seeded independent rollouts. A caller that
+    rolls out several policies on the same runs may pass their uniforms,
+    `_uniform_streams(seed, range(runs), horizon)`, as `streams`, drawn once."""
+    costs = _rollout(model, policy, pi0, horizon, seed, runs, streams=streams)["costs"]
     return _summary(model, costs, model.rho, seed)
 
 
@@ -368,7 +392,10 @@ def l1_components(model: PollingModel, rhos, M: int, runs: int, horizon: int,
     takes the myopic actions, and the summary reads step 0 alone: its
     estimate is the myopic one, bit for bit."""
     pi0 = uniform_belief(model.n_states) if pi0 is None else np.asarray(pi0, float)
-    costs = _rollout(model, MyopicPolicy(), pi0, horizon, seed, runs)["costs"]
+    streams = _uniform_streams(seed, range(_check_count("runs", runs)),
+                               _check_count("horizon", horizon))
+    costs = _rollout(model, MyopicPolicy(), pi0, horizon, seed, runs,
+                     streams=streams)["costs"]
     j_myopic = [_summary(model, costs, rho, seed) for rho in rhos]
     del costs  # freed before value iteration runs
     out = []
@@ -376,7 +403,8 @@ def l1_components(model: PollingModel, rhos, M: int, runs: int, horizon: int,
         at_rho = replace(model, rho=rho)
         gvf = value_iteration(at_rho, M) if solve is None else solve(at_rho)
         out.append((jb, jb if rho == 0 else
-                    estimate_cost(at_rho, GridPolicy(gvf), pi0, horizon, runs, seed)))
+                    estimate_cost(at_rho, GridPolicy(gvf), pi0, horizon, runs, seed,
+                                  streams=streams)))
     return out
 
 

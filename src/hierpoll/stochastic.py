@@ -50,9 +50,10 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 def check_seed(seed):
     """`seed` unchanged when it is an integer >= 0 or a list or tuple of
-    them, as numpy's SeedSequence takes it; InvalidArgument otherwise."""
+    them, as numpy's SeedSequence takes it; InvalidArgument otherwise, also
+    for a bool, which SeedSequence would read as 0 or 1."""
     for n in seed if isinstance(seed, (list, tuple)) else [seed]:
-        if not isinstance(n, (int, np.integer)) or n < 0:
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
             raise InvalidArgument(f"seeds and run indices must be integers >= 0, got {n!r}")
     return seed
 

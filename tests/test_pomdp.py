@@ -115,6 +115,23 @@ class TestMaxStageCost:
             assert cost_matrix(beliefs, spec).max() <= peak + 1e-12
 
 
+class TestStageCostLayout:
+    """C is built action-first, so its broadcasts run along the beliefs; the
+    (n, U) view it returns holds the bits of the row-major formula."""
+
+    @pytest.mark.parametrize("X", [3, 20])
+    @pytest.mark.parametrize("variant", ["expectation", "friendship", "intent"])
+    def test_equals_the_row_major_formula(self, variant, X, rng):
+        spec = _cost_specs()[variant]
+        PI = np.vstack([np.eye(X), np.full(X, 1 / X), rng.dirichlet(np.ones(X), 1000)])
+        h = spec.uncertainty(PI)
+        m, w, o = spec.measurement, spec.weights, spec.offsets
+        C = spec.stage_costs(h)
+        assert C.shape == (PI.shape[0], spec.num_actions)
+        assert np.array_equal(C, m[None] + h[:, None] * w[None] + o[None])
+        assert np.array_equal(cost_matrix(PI, spec), C)
+
+
 class TestBeliefCost:
     def test_vertex_cost_is_measurement(self):
         spec = example1_costs()
@@ -458,6 +475,55 @@ class TestFreudenthalGrid:
         pairs = grid.neighbor_pairs()
         for a, b in pairs:
             assert np.abs(grid.lattice[a] - grid.lattice[b]).sum() == 2
+
+
+def one_row_among(rng, row, n=1999):
+    """n random 3-state beliefs with `row` placed among them."""
+    PI = rng.dirichlet(np.ones(3), n)
+    return np.insert(PI, n // 3, row, axis=0)
+
+
+class TestRepairBranches:
+    """Each kernel repairs a batch only when one of its rows needs it; a
+    single such row among thousands gets the repair, and the other rows
+    keep the bits of the unrepaired path."""
+
+    @pytest.mark.parametrize("zero_rows", [[], [1234]], ids=["none", "one"])
+    def test_bayes_update_matches_the_repairing_formula(self, zero_rows, rng):
+        PR = rng.dirichlet(np.ones(3), 2000)
+        L = rng.random((2000, 3)) + 0.01
+        L[zero_rows] = 0.0
+        post, sigma = bayes_update(PR.T, L.T)
+        unnorm = PR * L
+        want_sigma = unnorm.sum(axis=-1)
+        seen = want_sigma > 0
+        want = np.where(seen[:, None], unnorm / np.where(seen, want_sigma, 1.0)[:, None],
+                        1.0 / 3)
+        assert (~seen).sum() == len(zero_rows)
+        assert np.array_equal(sigma, want_sigma)
+        assert np.array_equal(post.T, want)
+
+    @pytest.mark.parametrize("row", [
+        [1 - 0.4321 + 1e-14, -1e-14, 0.4321],   # tied base coordinates, stepped out of order
+        [0.0, 0.5, 0.5 + 1e-14],                # a light off-grid vertex
+    ], ids=["tie", "light-off-grid"])
+    def test_interpolation_repairs_the_one_row_that_needs_it(self, row, rng):
+        grid = FreudenthalGrid(60, 3)
+        PI = one_row_among(rng, row)
+        want_idx, want_w = searchsorted_interpolation_data(grid, PI)
+        for rows in (PI, np.ascontiguousarray(PI.T).T):
+            idx, w = grid.interpolation_data(rows)
+            assert np.array_equal(idx, want_idx)
+            assert np.array_equal(w, want_w)
+
+    def test_interpolation_rejects_the_one_row_with_a_heavy_off_grid_vertex(self, rng):
+        grid = FreudenthalGrid(60, 3)
+        PI = one_row_among(rng, [0.0, 0.5, 0.5 + 1e-9])
+        with pytest.raises(RuntimeError):
+            searchsorted_interpolation_data(grid, PI)
+        with pytest.raises(BeliefOffGrid):
+            grid.interpolation_data(PI)
+        grid.interpolation_data(np.delete(PI, 1999 // 3, axis=0))
 
 
 class TestLookahead:

@@ -265,6 +265,11 @@ class TestEstimateCost:
         with pytest.raises(InvalidArgument, match="runs"):
             _rollout(model, MyopicPolicy(), uniform_belief(3), 5, 0, runs=[])
 
+    @pytest.mark.parametrize("seed", [True, np.bool_(True)], ids=["True", "bool_"])
+    def test_rejects_a_bool_seed(self, model, seed):
+        with pytest.raises(InvalidArgument, match="integers >= 0"):
+            estimate_cost(model, MyopicPolicy(), uniform_belief(3), 5, 10, seed)
+
     def test_accepts_numpy_integer_counts(self, model):
         want = estimate_cost(model, MyopicPolicy(), uniform_belief(3), 5, 10, 0)
         got = estimate_cost(model, MyopicPolicy(), uniform_belief(3),
@@ -290,6 +295,41 @@ class TestEstimateCost:
                             horizon=100, runs=1000, seed=20240817)
         assert est.stderr < 0.02 * est.mean
         assert est.mean == pytest.approx(6.530371725237865, rel=1e-6)
+
+
+class TestSharedStreams:
+    """A caller's uniforms, drawn once for several rollouts, give each of
+    them the estimate it would draw for itself. These tests import neither
+    scipy nor hypothesis, so CI also runs them at the lowest numpy."""
+
+    @pytest.fixture(scope="class")
+    def gvf(self):
+        return value_iteration(example1_model(rho=0.9), M=12)
+
+    @pytest.mark.parametrize("policy", ["myopic", "grid", "fixed"])
+    def test_equals_the_rollout_that_draws_its_own(self, policy, gvf):
+        model = example1_model(rho=0.9)
+        policy = {"myopic": MyopicPolicy(), "grid": GridPolicy(gvf),
+                  "fixed": FixedPolicy(1)}[policy]
+        runs, horizon, seed = 300, 40, 5
+        streams = _uniform_streams(seed, range(runs), horizon)
+        want = estimate_cost(model, policy, uniform_belief(3), horizon, runs, seed)
+        got = estimate_cost(model, policy, uniform_belief(3), horizon, runs, seed,
+                            streams=streams)
+        assert got == want
+        assert np.array_equal(streams, _uniform_streams(seed, range(runs), horizon))
+
+    @pytest.mark.parametrize("shape", [(300, 80), (300, 82), (299, 81), (81,), (1, 300, 81)],
+                             ids=["short", "long", "few-runs", "1-d", "3-d"])
+    def test_a_wrong_shape_is_invalid(self, shape):
+        model = example1_model(rho=0.9)
+        with pytest.raises(InvalidArgument, match="streams"):
+            estimate_cost(model, MyopicPolicy(), uniform_belief(3), 40, 300, 5,
+                          streams=np.zeros(shape))
+
+    def test_is_keyword_only(self):
+        param = inspect.signature(estimate_cost).parameters["streams"]
+        assert param.kind is inspect.Parameter.KEYWORD_ONLY
 
 
 class TestInitialBelief:
@@ -416,6 +456,19 @@ class TestStatelessPolicies:
             assert vars(policy) == args
             _rollout(model, policy, uniform_belief(3), 5, seed=1, runs=4, proxy=True)
             assert vars(policy) == args
+
+    @pytest.mark.parametrize("u", [2.7, 2.0, np.float64(2.0), True, np.bool_(True), "2", None],
+                             ids=["2.7", "2.0", "float64", "True", "bool_", "str", "None"])
+    def test_fixed_action_must_be_an_integer(self, u):
+        with pytest.raises(InvalidAction, match="integer"):
+            FixedPolicy(u)
+
+    def test_fixed_action_may_be_a_numpy_integer(self):
+        model = example1_model(rho=0.9)
+        policy = FixedPolicy(np.int64(2))
+        assert vars(policy) == {"u": 2}
+        assert (estimate_cost(model, policy, uniform_belief(3), 10, 20, 3)
+                == estimate_cost(model, FixedPolicy(2), uniform_belief(3), 10, 20, 3))
 
     def test_grid_step_carries_its_lookahead(self, gvf, rng):
         model = example1_model(rho=0.9)

@@ -3,6 +3,7 @@ import pytest
 
 from hierpoll.errors import (
     DegenerateDegreeZero,
+    InvalidArgument,
     NegativeEntry,
     NonFiniteEntry,
     NonzeroRemainder,
@@ -13,6 +14,7 @@ from hierpoll.errors import (
 from hierpoll.presets import intent_weight_audit, intent_weight_polynomial
 from hierpoll.stochastic import (
     ConvexPolynomial,
+    check_seed,
     deflate_chain,
     eval_matrix_polynomial,
     fractional_power,
@@ -24,6 +26,21 @@ from hierpoll.stochastic import (
 )
 
 from conftest import random_stochastic, random_ultrametric
+
+
+class TestCheckSeed:
+    @pytest.mark.parametrize("seed", [0, 7, np.int64(3), 2**70, [0, 2**32], (np.uint32(5), 1)],
+                             ids=["0", "7", "int64", "2**70", "list", "tuple"])
+    def test_nonnegative_integers_pass_unchanged(self, seed):
+        assert check_seed(seed) is seed
+
+    @pytest.mark.parametrize("seed", [True, False, np.bool_(True), [0, True], (np.bool_(False),),
+                                      -1, 1.0, "1", None],
+                             ids=["True", "False", "bool_", "list-True", "tuple-bool_",
+                                  "-1", "1.0", "str", "None"])
+    def test_bools_and_other_non_integers_are_invalid(self, seed):
+        with pytest.raises(InvalidArgument, match="integers >= 0"):
+            check_seed(seed)
 
 
 class TestValidateStochastic:
