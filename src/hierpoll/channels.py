@@ -180,13 +180,16 @@ def friendship_channel(B_level, n_friends: int) -> Channel:
     # log 0 is taken as -1e300, finite so that a count of 0 adds 0 (0^0 = 1)
     # while any positive count still gives exp = 0
     counts, index = np.unique(comps, return_inverse=True)
-    log_fact = np.array([math.lgamma(k + 1) for k in counts.tolist()])[index.reshape(comps.shape)]
+    index = index.reshape(comps.shape)
+    log_fact = np.array([math.lgamma(k + 1) for k in counts.tolist()])[index]
     log_B = np.log(B, out=np.full(B.shape, -1e300), where=B > 0)
     M = np.exp(math.lgamma(n_friends + 1) - log_fact.sum(axis=1) + log_B @ comps.T)
     # each row sums to 1 in exact arithmetic, but lgamma's rounding, about 1e-16
     # of n log n, puts the sums off by more than the row-sum check from ~1e5 friends
     M /= M.sum(axis=1, keepdims=True)
-    labels = tuple(",".join(f"{k}/{n_friends}" for k in comp) for comp in comps.tolist())
+    # one "k/n" string per count that occurs; a format per entry took most of the build
+    names = np.array([f"{k}/{n_friends}" for k in counts.tolist()], dtype=object)
+    labels = tuple(map(",".join, zip(*names[index.T].tolist())))
     return make_channel(validate_stochastic(M), output_labels=labels)
 
 

@@ -83,8 +83,9 @@ class CostSpec:
     The variant only chooses the uncertainty h of the state estimate: the
     belief entropy in bits for intent polling, the quadratic estimation
     error 1 - pi'pi for expectation and friendship polling. Offsets are
-    zero except for intent polling. Finite costs, monotone across actions
-    (cheaper but noisier as u grows), are enforced at construction.
+    zero except for intent polling. Finite costs with nonnegative weights,
+    monotone across actions (cheaper but noisier as u grows), are enforced
+    at construction.
     """
 
     variant: str
@@ -113,6 +114,9 @@ class CostSpec:
                 raise InvalidCostSpec("one error weight per action required")
             if np.any(_steps(w) <= 0):
                 raise InvalidCostSpec("error weights must be strictly increasing in u")
+            # the stage costs are concave in pi, as the myopic bound needs, only if w >= 0
+            if w.min() < 0:
+                raise InvalidCostSpec(f"error weights must be >= 0, got {w.min()}")
             g2 = np.zeros(U)
         elif self.variant == "intent":
             if self.weights is None or self.offsets is None:

@@ -7,21 +7,18 @@ piecewise proxy ctilde(pi_k) of the same step. rho enters only in the summary,
 which weights step k by rho^k from k = 0, so one rollout serves every rho.
 Every run draws its uniforms from a stream keyed by (seed, run index), so
 runs are individually reproducible and independent of batch size or
-execution order. Run r's stream is `np.random.default_rng([seed, r])`:
-numpy's SeedSequence hashes the 32-bit words of seed and r into four 64-bit
-words, which seed PCG64. `_uniform_streams` reproduces that hash with uint32
-array arithmetic over many runs at once, and only loads each run's PCG64
-state and draws per run. A rollout builds its runs x (1 + 2 horizon)
-uniforms up front unless its caller passes them: `l1_components` draws them
-once for all of its rollouts and frees them when the sweep returns. On
-`example1` that runs in 0.486 s against 0.553 s for one array per rollout,
-with 15.6k against 13.8k minor page faults and 41.95 against 41.77 MB peak
-RSS (medians of 8 alternating pairs in the benchmark's child process, 2-vCPU
-x86-64 host). A shared array once made `example1` 10-40% slower, with 364k
-faults, as glibc served the ~150 KB per-step temporaries from fresh
-mappings. Pinning glibc's mmap threshold at 128 KB (MALLOC_MMAP_THRESHOLD_)
-still brings that back for either variant, so it is the arrays the sweep
-frees before its grid rollouts that now raise the threshold.
+execution order: run r's stream is `np.random.default_rng([seed, r])`. A
+rollout builds its runs x (1 + 2 horizon) uniforms up front unless its
+caller passes them: `l1_components` draws them once for all of its rollouts
+and frees them when the sweep returns. On `example1` that runs in 0.486 s
+against 0.553 s for one array per rollout, with 15.6k against 13.8k minor
+page faults and 41.95 against 41.77 MB peak RSS (medians of 8 alternating
+pairs in the benchmark's child process, 2-vCPU x86-64 host). A shared array
+once made `example1` 10-40% slower, with 364k faults, as glibc served the
+~150 KB per-step temporaries from fresh mappings. Pinning glibc's mmap
+threshold at 128 KB (MALLOC_MMAP_THRESHOLD_) still brings that back for
+either variant, so it is the arrays the sweep frees before its grid
+rollouts that now raise the threshold.
 Symbols are drawn from, and filtered with, the model's
 (U, X, Y_max) likelihood tensor. Draws count the cumulative law below each
 uniform, with the laws held categories first (one column per state, or per
@@ -123,101 +120,13 @@ class Trajectory:
         return self.actions.size
 
 
-# numpy's SeedSequence hash (bit_generator.pyx) and PCG64 seeding (pcg64.h,
-# pcg_setseq_128_srandom_r), which `default_rng([seed, r])` runs per run.
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = 2 ** 32 - 1, 2 ** 128 - 1
-# Runs hashed per pass. Bigger passes keep more temporaries alive at once:
-# example1's peak RSS rose by about 0.07, 0.15 and 0.25 MB at 64, 256 and
-# 1024, while a pass costs about 0.2 ms whatever its size.
-_HASH_CHUNK = 256
-
-
-def _entropy_words(n) -> list[int]:
-    """A checked seed or run index as SeedSequence reads it: 32-bit words,
-    least significant first, one word for 0."""
-    n = int(n)
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
-
-
-def _seed_sequence_words(entropy: np.ndarray) -> np.ndarray:
-    """`SeedSequence(row).generate_state(8, np.uint32)` for every row of an
-    (n, width) uint32 entropy array, as one (n, 8) uint32 array. The hash
-    constants step the same way whatever the data, so every row is hashed
-    by the same sequence of uint32 array operations."""
-    n, width = entropy.shape
-    const, shift = _INIT_A, np.uint32(16)
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * _MULT_A & _MASK32
-        value = value * np.uint32(const)
-        return value ^ (value >> shift)
-
-    def mix(x, y):
-        value = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return value ^ (value >> shift)
-
-    zero = np.zeros(n, np.uint32)
-    pool = [hashmix(entropy[:, i] if i < width else zero) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL_SIZE, width):
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
-    const = _INIT_B
-    words = np.empty((n, 8), np.uint32)
-    for i in range(8):
-        value = pool[i % _POOL_SIZE] ^ np.uint32(const)
-        const = const * _MULT_B & _MASK32
-        value = value * np.uint32(const)
-        words[:, i] = value ^ (value >> shift)
-    return words
-
-
 def _uniform_streams(seed: int, run_ids, horizon: int) -> np.ndarray:
     """Row i holds `default_rng([seed, run_ids[i]]).random(1 + 2 horizon)`,
-    bit for bit. Runs are hashed _HASH_CHUNK at a time, grouped by entropy
-    length; then each run's PCG64 state is formed as `srandom_r` does,
-    loaded into one reused generator and drawn straight into its row."""
+    each run's generator drawing straight into its row."""
     check_seed([seed, *run_ids])
-    seed_words = _entropy_words(seed)
-    # One array serves all of l1_components' rollouts: 0.486 against 0.553 s
-    # for one per rollout on example1, with no return of the glibc-mapping
-    # slowdown once measured for it (see the module docstring).
     draws = np.empty((len(run_ids), 1 + 2 * horizon))
-    bits = np.random.PCG64(0)
-    generator = np.random.Generator(bits)
-    for start in range(0, len(run_ids), _HASH_CHUNK):
-        groups: dict[int, list[tuple[int, list[int]]]] = {}
-        for i in range(start, min(start + _HASH_CHUNK, len(run_ids))):
-            entropy = seed_words + _entropy_words(run_ids[i])
-            groups.setdefault(len(entropy), []).append((i, entropy))
-        for group in groups.values():
-            rows, entropies = zip(*group)
-            words = _seed_sequence_words(np.array(entropies, dtype=np.uint32))
-            for i, run_words in zip(rows, words):
-                # generate_state(4, np.uint64) pairs the words low first; the
-                # first two uint64s are PCG64's initstate, the last two its
-                # initseq, each high half first.
-                w0, w1, w2, w3, w4, w5, w6, w7 = run_words.tolist()
-                initstate = (w1 << 96) | (w0 << 64) | (w3 << 32) | w2
-                initseq = (w5 << 96) | (w4 << 64) | (w7 << 32) | w6
-                inc = ((initseq << 1) | 1) & _MASK128
-                state = ((initstate + inc) * _PCG64_MULT + inc) & _MASK128
-                bits.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                              "state": {"state": state, "inc": inc}}
-                generator.random(out=draws[i])
+    for row, r in zip(draws, run_ids):
+        np.random.default_rng([seed, r]).random(out=row)
     return draws
 
 
@@ -376,7 +285,11 @@ def uniform_belief(X: int) -> np.ndarray:
 
 def loss_ratio(j: CostEstimate, j_ref: CostEstimate) -> tuple[float, float]:
     """Relative excess (J - J_ref) / J_ref and its standard error, the two
-    estimates' errors combined as if independent."""
+    estimates' errors combined as if independent. A reference mean of 0
+    raises InvalidArgument."""
+    if j_ref.mean == 0:
+        raise InvalidArgument("the reference cost estimate has mean 0, "
+                              "so the relative excess is undefined")
     value = (j.mean - j_ref.mean) / j_ref.mean
     return value, float(np.hypot(j.stderr, j_ref.stderr) / j_ref.mean)
 

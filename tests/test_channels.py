@@ -237,6 +237,13 @@ class TestFriendshipChannel:
         assert np.abs(ch.matrix.entries.sum(axis=1) - 1.0).max() < 1e-12
         assert np.abs(ch.matrix.entries - binom.pmf(np.arange(n + 1), n, 0.5)).max() <= 1e-12
 
+    @pytest.mark.parametrize("n, X", [(1, 1), (10 ** 12, 1), (1, 2), (4, 3), (12, 2),
+                                      (30, 4), (6, 5)])
+    def test_labels_match_per_composition_join(self, n, X):
+        want = tuple(",".join(f"{k}/{n}" for k in comp)
+                     for comp in channels._compositions(n, X).tolist())
+        assert friendship_channel(np.full((X, X), 1 / X), n).output_labels == want
+
     def test_alphabet_cap(self):
         with pytest.raises(AlphabetTooLarge):
             friendship_channel(np.full((8, 8), 0.125), 40)

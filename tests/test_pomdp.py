@@ -62,6 +62,13 @@ class TestCostSpec:
         with pytest.raises(InvalidCostSpec):
             CostSpec.expectation([0.5, 0.25], [1.0, 0.5])  # w decreasing
 
+    @pytest.mark.parametrize("variant", ["expectation", "friendship"])
+    def test_negative_error_weights_rejected(self, variant):
+        # stage costs are concave in pi only for w >= 0
+        with pytest.raises(InvalidCostSpec, match="error weights must be >= 0"):
+            CostSpec(variant, [0, 0], [-2, -1])
+        assert CostSpec(variant, [0, 0], [0, 1]).weights.tolist() == [0.0, 1.0]
+
     @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
     def test_non_finite_ctilde_weight_rejected(self, weight):
         with pytest.raises(InvalidCostSpec, match="ctilde_weight"):
