@@ -9,7 +9,7 @@ upper bound on the capacity, so each result carries a certified gap.
 channels are the diagonal blocks of one matrix, each keeps its own iterates
 and stop, and a channel leaves the packing once it stops. The stop is
 decided once per block of _BLOCK passes, from the iterates each pass
-stores, and the loop resumes from the first pass at which it fires. The
+stores, and the loop resumes after the first pass at which it fires. The
 results are bit for bit those of a loop that decides after every pass, and
 a pass costs twelve numpy calls.
 
@@ -124,12 +124,6 @@ def _pack(blocks):
     return B, _kl_rows(B, np.ones(B.shape[1])), starts, np.repeat(np.arange(len(rows)), rows)
 
 
-def _first(mask: np.ndarray, none: int) -> int:
-    """Index of the first true entry of a 1-d mask, or `none` if there is none."""
-    hits = np.flatnonzero(mask)
-    return int(hits[0]) if hits.size else none
-
-
 def _buffers(B: np.ndarray, r: np.ndarray):
     """A block's rows of r (one more, for the input after the block), q and
     D, with r the input of its first pass."""
@@ -147,12 +141,12 @@ def _blahut_arimoto(blocks, first: int, tol: float) -> list[Capacity]:
     A pass only updates: it writes its input r, output marginal q and row
     divergences D into row t of (_BLOCK, n) buffers and the next input into
     row t + 1. After a block of passes, one reduceat gives every estimate of
-    the block, and the loop resumes from the first pass at which a channel
-    stops or q falls below _Q_FLOOR. Passes before that one are exactly
-    those of a loop that decides after every pass. A floor pass needs D from
-    _kl_rows, so the block is run again from it with the floor tested on
-    every pass; the passes after a floor pass in the first run are discarded
-    unread, and their arithmetic runs with its warnings off."""
+    the block, and the loop resumes after the first pass at which a channel
+    stops; passes up to that one are exactly those of a loop that decides
+    after every pass. A pass whose q falls below _Q_FLOOR needs D from
+    _kl_rows, so a block that meets one is run again from its first pass
+    with the floor tested on every pass. The first run is discarded unread,
+    and its arithmetic runs with its warnings off."""
     results: list[Capacity | None] = [None] * len(blocks)
     active = np.arange(len(blocks))
     prev = np.full(len(blocks), -np.inf)
@@ -172,19 +166,18 @@ def _blahut_arimoto(blocks, first: int, tol: float) -> list[Capacity]:
                     np.subtract(H, B.dot(np.log(q)), out=d)     # nats
                 w = r * np.exp(d - np.maximum.reduceat(d, starts)[owner])
                 np.divide(w, np.add.reduceat(w, starts)[owner], out=R[t + 1])
-            estimates = np.add.reduceat(R[:passes] * D[:passes], starts, axis=1) / _LOG2
-            stops = np.abs(np.diff(estimates, axis=0, prepend=prev[None])) < tol
-        floor = passes if checked else _first(Q[:passes].min(axis=1) < _Q_FLOOR, passes)
-        s = min(floor, _first(stops.any(axis=1), passes))
-        checked = s == floor < passes
-        if s == floor:
-            # no channel stops before pass s, which ends the block or is a
-            # floor pass. The next block starts at it, and after a floor pass
-            # tests the floor on every pass, so a stop at s waits for D from
-            # _kl_rows
-            done, R[0] = done + s, R[s]
-            prev = estimates[s - 1] if s else prev
+        # per pass: a discarded pass can make later q NaN, which hides a block-wide min
+        if not checked and (Q[:passes].min(axis=1) < _Q_FLOOR).any():
+            checked = True
             continue
+        checked = False
+        estimates = np.add.reduceat(R[:passes] * D[:passes], starts, axis=1) / _LOG2
+        stops = np.abs(np.diff(estimates, axis=0, prepend=prev[None])) < tol
+        hits = np.flatnonzero(stops.any(axis=1))
+        if not hits.size:
+            done, R[0], prev = done + passes, R[passes], estimates[-1]
+            continue
+        s = int(hits[0])
         done += s + 1
         r, q, d, estimate, stop = R[s], Q[s], D[s], estimates[s], stops[s]
         # max_x D(O_x || q) bounds C for any q; a row reaching a symbol of q

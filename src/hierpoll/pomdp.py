@@ -83,9 +83,9 @@ class CostSpec:
     The variant only chooses the uncertainty h of the state estimate: the
     belief entropy in bits for intent polling, the quadratic estimation
     error 1 - pi'pi for expectation and friendship polling. Offsets are
-    zero except for intent polling. Finite costs with nonnegative weights,
-    monotone across actions (cheaper but noisier as u grows), are enforced
-    at construction.
+    zero except for intent polling. Finite costs with nonnegative weights
+    and measurement costs, monotone across actions (cheaper but noisier as
+    u grows), are enforced at construction.
     """
 
     variant: str
@@ -117,6 +117,8 @@ class CostSpec:
             # the stage costs are concave in pi, as the myopic bound needs, only if w >= 0
             if w.min() < 0:
                 raise InvalidCostSpec(f"error weights must be >= 0, got {w.min()}")
+            if self.offsets is not None and np.any(np.asarray(self.offsets, dtype=float) != 0):
+                raise InvalidCostSpec(f"{self.variant} costs take no offsets, got {self.offsets}")
             g2 = np.zeros(U)
         elif self.variant == "intent":
             if self.weights is None or self.offsets is None:
@@ -138,6 +140,10 @@ class CostSpec:
                         ("offsets", g2), ("level_costs", self.level_costs)):
             if v is not None and not np.isfinite(v).all():
                 raise InvalidCostSpec(f"{name} must be finite, got {v}")
+        # every stage cost is then >= 0, as value iteration's start at V = 0 needs
+        for name, v in (("measurement", self.measurement), ("level_costs", self.level_costs)):
+            if v is not None and np.any(np.asarray(v) < 0):
+                raise InvalidCostSpec(f"{name} must be >= 0, got {v}")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "offsets", g2)
 

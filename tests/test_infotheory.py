@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hierpoll import infotheory
-from hierpoll.channels import DominanceChain, approximate_blackwell_chain, make_channel
+from hierpoll.channels import (
+    DominanceChain,
+    approximate_blackwell_chain,
+    friendship_channel,
+    make_channel,
+)
 from hierpoll.errors import (
     AlphaOutOfRange,
     DimensionMismatch,
@@ -330,7 +335,8 @@ class TestBlockedStop:
 
 class TestOutputFloor:
     """Channels whose output marginal falls below the floor, so that D comes
-    from _kl_rows; a block that meets such a pass is run again from it."""
+    from _kl_rows; a block that meets such a pass is run again from its
+    first pass."""
 
     ORDINARY = [[0.9, 0.1], [0.3, 0.7]]
     # a 1e-310 entry is the only mass on its symbol, so q there is always
@@ -369,6 +375,14 @@ class TestOutputFloor:
             r, first_floor = w / w.sum(), first_floor + 1
         assert 0 < first_floor < infotheory._BLOCK
         self._check([fading, self.ORDINARY], [True, False])
+
+    def test_large_friendship_channel_beside_an_ordinary_one(self):
+        # at 3000 friends some output symbols have q = 0 in floating point, so
+        # a block's unchecked run turns NaN after its first floor pass; the
+        # floor must still be found per pass, and the ordinary channel runs
+        # on into a second block
+        channels = [friendship_channel(np.full((2, 2), 0.5), 3000).matrix, self.ORDINARY]
+        _assert_bitwise_equal(shannon_capacities(channels), _per_pass_capacities(channels))
 
 
 class TestDataProcessingInequality:

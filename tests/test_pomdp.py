@@ -69,6 +69,25 @@ class TestCostSpec:
             CostSpec(variant, [0, 0], [-2, -1])
         assert CostSpec(variant, [0, 0], [0, 1]).weights.tolist() == [0.0, 1.0]
 
+    @pytest.mark.parametrize("make", [
+        lambda: CostSpec.expectation([-1, -2], [0, 1]),
+        lambda: CostSpec.friendship([0.5, -0.25], [0.5, 1.0]),
+        lambda: CostSpec.intent([-1.0, -2.0], _BETAS, [2.0, 1.0], [1.0, 2.0]),
+        # the negative level is beyond every beta, so the measurements are 0
+        lambda: CostSpec.intent([0.0, 0.0, -1.0], _BETAS, [2.0, 1.0], [1.0, 2.0]),
+    ], ids=["expectation", "friendship", "intent", "intent-unused-level"])
+    def test_negative_measurement_costs_rejected(self, make):
+        # value iteration starts at V = 0, which needs every stage cost >= 0
+        with pytest.raises(InvalidCostSpec, match="must be >= 0"):
+            make()
+
+    @pytest.mark.parametrize("variant", ["expectation", "friendship"])
+    def test_offsets_only_for_intent(self, variant):
+        with pytest.raises(InvalidCostSpec, match="take no offsets"):
+            CostSpec(variant, [0.5, 0.25], [0.5, 1.0], offsets=[1.0, 2.0])
+        spec = CostSpec(variant, [0.5, 0.25], [0.5, 1.0], offsets=[0.0, 0.0])
+        assert spec.offsets.tolist() == [0.0, 0.0]
+
     @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
     def test_non_finite_ctilde_weight_rejected(self, weight):
         with pytest.raises(InvalidCostSpec, match="ctilde_weight"):
