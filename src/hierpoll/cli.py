@@ -147,7 +147,7 @@ def cmd_example1(args) -> int:
         report = verify_myopic_bound(model, args.grid_m)
         print(f"# rho={model.rho}: chain deficiencies {['%.2e' % d for d in report.deficiencies]}, "
               f"myopic bound: {len(report.violations)} violations on "
-              f"{report.grid_points}-point grid (M={args.grid_m})", file=sys.stderr)
+              f"{report.solution.grid.size}-point grid (M={args.grid_m})", file=sys.stderr)
         holds.append(report.holds)
         return report.solution
 

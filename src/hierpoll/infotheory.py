@@ -32,7 +32,7 @@ from .errors import (
     InvalidArgument,
     MaxIterationsExceeded,
 )
-from .stochastic import as_array
+from .stochastic import as_array, validate_stochastic
 
 _LOG2 = np.log(2.0)
 _MAX_ITERATIONS = 10 ** 5  # Blahut-Arimoto updates before MaxIterationsExceeded
@@ -44,12 +44,25 @@ _ORDERING_SLACK = 1e-8      # numeric slack of the capacity and Renyi ordering m
 
 def mutual_information(ch, input_dist) -> float:
     """I(X;Y) in bits for channel rows ch and input distribution input_dist."""
-    O = as_array(ch)
-    p = np.asarray(input_dist, dtype=float)
+    O = validate_stochastic(as_array(ch)).entries
+    p = _distribution(input_dist)
     if p.shape != (O.shape[0],):
         raise DimensionMismatch(f"input distribution of size {p.size} "
                                 f"for a channel with {O.shape[0]} inputs")
     return float(p @ _kl_rows(O, p @ O)) / _LOG2
+
+
+def _distribution(p) -> np.ndarray:
+    """p checked as the one row of a StochasticMatrix."""
+    return validate_stochastic([p]).entries[0]
+
+
+def _distributions(p, q):
+    """p and q checked as distributions on one alphabet."""
+    p, q = _distribution(p), _distribution(q)
+    if p.shape != q.shape:
+        raise DimensionMismatch("distributions on different alphabets")
+    return p, q
 
 
 def _kl_rows(O: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -210,8 +223,7 @@ def shannon_capacity(ch, tol: float = 1e-10):
 
 def kl_divergence(p, q) -> float:
     """Relative entropy in bits with the usual 0 log 0 conventions."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    p, q = _distributions(p, q)
     if np.any((p > 0) & (q == 0)):
         return float("inf")
     return float(_kl_rows(p[None, :], q)[0]) / _LOG2
@@ -224,10 +236,7 @@ def renyi_divergence(p, q, alpha: float) -> float:
     p's support. Zero-probability symbols contribute nothing, which makes
     the value continuous in (p, q) on this alpha range.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise DimensionMismatch("distributions on different alphabets")
+    p, q = _distributions(p, q)
     return float(_renyi_table(p.reshape(1, -1), q.reshape(1, -1), [alpha])[0, 0, 0])
 
 
@@ -237,7 +246,7 @@ def _renyi_table(P: np.ndarray, Q: np.ndarray, alphas) -> np.ndarray:
     are positive count, so alpha = 0 sums q over p's support (p^0 = 1); a
     zero total gives inf."""
     a = np.asarray(alphas, dtype=float).reshape(-1, 1)
-    if not np.all((0.0 <= a) & (a < 1.0)):
+    if not a.size or not np.all((0.0 <= a) & (a < 1.0)):
         raise AlphaOutOfRange(f"alpha must lie in [0, 1), got {a.ravel().tolist()}")
     P = np.where(P > 0, P, 0.0)[:, None, None, :]
     Q = np.where(Q > 0, Q, 0.0)[None, :, None, :]
@@ -255,23 +264,9 @@ class InfoReport:
     alphas: tuple[float, ...]
     divergences: np.ndarray        # (n_channels, X, X, n_alphas)
     capacity_margins: np.ndarray   # C_u - C_{u+1}
-    renyi_margins: np.ndarray      # worst-case D_u - D_{u+1} per step
+    renyi_margins: np.ndarray      # min over i != j and alpha of D_u(i||j) - D_{u+1}(i||j)
     capacity_ordering_holds: bool
     renyi_ordering_holds: bool
-
-    def rows(self):
-        """Flat (channel_index, capacity, pair, alpha, divergence) records."""
-        out = []
-        n, X, _, A = self.divergences.shape
-        for u in range(n):
-            for i in range(X):
-                for j in range(X):
-                    if i == j:
-                        continue
-                    for a in range(A):
-                        out.append((u + 1, self.capacities[u], f"{i + 1}-{j + 1}",
-                                    self.alphas[a], float(self.divergences[u, i, j, a])))
-        return out
 
 
 def channel_divergences(ch, alphas) -> np.ndarray:
@@ -287,23 +282,21 @@ def channel_divergences(ch, alphas) -> np.ndarray:
 def verify_orderings(chain: DominanceChain, alphas) -> InfoReport:
     """Check capacity and Renyi-divergence monotonicity along a certified chain.
 
-    Capacities must be nonincreasing and every state pair's divergence must be
-    nonincreasing at every alpha, both within the numeric slack _ORDERING_SLACK.
+    Capacities must be nonincreasing and every pair of distinct states'
+    divergence must be nonincreasing at every alpha, both within the numeric
+    slack _ORDERING_SLACK. A pair infinite on both channels of a step counts
+    0; the diagonal, 0 on every channel, is left out.
     """
     certify_chain(chain.deficiencies)
     alphas = tuple(float(a) for a in alphas)
     caps = [c.bits for c in shannon_capacities(chain.channels)]
-    divs = [channel_divergences(ch, alphas) for ch in chain.channels]
-    divergences = np.stack(divs) if divs else np.zeros((0, 0, 0, len(alphas)))
-    cap_margins = -np.diff(np.asarray(caps)) if len(caps) > 1 else np.zeros(0)
-
-    def step_margin(u):
-        hi, lo = divergences[u], divergences[u + 1]
-        diff = np.where(np.isinf(hi) & np.isinf(lo), 0.0, hi - lo)
-        return float(diff.min())
-
-    renyi_margins = (np.array([step_margin(u) for u in range(len(caps) - 1)])
-                     if len(caps) > 1 else np.zeros(0))
+    divergences = np.stack([channel_divergences(ch, alphas) for ch in chain.channels])
+    cap_margins = -np.diff(caps)
+    hi, lo = divergences[:-1], divergences[1:]
+    with np.errstate(invalid="ignore"):
+        steps = np.where(np.isinf(hi) & np.isinf(lo), 0.0, hi - lo)
+    off_diagonal = ~np.eye(divergences.shape[1], dtype=bool)
+    renyi_margins = steps[:, off_diagonal].min(axis=(1, 2), initial=np.inf)
     return InfoReport(
         capacities=tuple(caps),
         alphas=alphas,

@@ -563,20 +563,19 @@ def _interpolation_allowance(grid: FreudenthalGrid, *value_arrays) -> float:
 
 @dataclass(frozen=True)
 class MyopicBoundReport:
-    grid_points: int
     violations: tuple[int, ...]
-    coincide_on_action_one: bool
     deficiencies: tuple[float, ...]
-    sweeps: int
     solution: GridValueFunction = field(repr=False)
 
     @property
     def holds(self) -> bool:
-        return not self.violations and self.coincide_on_action_one
+        return not self.violations
 
 
 def verify_myopic_bound(model: PollingModel, M: int) -> MyopicBoundReport:
-    """Check mu*(g) <= myopic(g) everywhere, with equality forced on action 1.
+    """Check mu*(g) <= myopic(g) at every grid point. Where the myopic action
+    is 1 this forces mu*(g) = 1: every other action is > 1, so a point where
+    the two differ there is already a violation.
 
     Requires the channels to form a certified dominance chain; the
     instantaneous costs are concave for all three families by construction.
@@ -585,10 +584,7 @@ def verify_myopic_bound(model: PollingModel, M: int) -> MyopicBoundReport:
     gvf = value_iteration(model, M)
     myopic = myopic_policy(gvf.points, model.costs)
     violations = tuple(int(i) for i in np.nonzero(gvf.policy > myopic)[0])
-    coincide = bool(np.all(gvf.policy[myopic == 1] == 1))
-    return MyopicBoundReport(grid_points=gvf.grid.size, violations=violations,
-                             coincide_on_action_one=coincide,
-                             deficiencies=deficiencies, sweeps=gvf.sweeps,
+    return MyopicBoundReport(violations=violations, deficiencies=deficiencies,
                              solution=gvf)
 
 

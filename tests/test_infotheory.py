@@ -17,6 +17,8 @@ from hierpoll.errors import (
     DimensionMismatch,
     InvalidArgument,
     MaxIterationsExceeded,
+    NegativeEntry,
+    RowSumMismatch,
     UncertifiedChain,
 )
 from hierpoll.presets import example2_parts
@@ -172,6 +174,12 @@ class TestMutualInformation:
     def test_dimension_mismatch(self, O1):
         with pytest.raises(DimensionMismatch):
             mutual_information(O1, [0.5, 0.5])
+
+    def test_channel_and_input_are_checked(self, O1):
+        with pytest.raises(RowSumMismatch):
+            mutual_information(O1, [0.5, 0.5, 0.5])
+        with pytest.raises(RowSumMismatch):
+            mutual_information([[2.0, 0.0], [0.0, 1.0]], [0.5, 0.5])
 
 
 class TestShannonCapacity:
@@ -454,6 +462,26 @@ class TestRenyiDivergence:
         with pytest.raises(AlphaOutOfRange):
             channel_divergences(np.eye(2), [0.5, 1.0])
 
+    def test_empty_alpha_list_rejected(self, O1):
+        with pytest.raises(AlphaOutOfRange):
+            channel_divergences(O1, [])
+        with pytest.raises(AlphaOutOfRange):
+            verify_orderings(approximate_blackwell_chain([O1, O1]), [])
+
+    def test_distributions_are_checked(self):
+        with pytest.raises(RowSumMismatch):
+            renyi_divergence([2.0, 3.0], [0.5, 0.5], 0.5)
+        with pytest.raises(NegativeEntry):
+            renyi_divergence([0.5, 0.5], [1.5, -0.5], 0.5)
+
+
+class TestKLDivergence:
+    def test_distributions_are_checked(self):
+        with pytest.raises(RowSumMismatch):
+            kl_divergence([2.0, 3.0], [0.5, 0.5])
+        with pytest.raises(DimensionMismatch):
+            kl_divergence([0.5, 0.5], [0.2, 0.3, 0.5])
+
 
 class TestVerifyOrderings:
     def test_power_chain_capacities_strictly_decrease(self, O1):
@@ -474,6 +502,28 @@ class TestVerifyOrderings:
         chain = approximate_blackwell_chain([O1, O2])
         report = verify_orderings(chain, alphas=np.arange(1, 10) / 10)
         assert report.capacity_ordering_holds
+        assert report.renyi_ordering_holds
+
+    def test_published_pair_margin_is_the_off_diagonal_minimum(self, O1, O2):
+        # the diagonal, 0 on both channels, would pin the margin at 0
+        alphas = np.arange(1, 10) / 10
+        report = verify_orderings(approximate_blackwell_chain([O1, O2]), alphas)
+        want = min(renyi_divergence(O1[i], O1[j], a) - renyi_divergence(O2[i], O2[j], a)
+                   for i in range(3) for j in range(3) if i != j for a in alphas)
+        assert want == pytest.approx(0.0667, abs=1e-4)
+        assert report.renyi_margins == pytest.approx([want], rel=1e-12)
+
+    def test_pairs_infinite_on_both_channels_count_zero(self, O1):
+        # every distinct pair of np.eye(3) is at infinite divergence
+        report = verify_orderings(approximate_blackwell_chain([np.eye(3), O1]), [0.5])
+        assert report.renyi_margins[0] == np.inf
+        report = verify_orderings(approximate_blackwell_chain([np.eye(3), np.eye(3), O1]),
+                                  [0.5])
+        assert report.renyi_margins.tolist() == [0.0, np.inf]
+
+    def test_one_state_chain_has_no_pair_to_order(self):
+        report = verify_orderings(approximate_blackwell_chain([[[1.0]], [[1.0]]]), [0.5])
+        assert report.renyi_margins.tolist() == [np.inf]
         assert report.renyi_ordering_holds
 
     def test_reversed_chain_with_a_false_certificate_fails_both_orderings(self, O1, O2):
@@ -497,10 +547,3 @@ class TestVerifyOrderings:
         )
         with pytest.raises(UncertifiedChain):
             verify_orderings(bad, alphas=[0.5])
-
-    def test_report_rows_shape(self, O1, O2):
-        chain = approximate_blackwell_chain([O1, O2])
-        report = verify_orderings(chain, alphas=[0.25, 0.75])
-        rows = report.rows()
-        assert len(rows) == 2 * 6 * 2  # channels * ordered pairs * alphas
-        assert {r[0] for r in rows} == {1, 2}

@@ -666,6 +666,19 @@ class TestMyopicBound:
         myopic = np.argmin(cost_matrix(gvf.points, model.costs), axis=1) + 1
         assert np.array_equal(gvf.policy, myopic)
 
+    def test_action_raised_from_one_is_a_violation(self, model, monkeypatch):
+        # mutant: the solver answers action 2 at a point where the myopic action is 1
+        solution = value_iteration(model, M=12)
+        k = int(np.flatnonzero(myopic_policy(solution.points, model.costs) == 1)[0])
+        assert solution.policy[k] == 1
+        policy = solution.policy.copy()
+        policy[k] = 2
+        monkeypatch.setattr(pomdp, "value_iteration",
+                            lambda *args: replace(solution, policy=policy))
+        report = verify_myopic_bound(model, M=12)
+        assert k in report.violations
+        assert not report.holds
+
     def test_reversed_chain_rejected(self, O1, O2, P3):
         # O2 is a garbling of O1, so O1 listed as the less informative
         # action is not a dominance chain
