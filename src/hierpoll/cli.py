@@ -3,8 +3,9 @@
 Subcommands cover dominance certification of channel files, the two canned
 benchmark experiments, grid solving, simulation, capacity and divergence
 reports, and EM parameter estimation. Every command is deterministic given
---seed and emits byte-stable CSV bodies (metadata in '#' comments) or JSON.
-Exit code 0 means every verification the command ran has passed.
+--seed and writes its result through `_emit`: byte-stable CSV bodies
+(metadata in '#' comments) or JSON. Exit code 0 means every verification the
+command ran has passed, 1 that one failed, and 2 a bad input.
 """
 from __future__ import annotations
 
@@ -52,18 +53,19 @@ from .sim import (
 from .stochastic import is_hurwitz, polynomial_quotient, eval_matrix_polynomial
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is not >= 1")
-    return value
+def _int_at_least(low: int, name: str):
+    """An argparse type for an int >= low, called `name` in argparse's errors."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is not >= {low}")
+        return value
+    parse.__name__ = name
+    return parse
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{value} is not >= 0")
-    return value
+_positive_int = _int_at_least(1, "_positive_int")
+_nonnegative_int = _int_at_least(0, "_nonnegative_int")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -100,6 +102,23 @@ def _pair_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, index]).generate_state(1)[0] % (2 ** 31))
 
 
+def _emit(args, columns, rows, meta_src, extra=None, payload=None, holds=()) -> int:
+    """Write a command's result and fold its verifications into the exit code.
+
+    The result is the table of `columns` and `rows` with standard_meta of
+    `meta_src` and then `extra` as its meta, rendered in --format; under
+    --format json a command with its own `payload` writes that after the
+    meta instead. Returns 0 when every verification in `holds` passed, else 1.
+    """
+    meta = standard_meta(meta_src, args.seed)
+    if payload is not None and args.format == "json":
+        text = json.dumps({"meta": meta, **payload}, indent=2) + "\n"
+    else:
+        text = render_table(columns, rows, args.format, {**meta, **(extra or {})})
+    write_output(text, args.out)
+    return 0 if all(holds) else 1
+
+
 # ------------------------------------------------------------------ commands
 def cmd_dominance(args) -> int:
     channels = [load_channel(f) for f in args.channels]
@@ -120,19 +139,11 @@ def cmd_dominance(args) -> int:
         mark = "certified" if certifies(d) else "NOT certified"
         print(f"# O({u + 1}) >= O({u + 2}): deficiency {d:.3e} ({mark})",
               file=sys.stderr)
-    report = {
-        "meta": standard_meta({"channels": args.channels}, args.seed),
-        "pairwise_deficiency": pairwise.tolist(),
-        "chain": chain_to_dict(chain),
-        "certified": certified,
-    }
-    if args.format == "json":
-        write_output(json.dumps(report, indent=2) + "\n", args.out)
-    else:
-        rows = [(i + 1, j + 1, pairwise[i, j]) for i, j in pairs]
-        write_output(render_table(("dominating", "dominated", "deficiency"), rows,
-                                  "csv", report["meta"]), args.out)
-    return 0 if certified else 1
+    rows = [(i + 1, j + 1, pairwise[i, j]) for i, j in pairs]
+    payload = {"pairwise_deficiency": pairwise.tolist(), "chain": chain_to_dict(chain),
+               "certified": certified}
+    return _emit(args, ("dominating", "dominated", "deficiency"), rows,
+                 {"channels": args.channels}, payload=payload, holds=(certified,))
 
 
 RESULT_COLUMNS = ("rho", "metric", "value", "stderr", "runs", "horizon", "seed")
@@ -157,10 +168,7 @@ def cmd_example1(args) -> int:
                                solve=solve)
     rows = [(rho, "L1", *loss_ratio(*pair), args.runs, args.horizon, args.seed)
             for rho, pair in zip(args.rho_list, components)]
-    text = render_table(RESULT_COLUMNS, rows, args.format,
-                        standard_meta(meta_src, args.seed))
-    write_output(text, args.out)
-    return 0 if all(holds) else 1
+    return _emit(args, RESULT_COLUMNS, rows, meta_src, holds=holds)
 
 
 def cmd_example2(args) -> int:
@@ -175,7 +183,6 @@ def cmd_example2(args) -> int:
     print(f"# deflation audit: degrees f_1..f_5 = {degrees}, "
           f"all convex Hurwitz: {all_hurwitz}", file=sys.stderr)
     quotients = [polynomial_quotient(polys[u + 1], polys[u]) for u in range(4)]
-    ok = all_hurwitz
     pi0 = np.zeros(args.states)
     pi0[0] = 1.0
 
@@ -194,30 +201,24 @@ def cmd_example2(args) -> int:
     worst_residual = max(r for r, _ in results)
     print(f"# chain audit: worst quotient-garbling residual over {args.pairs} "
           f"draws = {worst_residual:.3e}", file=sys.stderr)
-    ok &= certifies(worst_residual)
     values = np.array([[v for v, _ in losses] for _, losses in results])
     errors = np.array([[e for _, e in losses] for _, losses in results])
     rows = [(rho, "L2", float(values[:, k].mean()),
              float(np.sqrt((errors[:, k] ** 2).sum()) / args.pairs),
              args.runs, args.horizon, args.seed)
             for k, rho in enumerate(args.rho_list)]
-    text = render_table(RESULT_COLUMNS, rows, args.format,
-                        standard_meta(meta_src, args.seed))
-    write_output(text, args.out)
-    return 0 if ok else 1
+    return _emit(args, RESULT_COLUMNS, rows, meta_src,
+                 holds=(all_hurwitz, certifies(worst_residual)))
 
 
 def cmd_solve(args) -> int:
-    model, payload = load_model(args.config)
+    model, config = load_model(args.config)
     gvf = value_iteration(model, args.grid_m)
     cols = tuple(f"pi_{i + 1}" for i in range(model.n_states)) + ("value", "action")
     rows = [tuple(pt) + (float(v), int(a))
             for pt, v, a in zip(gvf.points, gvf.values, gvf.policy)]
-    meta = standard_meta({"cmd": "solve", "config": payload, "grid_m": args.grid_m},
-                         args.seed)
-    meta["sweeps"] = gvf.sweeps
-    write_output(render_table(cols, rows, args.format, meta), args.out)
-    return 0
+    return _emit(args, cols, rows, {"cmd": "solve", "config": config, "grid_m": args.grid_m},
+                 extra={"sweeps": gvf.sweeps})
 
 
 def _make_policy(name: str, model, grid_m: int):
@@ -245,19 +246,15 @@ def _parse_pi0(text: str, X: int) -> np.ndarray:
 
 
 def cmd_simulate(args) -> int:
-    model, payload = load_model(args.config)
+    model, config = load_model(args.config)
     pi0 = (uniform_belief(model.n_states) if args.pi0 is None
            else _parse_pi0(args.pi0, model.n_states))
     policy = _make_policy(args.policy, model, args.grid_m)
     est = estimate_cost(model, policy, pi0, args.horizon, args.runs, args.seed)
-    meta = standard_meta({"cmd": "simulate", "config": payload,
-                          "policy": args.policy, "runs": args.runs,
-                          "horizon": args.horizon}, args.seed)
-    rows = [(est.mean, est.stderr, est.runs, est.horizon, est.seed,
-             est.truncation_bias)]
-    write_output(render_table(("mean", "stderr", "runs", "horizon", "seed",
-                               "truncation_bias"), rows, args.format, meta), args.out)
-    return 0
+    rows = [(est.mean, est.stderr, est.runs, est.horizon, est.seed, est.truncation_bias)]
+    return _emit(args, ("mean", "stderr", "runs", "horizon", "seed", "truncation_bias"),
+                 rows, {"cmd": "simulate", "config": config, "policy": args.policy,
+                        "runs": args.runs, "horizon": args.horizon})
 
 
 def cmd_capacity(args) -> int:
@@ -267,48 +264,31 @@ def cmd_capacity(args) -> int:
     except MaxIterationsExceeded as exc:
         raise MaxIterationsExceeded(f"{args.channels[exc.index]}: {exc}", exc.index) from exc
     rows = [(f, c.bits) for f, c in zip(args.channels, results)]
-    meta = standard_meta({"cmd": "capacity", "channels": args.channels}, args.seed)
-    meta["gap_bits"] = [c.gap_bits for c in results]
-    write_output(render_table(("channel", "capacity_bits"), rows, args.format, meta),
-                 args.out)
-    return 0
+    return _emit(args, ("channel", "capacity_bits"), rows,
+                 {"cmd": "capacity", "channels": args.channels},
+                 extra={"gap_bits": [c.gap_bits for c in results]})
 
 
 def cmd_renyi(args) -> int:
-    ch = load_channel(args.channel)
-    div = channel_divergences(ch, args.alphas)
-    rows = []
-    for i in range(div.shape[0]):
-        for j in range(div.shape[1]):
-            if i == j:
-                continue
-            for a, alpha in enumerate(args.alphas):
-                rows.append((f"{i + 1}-{j + 1}", alpha, float(div[i, j, a])))
-    meta = standard_meta({"cmd": "renyi", "channel": args.channel,
-                          "alphas": args.alphas}, args.seed)
-    write_output(render_table(("pair", "alpha", "divergence"), rows, args.format,
-                              meta), args.out)
-    return 0
+    div = channel_divergences(load_channel(args.channel), args.alphas)
+    rows = [(f"{i + 1}-{j + 1}", alpha, float(div[i, j, a]))
+            for i in range(div.shape[0]) for j in range(div.shape[1]) if i != j
+            for a, alpha in enumerate(args.alphas)]
+    return _emit(args, ("pair", "alpha", "divergence"), rows,
+                 {"cmd": "renyi", "channel": args.channel, "alphas": args.alphas})
 
 
 def cmd_estimate(args) -> int:
     data = load_observations(args.data)
     est = em_fit(data, X=args.states, max_iter=args.max_iter, tol=args.tol,
                  seed=args.seed)
-    meta = standard_meta({"cmd": "estimate", "data": args.data,
-                          "states": args.states, "max_iter": args.max_iter},
-                         args.seed)
-    if args.format == "json":
-        payload = {"meta": meta, **estimate_to_dict(est)}
-        write_output(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        meta["transition"] = json.dumps(est.transition.entries.tolist())
-        meta["emission"] = json.dumps(est.emission.entries.tolist())
-        meta["converged"] = est.converged
-        rows = list(enumerate(est.log_likelihoods))
-        write_output(render_table(("iteration", "log_likelihood"), rows, "csv",
-                                  meta), args.out)
-    return 0 if est.ascends else 1
+    extra = {"transition": json.dumps(est.transition.entries.tolist()),
+             "emission": json.dumps(est.emission.entries.tolist()),
+             "converged": est.converged}
+    return _emit(args, ("iteration", "log_likelihood"), list(enumerate(est.log_likelihoods)),
+                 {"cmd": "estimate", "data": args.data, "states": args.states,
+                  "max_iter": args.max_iter},
+                 extra=extra, payload=estimate_to_dict(est), holds=(est.ascends,))
 
 
 # -------------------------------------------------------------------- parser

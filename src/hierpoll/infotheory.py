@@ -44,12 +44,17 @@ _ORDERING_SLACK = 1e-8      # numeric slack of the capacity and Renyi ordering m
 
 def mutual_information(ch, input_dist) -> float:
     """I(X;Y) in bits for channel rows ch and input distribution input_dist."""
-    O = validate_stochastic(as_array(ch)).entries
+    O = _channel(ch)
     p = _distribution(input_dist)
     if p.shape != (O.shape[0],):
         raise DimensionMismatch(f"input distribution of size {p.size} "
                                 f"for a channel with {O.shape[0]} inputs")
     return float(p @ _kl_rows(O, p @ O)) / _LOG2
+
+
+def _channel(ch) -> np.ndarray:
+    """The rows of a channel, checked as a row-stochastic matrix."""
+    return validate_stochastic(as_array(ch)).entries
 
 
 def _distribution(p) -> np.ndarray:
@@ -76,8 +81,8 @@ def _kl_rows(O: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 class Capacity(NamedTuple):
     """Blahut-Arimoto result for one channel, in bits: the estimate I(r) at
-    the stopping input r and Gallager's bound max_x D(O_x || rO), so that
-    bits <= C <= upper_bits."""
+    the stopping input r, or 0 where round-off takes it below, and Gallager's
+    bound max_x D(O_x || rO), so that bits <= C <= upper_bits."""
 
     bits: float
     input: np.ndarray
@@ -101,7 +106,7 @@ def shannon_capacities(channels, tol: float = 1e-10) -> list[Capacity]:
     """
     if not tol > 0:
         raise InvalidArgument(f"tol must be > 0, got {tol}")
-    blocks = [O[:, O.any(axis=0)] for O in map(as_array, channels)]
+    blocks = [O[:, O.any(axis=0)] for O in map(_channel, channels)]
     results = []
     start = 0
     for group in _pack_groups([O.shape for O in blocks]):
@@ -199,9 +204,9 @@ def _blahut_arimoto(blocks, first: int, tol: float) -> list[Capacity]:
         upper = np.maximum.reduceat(bound, starts) / _LOG2
         ends = np.append(starts[1:], r.size)
         for k in np.flatnonzero(stop):
-            results[int(active[k])] = Capacity(
-                float(estimate[k]), r[starts[k]:ends[k]].copy(),
-                float(max(upper[k], estimate[k])))
+            bits = max(0.0, float(estimate[k]))    # C >= 0; round-off can dip below
+            results[int(active[k])] = Capacity(bits, r[starts[k]:ends[k]].copy(),
+                                               float(max(upper[k], bits)))
         keep = ~stop
         if not keep.any():
             return results
@@ -272,7 +277,7 @@ class InfoReport:
 def channel_divergences(ch, alphas) -> np.ndarray:
     """All-pairs row divergences of a channel, shape (X, X, n_alphas), with a
     zero diagonal."""
-    O = as_array(ch)
+    O = _channel(ch)
     out = _renyi_table(O, O, alphas)
     diagonal = np.arange(O.shape[0])
     out[diagonal, diagonal] = 0.0

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hierpoll import cli, estimate, infotheory
+from hierpoll import cli, estimate, infotheory, pomdp
 from hierpoll.cli import main
 from hierpoll.errors import InvalidCostSpec, LPSolverFailure, ParseError
 from hierpoll.fileio import (
@@ -287,6 +288,24 @@ class TestExampleCommands:
         if argv[0] == "example1":
             assert calls == ["MyopicPolicy", "GridPolicy", "GridPolicy"]
 
+    def test_example1_exits_one_when_the_myopic_bound_is_violated(self, tmp_path,
+                                                                  monkeypatch, capsys):
+        # mutant: the solver answers action 2 wherever the myopic action is 1
+        solve = pomdp.value_iteration
+
+        def raised(model, M):
+            solution = solve(model, M)
+            policy = solution.policy.copy()
+            policy[pomdp.myopic_policy(solution.points, model.costs) == 1] = 2
+            return dataclasses.replace(solution, policy=policy)
+
+        monkeypatch.setattr(pomdp, "value_iteration", raised)
+        assert main(["example1", "--rho-list", "0.5", "--grid-m", "8", "--runs", "20",
+                     "--horizon", "10", "--out", str(tmp_path / "l1.csv")]) == 1
+        (line,) = [l for l in capsys.readouterr().err.splitlines() if l.startswith("# rho=")]
+        violations = int(re.search(r"myopic bound: (\d+) violations", line).group(1))
+        assert violations > 0
+
     def test_example2_bytes_independent_of_threads(self, tmp_path):
         outs = []
         for threads in ("1", "2"):
@@ -546,15 +565,28 @@ class TestEstimateCommand:
         assert "error:" in captured.err and "Traceback" not in captured.err
 
 
+# a number in an output: not part of a word, a hex hash or a dotted version
+_NUMBER = re.compile(r"(?<![\w.])-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?(?![\w.])")
+
+
+def _assert_same_output(got, want):
+    """The text around the numbers matches exactly, so the layout, keys and
+    words do; the numbers match to 1e-12 relative."""
+    assert _NUMBER.sub("#", got) == _NUMBER.sub("#", want)
+    for g, w in zip(_NUMBER.findall(got), _NUMBER.findall(want)):
+        assert math.isclose(float(g), float(w), rel_tol=1e-12), (g, w)
+
+
 def _csv_rows(text):
     return list(csv.DictReader(l for l in text.splitlines()
                                if l and not l.startswith("#")))
 
 
 class TestRecordedOutputs:
-    """CSV bodies of small runs match those recorded at an earlier commit:
-    numbers to 1e-12 relative, so that another BLAS build still passes, and
-    the solve action column exactly."""
+    """CSV bodies, and for the full_* cases the whole stdout, stderr and exit
+    code, of small runs match those recorded at an earlier commit: numbers
+    to 1e-12 relative, so that another BLAS build still passes, and the solve
+    action column, the keys and the words exactly."""
 
     @pytest.mark.parametrize("case", ["example1", "example2", "simulate_grid", "solve",
                                       "solve_intent", "simulate_intent"])
@@ -571,3 +603,14 @@ class TestRecordedOutputs:
                     assert g[key] == w[key]
                 else:
                     assert math.isclose(float(g[key]), float(w[key]), rel_tol=1e-12), (key, g, w)
+
+    @pytest.mark.parametrize("case", sorted(k for k in REFERENCE if k.startswith("full_")))
+    def test_full_output_matches_recording(self, case, tmp_path, monkeypatch, capsys):
+        ref = REFERENCE[case]
+        for name, text in ref["files"].items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        assert main(ref["argv"]) == ref["rc"]
+        captured = capsys.readouterr()
+        _assert_same_output(captured.out, ref["stdout"])
+        _assert_same_output(captured.err, ref["stderr"])

@@ -86,9 +86,9 @@ def _per_pass_capacities(channels, tol=1e-10):
             upper = np.maximum.reduceat(bound, starts) / np.log(2.0)
             ends = np.append(starts[1:], r.size)
             for k in np.flatnonzero(stop):
+                bits = max(0.0, float(estimate[k]))
                 results[int(active[k])] = infotheory.Capacity(
-                    float(estimate[k]), r[starts[k]:ends[k]].copy(),
-                    float(max(upper[k], estimate[k])))
+                    bits, r[starts[k]:ends[k]].copy(), float(max(upper[k], bits)))
         prev = estimate
         w = r * np.exp(D - np.maximum.reduceat(D, starts)[owner])
         r = w / np.add.reduceat(w, starts)[owner]
@@ -229,6 +229,19 @@ class TestShannonCapacity:
         monkeypatch.setattr(infotheory, "_MAX_ITERATIONS", 3)
         with pytest.raises(MaxIterationsExceeded):
             shannon_capacity([[0.9, 0.1], [0.3, 0.7]])
+
+    def test_channels_are_checked(self):
+        with pytest.raises(RowSumMismatch):
+            shannon_capacities([[[2.0, 0.0], [0.0, 3.0]]])
+        with pytest.raises(NegativeEntry):
+            shannon_capacities([np.eye(2), [[1.5, -0.5], [0.5, 0.5]]])
+
+    def test_zero_capacity_is_not_negative(self):
+        # identical rows: C = 0, but at 3000 friends the estimate's round-off
+        # fell below it (-1.6e-300 bits)
+        channel = friendship_channel(np.full((2, 2), 0.5), 3000)
+        (capacity,) = shannon_capacities([channel])
+        assert capacity.bits == 0.0 and not np.signbit(capacity.bits)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan")])
     def test_a_tol_no_change_can_meet_is_rejected(self, tol, monkeypatch):
@@ -457,6 +470,10 @@ class TestRenyiDivergence:
         assert np.allclose(got[finite], want[finite], rtol=1e-12, atol=1e-15)
         assert np.all(np.diagonal(got, axis1=0, axis2=1) == 0.0)
         assert renyi_divergence(O[2], O[3], 0.0) == got[2, 3, 0]
+
+    def test_channel_table_checks_the_channel(self):
+        with pytest.raises(RowSumMismatch):
+            channel_divergences([[2.0, 3.0], [0.5, 0.5]], [0.5])
 
     def test_channel_table_rejects_alpha_out_of_range(self):
         with pytest.raises(AlphaOutOfRange):
