@@ -19,6 +19,7 @@ from .stochastic import (  # noqa: F401
     is_ultrametric,
     matrix_power,
     polynomial_quotient,
+    validate_belief,
     validate_stochastic,
 )
 from .channels import (  # noqa: F401
@@ -52,7 +53,6 @@ from .pomdp import (  # noqa: F401
     filter_update,
     model_distance,
     myopic_policy,
-    validate_belief,
     value_iteration,
     verify_myopic_bound,
     verify_ordinal_sensitivity,

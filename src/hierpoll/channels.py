@@ -36,11 +36,11 @@ from .stochastic import (
     ConvexPolynomial,
     StochasticMatrix,
     as_array,
+    check_integer,
     eval_matrix_polynomial,
     fractional_power,
     is_ultrametric,
     matrix_power,
-    require_finite,
     validate_stochastic,
 )
 
@@ -73,7 +73,7 @@ class Channel:
 
 
 def make_channel(matrix, input_labels=None, output_labels=None) -> Channel:
-    sm = matrix if isinstance(matrix, StochasticMatrix) else validate_stochastic(as_array(matrix))
+    sm = validate_stochastic(matrix)
     if input_labels is None:
         input_labels = tuple(str(i + 1) for i in range(sm.rows))
     if output_labels is None:
@@ -91,8 +91,7 @@ class HierarchyModel:
     def __post_init__(self):
         if not self.B.is_square:
             raise DimensionMismatch("level confusion matrix must be square")
-        if self.N < 0:
-            raise InvalidArgument("N must be >= 0")
+        check_integer("N", self.N, 0)
 
 
 @dataclass(frozen=True)
@@ -136,8 +135,7 @@ def expectation_channel(h: HierarchyModel, polled_depth: int, target_depth: int)
     The fractional-power path is the object of interest here, so the result
     is computed through it even though B^j is available directly.
     """
-    if not (1 <= target_depth <= polled_depth):
-        raise InvalidArgument("need 1 <= target_depth <= polled_depth")
+    check_integer("polled_depth", polled_depth, check_integer("target_depth", target_depth, 1))
     if not is_ultrametric(h.B):
         raise NotUltrametric("expectation polling requires an ultrametric B")
     base = matrix_power(h.B, polled_depth)
@@ -168,8 +166,7 @@ def friendship_channel(B_level, n_friends: int) -> Channel:
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
         raise DimensionMismatch("B_level must be square")
     validate_stochastic(B)
-    if n_friends < 1:
-        raise InvalidArgument("n_friends must be >= 1")
+    check_integer("n_friends", n_friends, 1)
     X = B.shape[0]
     n_out = math.comb(n_friends + X - 1, X - 1)
     if n_out > _MAX_OUTCOMES:
@@ -284,14 +281,15 @@ def lecam_deficiency(W, H) -> LeCamResult:
       below _CERT_RESIDUAL.
     - Otherwise the garbling LP is solved (`_garbling_lp`) and delta is the
       LP optimum, up to pivot precision.
-    Non-finite entries in W or H raise NonFiniteEntry.
+    W and H must be row-stochastic: validate_stochastic raises on any other
+    2-d input, and one that is not 2-d, or a row count that differs, raises
+    DimensionMismatch.
     """
     Wm, Hm = as_array(W), as_array(H)
     if Wm.ndim != 2 or Hm.ndim != 2 or Wm.shape[0] != Hm.shape[0]:
         raise DimensionMismatch(
             f"channels must share the input alphabet: {Wm.shape} vs {Hm.shape}")
-    require_finite(Wm)
-    require_finite(Hm)
+    Wm, Hm = validate_stochastic(W).entries, validate_stochastic(H).entries
     R = _inverse_garbling(Wm, Hm)
     if R is None or garbling_residual(Wm, Hm, R) > _CERT_RESIDUAL:
         R = _garbling_lp(Wm, Hm)

@@ -30,7 +30,6 @@ from .fileio import (
 from .infotheory import channel_divergences, shannon_capacities
 from .pomdp import (
     PollingModel,
-    validate_belief,
     value_iteration,
     verify_myopic_bound,
 )
@@ -50,22 +49,22 @@ from .sim import (
     loss_ratio,
     uniform_belief,
 )
-from .stochastic import is_hurwitz, polynomial_quotient, eval_matrix_polynomial
+from .stochastic import (check_integer, eval_matrix_polynomial, is_hurwitz,
+                         polynomial_quotient, validate_belief)
 
 
-def _int_at_least(low: int, name: str):
-    """An argparse type for an int >= low, called `name` in argparse's errors."""
+def _int_at_least(low: int):
+    """An argparse type for an integer >= low, checked by check_integer."""
     def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"{value} is not >= {low}")
-        return value
-    parse.__name__ = name
+        try:
+            return check_integer("value", int(text), low)
+        except ValueError:  # not an integer, or one below low
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}") from None
     return parse
 
 
-_positive_int = _int_at_least(1, "_positive_int")
-_nonnegative_int = _int_at_least(0, "_nonnegative_int")
+_positive_int = _int_at_least(1)
+_nonnegative_int = _int_at_least(0)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -77,17 +76,23 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _tolerance(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"{text} is not a finite value >= 0")
-    return value
+    try:
+        value = float(text)
+        if math.isfinite(value) and value >= 0.0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
 
 
 def _float_list(text: str) -> list[float]:
-    vals = [float(t) for t in text.split(",") if t.strip() != ""]
-    if not vals:
-        raise argparse.ArgumentTypeError("need at least one value")
-    return vals
+    try:
+        vals = [float(t) for t in text.split(",") if t.strip() != ""]
+        if vals:
+            return vals
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
 def _rho_list(text: str) -> list[float]:
@@ -354,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="EM fit of (P, B) from an observation dataset")
     p.add_argument("data")
-    p.add_argument("--states", type=int, required=True)
+    p.add_argument("--states", type=_positive_int, required=True)
     p.add_argument("--max-iter", type=_positive_int, default=100)
     p.add_argument("--tol", type=_tolerance, default=1e-6)
     _add_common(p)

@@ -28,6 +28,7 @@ import numpy as np
 from .errors import (
     AlphabetMismatch,
     EmptyData,
+    InvalidArgument,
     NotSquare,
     ParseError,
     ProjectionStalled,
@@ -40,6 +41,7 @@ from .stochastic import (
     _max_min_closure,
     _ultrametric_gaps,
     as_array,
+    check_integer,
     check_seed,
     is_ultrametric,
     validate_stochastic,
@@ -265,8 +267,13 @@ def em_fit(data: ObservationDataset, X: int, init=None, max_iter: int = 100,
     forward-backward scan per sequence (`_forward_backward`). The
     log-likelihood trace is nondecreasing by construction of the guarded
     emission step. Raises ZeroLikelihood when some sequence cannot occur
-    under the current (P, B), for instance under a degenerate `init`.
+    under the current (P, B), for instance under a degenerate `init`, and
+    InvalidArgument for a max_iter that is not an integer >= 1 or a tol that
+    is NaN or negative.
     """
+    check_integer("max_iter", max_iter, 1)
+    if not tol >= 0:
+        raise InvalidArgument(f"tol must be >= 0, got {tol}")
     if len(data.alphabet) != X:
         raise AlphabetMismatch(
             f"alphabet size {len(data.alphabet)} != state count {X}")

@@ -108,16 +108,15 @@ def channel_from_dict(payload: dict) -> Channel:
                             payload.get("inputs"), payload.get("outputs"))
     if kind == "intent":
         h = HierarchyModel(validate_stochastic(payload["B"]),
-                           int(payload.get("N", len(payload["beta"]) - 1)))
+                           payload.get("N", len(payload["beta"]) - 1))
         return intent_channel(h, ConvexPolynomial(payload["beta"]))
     if kind == "expectation":
         h = HierarchyModel(validate_stochastic(payload["B"]),
-                           int(payload.get("N", payload["polled_depth"])))
-        return expectation_channel(h, int(payload["polled_depth"]),
-                                   int(payload["target_depth"]))
+                           payload.get("N", payload["polled_depth"]))
+        return expectation_channel(h, payload["polled_depth"], payload["target_depth"])
     if kind == "friendship":
         return friendship_channel(np.asarray(payload["B_level"], dtype=float),
-                                  int(payload["n_friends"]))
+                                  payload["n_friends"])
     raise ParseError(f"unknown channel recipe type {kind!r}")
 
 
@@ -177,8 +176,6 @@ def model_to_dict(model: PollingModel) -> dict:
 
 
 def model_from_dict(payload: dict) -> PollingModel:
-    if not 0.0 <= float(payload["rho"]) < 1.0:
-        raise ParseError(f"rho = {payload['rho']} outside [0, 1)")
     return PollingModel(
         P=validate_stochastic(payload["P"]),
         channels=tuple(channel_from_dict(c) for c in payload["channels"]),

@@ -32,7 +32,7 @@ from .errors import (
     InvalidArgument,
     MaxIterationsExceeded,
 )
-from .stochastic import as_array, validate_stochastic
+from .stochastic import validate_belief, validate_stochastic
 
 _LOG2 = np.log(2.0)
 _MAX_ITERATIONS = 10 ** 5  # Blahut-Arimoto updates before MaxIterationsExceeded
@@ -44,27 +44,17 @@ _ORDERING_SLACK = 1e-8      # numeric slack of the capacity and Renyi ordering m
 
 def mutual_information(ch, input_dist) -> float:
     """I(X;Y) in bits for channel rows ch and input distribution input_dist."""
-    O = _channel(ch)
-    p = _distribution(input_dist)
+    O = validate_stochastic(ch).entries
+    p = validate_belief(input_dist)
     if p.shape != (O.shape[0],):
         raise DimensionMismatch(f"input distribution of size {p.size} "
                                 f"for a channel with {O.shape[0]} inputs")
     return float(p @ _kl_rows(O, p @ O)) / _LOG2
 
 
-def _channel(ch) -> np.ndarray:
-    """The rows of a channel, checked as a row-stochastic matrix."""
-    return validate_stochastic(as_array(ch)).entries
-
-
-def _distribution(p) -> np.ndarray:
-    """p checked as the one row of a StochasticMatrix."""
-    return validate_stochastic([p]).entries[0]
-
-
-def _distributions(p, q):
+def _same_alphabet(p, q):
     """p and q checked as distributions on one alphabet."""
-    p, q = _distribution(p), _distribution(q)
+    p, q = validate_belief(p), validate_belief(q)
     if p.shape != q.shape:
         raise DimensionMismatch("distributions on different alphabets")
     return p, q
@@ -106,7 +96,7 @@ def shannon_capacities(channels, tol: float = 1e-10) -> list[Capacity]:
     """
     if not tol > 0:
         raise InvalidArgument(f"tol must be > 0, got {tol}")
-    blocks = [O[:, O.any(axis=0)] for O in map(_channel, channels)]
+    blocks = [O[:, O.any(axis=0)] for O in (validate_stochastic(ch).entries for ch in channels)]
     results = []
     start = 0
     for group in _pack_groups([O.shape for O in blocks]):
@@ -228,7 +218,7 @@ def shannon_capacity(ch, tol: float = 1e-10):
 
 def kl_divergence(p, q) -> float:
     """Relative entropy in bits with the usual 0 log 0 conventions."""
-    p, q = _distributions(p, q)
+    p, q = _same_alphabet(p, q)
     if np.any((p > 0) & (q == 0)):
         return float("inf")
     return float(_kl_rows(p[None, :], q)[0]) / _LOG2
@@ -241,7 +231,7 @@ def renyi_divergence(p, q, alpha: float) -> float:
     p's support. Zero-probability symbols contribute nothing, which makes
     the value continuous in (p, q) on this alpha range.
     """
-    p, q = _distributions(p, q)
+    p, q = _same_alphabet(p, q)
     return float(_renyi_table(p.reshape(1, -1), q.reshape(1, -1), [alpha])[0, 0, 0])
 
 
@@ -277,7 +267,7 @@ class InfoReport:
 def channel_divergences(ch, alphas) -> np.ndarray:
     """All-pairs row divergences of a channel, shape (X, X, n_alphas), with a
     zero diagonal."""
-    O = _channel(ch)
+    O = validate_stochastic(ch).entries
     out = _renyi_table(O, O, alphas)
     diagonal = np.arange(O.shape[0])
     out[diagonal, diagonal] = 0.0

@@ -52,20 +52,14 @@ from .errors import (
     NonConvergence,
     ZeroLikelihood,
 )
-from .stochastic import ConvexPolynomial, StochasticMatrix, _readonly, as_array, validate_stochastic
+from .stochastic import (ConvexPolynomial, StochasticMatrix, _readonly, check_integer,
+                         validate_belief, validate_stochastic)
 
 MAX_SWEEPS = 10 ** 5       # Bellman sweeps before NonConvergence
 _VI_TOL = 1e-8             # sup-norm change at which sweeps stop
 _MAX_POINTS = 300_000      # grid-size cap
 _BOUND_SLACK = 1e-6        # numeric slack of the sensitivity verifiers' inequalities
 OFF_GRID = -(1 << 40)      # rank-table sentinel; exceeds any grid size
-
-
-def validate_belief(pi) -> np.ndarray:
-    """`pi` as a float array, checked as the one row of a StochasticMatrix."""
-    pi = np.asarray(pi, dtype=float)
-    StochasticMatrix(pi[None])
-    return pi
 
 
 def _steps(v) -> np.ndarray:
@@ -233,7 +227,7 @@ class PollingModel:
     likelihoods: np.ndarray = field(init=False, repr=False)  # read-only, zero-padded O(u)
 
     def __post_init__(self):
-        P = self.P if isinstance(self.P, StochasticMatrix) else validate_stochastic(as_array(self.P))
+        P = validate_stochastic(self.P)
         object.__setattr__(self, "P", P)
         chans = tuple(c if isinstance(c, Channel) else make_channel(c) for c in self.channels)
         object.__setattr__(self, "channels", chans)
@@ -290,9 +284,10 @@ def filter_update(pi, y: int, u: int, model: PollingModel):
     """Bayesian belief update for observation y under action u.
 
     Returns the posterior and the observation likelihood
-    sigma = 1' O_y(u) P' pi. Raises ZeroLikelihood when y cannot occur.
+    sigma = 1' O_y(u) P' pi. pi is checked by validate_belief; ZeroLikelihood
+    is raised when y cannot occur.
     """
-    pi = np.asarray(pi, dtype=float)
+    pi = validate_belief(pi)
     O = model.observation(u)
     if not 0 <= y < O.shape[1]:
         raise InvalidArgument(f"observation index {y} outside the output alphabet")
@@ -326,10 +321,8 @@ class FreudenthalGrid:
     """
 
     def __init__(self, M: int, X: int):
-        if M < 1 or X < 2:
-            raise InvalidArgument("need M >= 1 and X >= 2")
-        self.M = int(M)
-        self.X = int(X)
+        self.M = check_integer("M", M, 1)
+        self.X = check_integer("X", X, 2)
         self.lattice = _compositions(self.M, self.X)
         self.points = self.lattice / float(M)
         self._terms = np.array([[math.comb(c + X - 1 - j, X - j) for c in range(M + 1)]
@@ -499,7 +492,7 @@ class Lookahead:
 
 
 def _checked_grid(M: int, X: int) -> FreudenthalGrid:
-    size = grid_size(M, X)
+    size = grid_size(check_integer("M", M, 1), X)
     if size > _MAX_POINTS:
         raise GridTooLarge(
             f"grid with {size} points exceeds the cap of {_MAX_POINTS}; "

@@ -49,10 +49,9 @@ from .pomdp import (
     PollingModel,
     bayes_update,
     max_stage_cost,
-    validate_belief,
     value_iteration,
 )
-from .stochastic import check_seed
+from .stochastic import _is_integer, check_integer, check_seed, validate_belief
 
 
 # ----------------------------------------------------------------- policies
@@ -78,12 +77,13 @@ class MyopicPolicy:
 
 
 class FixedPolicy:
-    """Always poll with action u, an integer (not a bool); an action outside
-    the model's 1..U raises InvalidAction at the first step."""
+    """Always poll with action u, an integer >= 1 (not a bool), else
+    InvalidAction; an action above the model's U raises InvalidAction at
+    the first step."""
 
     def __init__(self, u: int):
-        if isinstance(u, bool) or not isinstance(u, (int, np.integer)):
-            raise InvalidAction(f"fixed action must be an integer, got {u!r}")
+        if not _is_integer(u, 1):
+            raise InvalidAction(f"fixed action must be an integer >= 1, got {u!r}")
         self.u = int(u)
 
     def actions(self, PI: np.ndarray, model: PollingModel) -> Step:
@@ -147,13 +147,6 @@ def _sample_categorical(cum_columns: np.ndarray, uniforms: np.ndarray) -> np.nda
     return (cum_columns < uniforms).sum(axis=0)
 
 
-def _check_count(name: str, n):
-    """`n` if it is an integer >= 1 and not a bool; InvalidArgument otherwise."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidArgument(f"{name} must be an integer >= 1, got {n!r}")
-    return n
-
-
 def _rollout(model: PollingModel, policy, pi0: np.ndarray, horizon: int,
              seed: int, runs, proxy: bool = False, record: bool = False,
              streams: np.ndarray | None = None):
@@ -166,16 +159,14 @@ def _rollout(model: PollingModel, policy, pi0: np.ndarray, horizon: int,
     `_uniform_streams(seed, runs, horizon)`, which is then not drawn again;
     another shape raises InvalidArgument.
     """
-    _check_count("horizon", horizon)
+    check_integer("horizon", horizon, 1)
     X = model.n_states
     if np.shape(pi0) != (X,):
         raise ModelShapeMismatch(f"initial belief of shape {np.shape(pi0)} "
                                  f"for a {X}-state model")
     pi0 = validate_belief(pi0)
-    if np.isscalar(runs):
-        runs = range(_check_count("runs", runs))
-    elif len(runs) < 1:
-        raise InvalidArgument("runs must be >= 1")
+    runs = range(check_integer("runs", runs, 1)) if np.isscalar(runs) else runs
+    check_integer("the number of runs", len(runs), 1)
     if streams is None:
         draws = _uniform_streams(seed, runs, horizon)
     elif np.shape(streams) != (len(runs), 1 + 2 * horizon):
@@ -247,8 +238,7 @@ class CostEstimate:
     truncation_bias: float
 
     def __post_init__(self):
-        if self.runs < 1:
-            raise InvalidArgument("need at least one run")
+        check_integer("runs", self.runs, 1)
         if self.stderr < 0:
             raise InvalidArgument("standard error must be nonnegative")
 
@@ -305,8 +295,8 @@ def l1_components(model: PollingModel, rhos, M: int, runs: int, horizon: int,
     takes the myopic actions, and the summary reads step 0 alone: its
     estimate is the myopic one, bit for bit."""
     pi0 = uniform_belief(model.n_states) if pi0 is None else np.asarray(pi0, float)
-    streams = _uniform_streams(seed, range(_check_count("runs", runs)),
-                               _check_count("horizon", horizon))
+    streams = _uniform_streams(seed, range(check_integer("runs", runs, 1)),
+                               check_integer("horizon", horizon, 1))
     costs = _rollout(model, MyopicPolicy(), pi0, horizon, seed, runs,
                      streams=streams)["costs"]
     j_myopic = [_summary(model, costs, rho, seed) for rho in rhos]

@@ -1,10 +1,12 @@
 """Row-stochastic matrix and convex-polynomial algebra.
 
 Provides the validated containers used everywhere else (transition matrices,
-level-confusion matrices, observation matrices, polling distributions) and
-the operations on them: ultrametric tests, integer and fractional matrix
-powers, matrix polynomials, stability (Hurwitz) tests, and polynomial
-deflation by smallest roots.
+level-confusion matrices, observation matrices, polling distributions), the
+one check of each kind of argument (check_integer, check_seed,
+validate_belief, validate_stochastic), and the operations on them:
+ultrametric tests, integer and fractional matrix powers, matrix
+polynomials, stability (Hurwitz) tests, and polynomial deflation by
+smallest roots.
 """
 from __future__ import annotations
 
@@ -34,26 +36,32 @@ _HURWITZ_TOL = 1e-9   # roots within this of the imaginary axis count as non-Hur
 _QUOTIENT_TOL = 1e-8  # division residual and negative-coefficient slack
 
 
-def require_finite(a: np.ndarray) -> None:
-    """Raise NonFiniteEntry naming the first NaN or infinite entry of a 2-d array."""
-    bad = ~np.isfinite(a)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise NonFiniteEntry(f"entry ({i},{j}) = {a[i, j]} is not finite")
-
-
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a
 
 
+def _is_integer(n, low: int) -> bool:
+    """Whether n is a Python or numpy integer >= low; a bool is not."""
+    return not isinstance(n, bool) and isinstance(n, (int, np.integer)) and n >= low
+
+
+def check_integer(name: str, n, low: int):
+    """`n` unchanged when it is a Python or numpy integer >= low; otherwise
+    InvalidArgument naming the argument, also for a bool, a float or a string."""
+    if not _is_integer(n, low):
+        raise InvalidArgument(f"{name} must be an integer >= {low}, got {n!r}")
+    return n
+
+
 def check_seed(seed):
     """`seed` unchanged when it is an integer >= 0 or a list or tuple of
     them, as numpy's SeedSequence takes it; InvalidArgument otherwise, also
-    for a bool, which SeedSequence would read as 0 or 1."""
+    for a bool, which SeedSequence would read as 0 or 1. A list is checked
+    in this one call, whatever its length."""
     for n in seed if isinstance(seed, (list, tuple)) else [seed]:
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+        if not _is_integer(n, 0):
             raise InvalidArgument(f"seeds and run indices must be integers >= 0, got {n!r}")
     return seed
 
@@ -69,7 +77,10 @@ class StochasticMatrix:
         object.__setattr__(self, "entries", entries)
         if entries.ndim != 2 or entries.size == 0:
             raise RowSumMismatch("matrix must be a non-empty 2-d array")
-        require_finite(entries)
+        bad = ~np.isfinite(entries)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise NonFiniteEntry(f"entry ({i},{j}) = {entries[i, j]} is not finite")
         if np.any(entries < -ENTRY_TOL):
             i, j = np.unravel_index(np.argmin(entries), entries.shape)
             raise NegativeEntry(f"entry ({i},{j}) = {entries[i, j]:.3e} is negative")
@@ -99,23 +110,33 @@ class StochasticMatrix:
         return np.array(self.entries, dtype=dtype)
 
 
+def _held_matrix(m) -> StochasticMatrix | None:
+    """m when it is a StochasticMatrix, a Channel's matrix, else None."""
+    m = getattr(m, "matrix", m)
+    return m if isinstance(m, StochasticMatrix) else None
+
+
 def as_array(m) -> np.ndarray:
     """Coerce a StochasticMatrix / Channel / array-like to a float ndarray."""
-    if isinstance(m, StochasticMatrix):
-        return m.entries
-    inner = getattr(m, "matrix", None)
-    if isinstance(inner, StochasticMatrix):
-        return inner.entries
-    return np.asarray(m, dtype=float)
+    held = _held_matrix(m)
+    return np.asarray(m, dtype=float) if held is None else held.entries
 
 
 def validate_stochastic(entries) -> StochasticMatrix:
     """Validate `entries` as a row-stochastic matrix; never normalizes silently.
+    A StochasticMatrix is returned as it is, and a Channel gives its matrix.
 
     Raises NonFiniteEntry / NegativeEntry / RowSumMismatch with the
     offending index.
     """
-    return StochasticMatrix(np.asarray(entries, dtype=float))
+    held = _held_matrix(entries)
+    return StochasticMatrix(entries) if held is None else held
+
+
+def validate_belief(pi) -> np.ndarray:
+    """`pi` as a read-only float array, checked as the one row of a
+    StochasticMatrix: every probability vector is checked here."""
+    return StochasticMatrix(np.asarray(pi, dtype=float)[None]).entries[0]
 
 
 def _square(m) -> np.ndarray:
@@ -153,9 +174,7 @@ def is_ultrametric(Q) -> bool:
 def matrix_power(Q, k: int) -> StochasticMatrix:
     """k-th power of a square stochastic matrix, k = 0 giving the identity."""
     A = _square(Q)
-    if k < 0:
-        raise InvalidArgument("exponent must be a nonnegative integer")
-    return StochasticMatrix(np.linalg.matrix_power(A, int(k)))
+    return StochasticMatrix(np.linalg.matrix_power(A, check_integer("k", k, 0)))
 
 
 def fractional_power(Q, j: int, K: int) -> StochasticMatrix:
@@ -168,8 +187,8 @@ def fractional_power(Q, j: int, K: int) -> StochasticMatrix:
     _POWER_TOL.
     """
     A = _square(Q)
-    if j < 1 or K < 1:
-        raise InvalidArgument("j and K must be positive integers")
+    check_integer("j", j, 1)
+    check_integer("K", K, 1)
     if not is_ultrametric(A):
         raise NotUltrametric("fractional powers require an ultrametric base")
     lam, V = np.linalg.eigh(A)
@@ -193,8 +212,7 @@ class ConvexPolynomial:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coefficients, dtype=float))
-        object.__setattr__(self, "coefficients", StochasticMatrix(c[None]).entries[0])
+        object.__setattr__(self, "coefficients", validate_belief(np.atleast_1d(self.coefficients)))
 
     @property
     def degree(self) -> int:
@@ -284,10 +302,8 @@ def deflate_chain(f: ConvexPolynomial, steps: int) -> list[ConvexPolynomial]:
     Returns [f, f/g_1, f/(g_1 g_2), ...]; for Hurwitz f every element stays
     convex and Hurwitz. Division errors from non-Hurwitz inputs propagate.
     """
-    if steps < 0:
-        raise InvalidArgument("steps must be nonnegative")
     out = [f]
-    for _ in range(steps):
+    for _ in range(check_integer("steps", steps, 0)):
         candidates = _smallest_root_factors(out[-1])
         for k, factor in enumerate(candidates):
             try:

@@ -30,7 +30,9 @@ from hierpoll.errors import (
     DegreeExceedsLevels,
     DimensionMismatch,
     LPSolverFailure,
+    NegativeEntry,
     NonFiniteEntry,
+    RowSumMismatch,
     UncertifiedChain,
     UncertifiedDominance,
 )
@@ -276,6 +278,19 @@ class TestLeCamDeficiency:
     def test_dimension_mismatch(self, O1):
         with pytest.raises(DimensionMismatch):
             lecam_deficiency(O1, np.full((2, 2), 0.5))
+
+    @pytest.mark.parametrize("W, H, error", [
+        ([[2, -1], [0, 1]], np.eye(2), NegativeEntry),
+        (np.eye(2), [[2, -1], [0, 1]], NegativeEntry),
+        (np.eye(2), [[0.5, 0.6], [0, 1]], RowSumMismatch),
+    ], ids=["W-negative", "H-negative", "H-row-sum"])
+    def test_channels_must_be_stochastic(self, W, H, error):
+        with pytest.raises(error):
+            lecam_deficiency(W, H)
+
+    def test_a_one_dimensional_channel_is_a_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            lecam_deficiency([0.5, 0.5], np.eye(2))
 
     def test_certificate_completeness(self, rng):
         # delta = 0 whenever W = H R for a constructed stochastic R

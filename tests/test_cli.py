@@ -57,7 +57,9 @@ BAD_FILES = {
     "friendship-no-n.json": {"type": "friendship", "B_level": [[1.0]]},
     "config-list.json": [model_to_dict(example1_model(0.5))],
     "rho-not-float.json": {**model_to_dict(example1_model(0.5)), "rho": "x"},
+    "rho-out-of-range.json": {**model_to_dict(example1_model(0.5)), "rho": 1.0},
     "friendship-n-word.json": {"type": "friendship", "B_level": [[1.0]], "n_friends": "two"},
+    "friendship-n-fraction.json": {"type": "friendship", "B_level": [[1.0]], "n_friends": 2.5},
     "intent-beta-short.json": {"type": "intent", "B": [[0.9, 0.1], [0.2, 0.8]],
                                "beta": [0.5]},
     "cost-nan.json": _edited_model_config(("costs", "measurement", 0), math.nan),
@@ -380,7 +382,9 @@ class TestSolveSimulate:
         ["capacity", "{bad:friendship-no-n.json}"],
         ["solve", "--config", "{bad:config-list.json}"],
         ["solve", "--config", "{bad:rho-not-float.json}"],
+        ["solve", "--config", "{bad:rho-out-of-range.json}"],
         ["capacity", "{bad:friendship-n-word.json}"],
+        ["capacity", "{bad:friendship-n-fraction.json}"],
         ["capacity", "{bad:intent-beta-short.json}"],
         ["solve", "--config", "{config}", "--vi-tol", "1e-8"],
         ["simulate", "--config", "{bad:cost-nan.json}", "--runs", "4", "--horizon", "3"],
@@ -409,7 +413,8 @@ class TestSolveSimulate:
             "alphas-empty", "ctilde-weight-nan", "data-no-alphabet", "data-sequences-not-list",
             "config-no-costs", "config-no-variant", "config-unknown-variant",
             "intent-recipe-no-B", "friendship-recipe-no-n-friends", "config-is-list", "config-rho-not-float",
-            "friendship-n-friends-not-int", "intent-beta-not-stochastic",
+            "config-rho-out-of-range", "friendship-n-friends-not-int",
+            "friendship-n-friends-fraction", "intent-beta-not-stochastic",
             "unknown-option", "config-cost-nan", "dominance-undecodable-json",
             "dominance-undecodable-csv", "capacity-undecodable-json",
             "solve-undecodable-json", "estimate-undecodable-json",
@@ -422,9 +427,11 @@ class TestSolveSimulate:
                                   capsys):
         argv = [a.replace("{config}", model_config).replace("{o1}", channel_files[0])
                 for a in argv]
+        bad_paths = []
         for k, a in enumerate(argv):
             if a.startswith("{bad:"):
                 argv[k] = str(tmp_path / a[5:-1])
+                bad_paths.append(argv[k])
                 content = BAD_FILES[a[5:-1]]
                 Path(argv[k]).write_bytes(content if isinstance(content, bytes)
                                           else json.dumps(content).encode())
@@ -436,6 +443,23 @@ class TestSolveSimulate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error:" in captured.err and "Traceback" not in captured.err
+        assert all(path in captured.err for path in bad_paths)
+
+    @pytest.mark.parametrize("argv", [
+        ["example1", "--runs", "x"],
+        ["example1", "--runs", "2.5"],
+        ["renyi", "{o1}", "--alphas", "0.5,x"],
+        ["capacity", "{o1}", "--tol", "x"],
+    ], ids=["runs-word", "runs-fraction", "alphas-word", "tol-word"])
+    def test_malformed_numbers_say_what_was_expected(self, argv, channel_files, capsys):
+        argv = [a.replace("{o1}", channel_files[0]) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert re.search(r"argument --\S+: expected ", err)
+        # argparse's own message names the type function, as in `invalid _positive_int value`
+        assert not re.search(r"(?<!\w)_\w", err)
 
 
 class TestInfoCommands:

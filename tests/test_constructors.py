@@ -15,9 +15,17 @@ from hierpoll.channels import (
     make_channel,
 )
 from hierpoll.errors import HierPollError, InvalidArgument
-from hierpoll.pomdp import CostSpec, PollingModel
+from hierpoll.estimate import ObservationDataset, em_fit
+from hierpoll.pomdp import CostSpec, FreudenthalGrid, PollingModel, value_iteration
 from hierpoll.presets import EXAMPLE1_O1, example1_costs, example1_model, example2_parts
-from hierpoll.stochastic import ConvexPolynomial, validate_stochastic
+from hierpoll.stochastic import (
+    ConvexPolynomial,
+    check_integer,
+    deflate_chain,
+    fractional_power,
+    matrix_power,
+    validate_stochastic,
+)
 
 # stochastic matrices that are valid but degenerate (identity, rank one, a
 # zero column, a single state), so that the builders get past validation to
@@ -83,3 +91,46 @@ def test_discount_outside_unit_interval_is_typed(rho):
 def test_example2_parts_rejects_seed_numpy_would_not_take(seed):
     with pytest.raises(InvalidArgument, match="integers >= 0"):
         example2_parts(3, seed)
+
+
+# every integer argument checked by check_integer: (name, least value, call)
+_HIERARCHY = HierarchyModel(validate_stochastic(EXAMPLE1_O1), 3)
+_DATA = ObservationDataset((np.array([0, 1, 2, 1]),), ("a", "b", "c"))
+INTEGER_ARGUMENTS = {
+    "check_integer": ("n", 1, lambda v: check_integer("n", v, 1)),
+    "FreudenthalGrid-M": ("M", 1, lambda v: FreudenthalGrid(v, 3)),
+    "FreudenthalGrid-X": ("X", 2, lambda v: FreudenthalGrid(3, v)),
+    "value_iteration-M": ("M", 1, lambda v: value_iteration(example1_model(0.5), v)),
+    "HierarchyModel-N": ("N", 0, lambda v: HierarchyModel(validate_stochastic(EXAMPLE1_O1), v)),
+    "friendship_channel": ("n_friends", 1, lambda v: friendship_channel(EXAMPLE1_O1, v)),
+    "expectation_channel-polled": ("polled_depth", 1,
+                                   lambda v: expectation_channel(_HIERARCHY, v, 1)),
+    "expectation_channel-target": ("target_depth", 1,
+                                   lambda v: expectation_channel(_HIERARCHY, 3, v)),
+    "matrix_power": ("k", 0, lambda v: matrix_power(EXAMPLE1_O1, v)),
+    "fractional_power-j": ("j", 1, lambda v: fractional_power(EXAMPLE1_O1, v, 2)),
+    "fractional_power-K": ("K", 1, lambda v: fractional_power(EXAMPLE1_O1, 1, v)),
+    "deflate_chain": ("steps", 0, lambda v: deflate_chain(ConvexPolynomial([0.5, 0.5]), v)),
+    "em_fit": ("max_iter", 1, lambda v: em_fit(_DATA, X=3, max_iter=v)),
+}
+
+
+@pytest.mark.parametrize("entry", INTEGER_ARGUMENTS)
+@pytest.mark.parametrize("bad", [2.5, True, np.float64(3.0), "3", "below"],
+                         ids=["2.5", "True", "float64", "str", "below-least"])
+def test_integer_arguments_reject_what_is_not_an_integer_in_range(entry, bad):
+    name, least, call = INTEGER_ARGUMENTS[entry]
+    value = least - 1 if bad == "below" else bad
+    with pytest.raises(InvalidArgument, match=rf"^{name} must be an integer >= {least}, got "):
+        call(value)
+
+
+@pytest.mark.parametrize("entry", INTEGER_ARGUMENTS)
+def test_integer_arguments_take_their_least_value_as_a_numpy_integer(entry):
+    _, least, call = INTEGER_ARGUMENTS[entry]
+    call(np.int64(least))
+
+
+def test_a_target_below_the_polled_depth_is_rejected():
+    with pytest.raises(InvalidArgument, match="polled_depth must be an integer >= 3, got 2"):
+        expectation_channel(_HIERARCHY, 2, 3)

@@ -238,6 +238,12 @@ class TestEmFit:
         with pytest.raises(InvalidArgument, match="integers >= 0"):
             em_fit(ds, X=3, seed=-1)
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1e-6], ids=["nan", "negative"])
+    def test_tolerance_must_be_a_number_at_least_zero(self, tol):
+        ds = ObservationDataset((np.array([0, 1, 2, 1]),), ("a", "b", "c"))
+        with pytest.raises(InvalidArgument, match="tol must be >= 0"):
+            em_fit(ds, X=3, max_iter=5, tol=tol)
+
     def test_recovers_generated_model(self):
         y = hmm_sample(EXAMPLE1_P, EXAMPLE1_O1, 50_000, seed=42)
         ds = ObservationDataset((y,), ("a", "b", "c"))

@@ -255,6 +255,13 @@ class TestFilterUpdate:
         with pytest.raises(ZeroLikelihood):
             filter_update(np.full(3, 1 / 3), 1, 1, model)
 
+    @pytest.mark.parametrize("pi, error", [
+        ([2.0, -1.0, 0.0], NegativeEntry), ([0.5, 0.6, 0.0], RowSumMismatch),
+    ], ids=["negative", "row-sum"])
+    def test_prior_must_be_a_distribution(self, model, pi, error):
+        with pytest.raises(error):
+            filter_update(pi, 0, 1, model)
+
     def test_bayes_update_batches_and_zero_rows(self):
         # states first: one belief per column
         PR = np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]]).T
