@@ -30,7 +30,6 @@ from .errors import (
     InvalidArgument,
     NotUltrametric,
     UncertifiedChain,
-    UncertifiedDominance,
 )
 from .stochastic import (
     ConvexPolynomial,
@@ -302,7 +301,9 @@ def certifies(delta: float) -> bool:
 
 
 def certify_chain(deficiencies) -> tuple[float, ...]:
-    """The steps' deficiencies; raises UncertifiedChain unless all certify."""
+    """The deficiencies as a tuple; raises UncertifiedChain, listing them all
+    in order, unless every one certifies. The one check that raises on an
+    uncertified dominance: every verifier passes its deficiencies here."""
     out = tuple(deficiencies)
     if not all(map(certifies, out)):
         raise UncertifiedChain(f"chain deficiencies {out} exceed {CERT_TOL}")
@@ -312,19 +313,6 @@ def certify_chain(deficiencies) -> tuple[float, ...]:
 def blackwell_dominates(A, B_ch) -> bool:
     """True iff A >=_B B_ch, i.e. some garbling of A reproduces B_ch."""
     return certifies(lecam_deficiency(B_ch, A).delta)
-
-
-def certify_dominance(A, B_ch, name: str) -> float:
-    """delta(B_ch, A); raises UncertifiedDominance naming `name` unless A >=_B B_ch."""
-    delta = lecam_deficiency(B_ch, A).delta
-    if not certifies(delta):
-        raise UncertifiedDominance(f"{name}: deficiency {delta:.3e} exceeds {CERT_TOL}")
-    return delta
-
-
-def certify_channel_chain(channels) -> tuple[float, ...]:
-    """certify_chain of delta(O(u+1), O(u)) over consecutive channels O."""
-    return certify_chain(lecam_deficiency(b, a).delta for a, b in zip(channels, channels[1:]))
 
 
 def approximate_blackwell_chain(channels) -> DominanceChain:

@@ -17,7 +17,8 @@ import sys
 import numpy as np
 
 from .channels import approximate_blackwell_chain, certifies, garbling_residual, lecam_deficiency
-from .errors import HierPollError, LPSolverFailure, MaxIterationsExceeded, ParseError
+from .errors import (HierPollError, InvalidArgument, LPSolverFailure, MaxIterationsExceeded,
+                     ParseError)
 from .estimate import em_fit, estimate_to_dict, load_observations
 from .fileio import (
     chain_to_dict,
@@ -128,8 +129,7 @@ def _emit(args, columns, rows, meta_src, extra=None, payload=None, holds=()) -> 
 def cmd_dominance(args) -> int:
     channels = [load_channel(f) for f in args.channels]
     if len(channels) < 2:
-        print("error: need at least two channel files", file=sys.stderr)
-        return 2
+        raise InvalidArgument("need at least two channel files")
     n = len(channels)
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     pairwise = np.zeros((n, n))

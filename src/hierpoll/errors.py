@@ -127,10 +127,6 @@ class ModelShapeMismatch(HierPollError, ValueError):
     pass
 
 
-class UncertifiedDominance(HierPollError, ValueError):
-    pass
-
-
 class BeliefOffGrid(HierPollError, ValueError):
     pass
 

@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import Channel, _compositions, certify_channel_chain, certify_dominance, make_channel
+from .channels import Channel, _compositions, certify_chain, lecam_deficiency, make_channel
 from .errors import (
     BeliefOffGrid,
     GridTooLarge,
@@ -115,6 +115,9 @@ class CostSpec:
                 raise InvalidCostSpec(f"{self.variant} costs take no offsets, got {self.offsets}")
             g2 = np.zeros(U)
         elif self.variant == "intent":
+            if self.level_costs is None or self.betas is None:
+                raise InvalidCostSpec("intent costs need level_costs and betas: "
+                                      "build them with CostSpec.intent")
             if self.weights is None or self.offsets is None:
                 raise InvalidCostSpec("intent costs need entropy weights and offsets")
             w = np.asarray(self.weights, dtype=float)
@@ -255,6 +258,14 @@ class PollingModel:
     def n_actions(self) -> int:
         return len(self.channels)
 
+    def check_belief(self, pi) -> np.ndarray:
+        """pi as one belief over the model's states: another shape raises
+        ModelShapeMismatch, and validate_belief checks the values."""
+        if np.shape(pi) != (self.n_states,):
+            raise ModelShapeMismatch(f"belief of shape {np.shape(pi)} "
+                                     f"for a {self.n_states}-state model")
+        return validate_belief(pi)
+
     def observation(self, u: int) -> np.ndarray:
         if not 1 <= u <= self.n_actions:
             raise InvalidAction(f"action {u} outside 1..{self.n_actions}")
@@ -284,10 +295,10 @@ def filter_update(pi, y: int, u: int, model: PollingModel):
     """Bayesian belief update for observation y under action u.
 
     Returns the posterior and the observation likelihood
-    sigma = 1' O_y(u) P' pi. pi is checked by validate_belief; ZeroLikelihood
-    is raised when y cannot occur.
+    sigma = 1' O_y(u) P' pi. pi is checked by PollingModel.check_belief;
+    ZeroLikelihood is raised when y cannot occur.
     """
-    pi = validate_belief(pi)
+    pi = model.check_belief(pi)
     O = model.observation(u)
     if not 0 <= y < O.shape[1]:
         raise InvalidArgument(f"observation index {y} outside the output alphabet")
@@ -406,27 +417,6 @@ class FreudenthalGrid:
         idx, w = self.interpolation_data(PI)
         return (values[idx] * w).sum(axis=1)
 
-    def neighbor_pairs(self) -> np.ndarray:
-        """Index pairs of grid points one lattice move apart (for Lipschitz
-        estimates): n -> n - e_a + e_b."""
-        pairs = []
-        for a in range(self.X):
-            for b in range(self.X):
-                if a == b:
-                    continue
-                movable = self.lattice[:, a] > 0
-                shifted = self.lattice[movable].copy()
-                shifted[:, a] -= 1
-                shifted[:, b] += 1
-                src = np.nonzero(movable)[0]
-                dst = self.index_of(shifted)
-                ok = dst >= 0
-                lo = np.minimum(src[ok], dst[ok])
-                hi = np.maximum(src[ok], dst[ok])
-                pairs.append(np.stack([lo, hi], axis=1))
-        allp = np.unique(np.vstack(pairs), axis=0)
-        return allp
-
 
 def _accumulate(a: np.ndarray) -> np.ndarray:
     """In-place cumulative sum down the first axis, one vector op per row;
@@ -437,6 +427,9 @@ def _accumulate(a: np.ndarray) -> np.ndarray:
 
 
 def grid_size(M: int, X: int) -> int:
+    """Number of points of FreudenthalGrid(M, X), whose bounds it checks."""
+    check_integer("M", M, 1)
+    check_integer("X", X, 2)
     return math.comb(M + X - 1, X - 1)
 
 
@@ -492,7 +485,7 @@ class Lookahead:
 
 
 def _checked_grid(M: int, X: int) -> FreudenthalGrid:
-    size = grid_size(check_integer("M", M, 1), X)
+    size = grid_size(M, X)
     if size > _MAX_POINTS:
         raise GridTooLarge(
             f"grid with {size} points exceeds the cap of {_MAX_POINTS}; "
@@ -547,11 +540,17 @@ def evaluate_policy_on_grid(model: PollingModel, policy: np.ndarray, M: int) -> 
 
 # ------------------------------------------------------------- verifiers
 def _interpolation_allowance(grid: FreudenthalGrid, *value_arrays) -> float:
-    """Lipschitz-style slack: largest value change across one grid edge."""
-    pairs = grid.neighbor_pairs()
-    if pairs.size == 0:
-        return 0.0
-    return float(sum(np.abs(v[pairs[:, 0]] - v[pairs[:, 1]]).max() for v in value_arrays))
+    """Lipschitz-style slack: the sum over value arrays of the largest change
+    across one lattice move n -> n - e_a + e_b. Each unordered move is taken
+    once, with a < b, from a point with n_a > 0, so it lands on the grid."""
+    e = np.eye(grid.X, dtype=grid.lattice.dtype)
+    src, dst = [], []
+    for a, b in combinations(range(grid.X), 2):
+        rows = np.flatnonzero(grid.lattice[:, a])
+        src.append(rows)
+        dst.append(grid.index_of(grid.lattice[rows] - e[a] + e[b]))
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    return float(sum(np.abs(v[src] - v[dst]).max() for v in value_arrays))
 
 
 @dataclass(frozen=True)
@@ -570,10 +569,12 @@ def verify_myopic_bound(model: PollingModel, M: int) -> MyopicBoundReport:
     is 1 this forces mu*(g) = 1: every other action is > 1, so a point where
     the two differ there is already a violation.
 
-    Requires the channels to form a certified dominance chain; the
-    instantaneous costs are concave for all three families by construction.
+    Requires the channels to form a certified dominance chain, or raises
+    UncertifiedChain; the instantaneous costs are concave for all three
+    families by construction.
     """
-    deficiencies = certify_channel_chain(model.channels)
+    deficiencies = certify_chain(lecam_deficiency(b, a).delta
+                                 for a, b in zip(model.channels, model.channels[1:]))
     gvf = value_iteration(model, M)
     myopic = myopic_policy(gvf.points, model.costs)
     violations = tuple(int(i) for i in np.nonzero(gvf.policy > myopic)[0])
@@ -657,11 +658,12 @@ class OrdinalReport:
 
 def verify_ordinal_sensitivity(theta1: PollingModel, theta2: PollingModel, M: int) -> OrdinalReport:
     """Networks with channelwise-dominating observations are cheaper to poll:
-    V_1(g) <= V_2(g) everywhere once O1(u) >=_B O2(u) is certified per action."""
+    V_1(g) <= V_2(g) everywhere once O1(u) >=_B O2(u) is certified per action;
+    UncertifiedChain, listing delta(O2(u), O1(u)) of every u, otherwise."""
     if theta1.n_actions != theta2.n_actions:
         raise ModelShapeMismatch("models must share the action set")
-    defs = tuple(certify_dominance(O1, O2, f"channel {u}")
-                 for u, (O1, O2) in enumerate(zip(theta1.channels, theta2.channels), start=1))
+    defs = certify_chain(lecam_deficiency(O2, O1).delta
+                         for O1, O2 in zip(theta1.channels, theta2.channels))
     v1 = value_iteration(theta1, M)
     v2 = value_iteration(theta2, M)
     allowance = _interpolation_allowance(v1.grid, v1.values, v2.values)

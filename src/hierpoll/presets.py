@@ -14,7 +14,8 @@ import numpy as np
 
 from .channels import HierarchyModel, intent_channel, make_channel
 from .pomdp import CostSpec, PollingModel
-from .stochastic import ConvexPolynomial, check_seed, deflate_chain, validate_stochastic
+from .stochastic import (ConvexPolynomial, check_integer, check_seed, deflate_chain,
+                         validate_stochastic)
 
 # --- three-state benchmark (X = 3, two polling actions) -------------------
 EXAMPLE1_P = np.array([
@@ -109,6 +110,7 @@ def example2_parts(X: int = 20, seed=0):
     entropy plus the per-action offset; the proxy cost ctilde has weight 1.
     Returns (P, B, channels, costs).
     """
+    check_integer("X", X, 1)
     rng = np.random.default_rng(check_seed(seed))
     P = rng.dirichlet(np.ones(X), size=X)
     B = rng.dirichlet(np.ones(X), size=X)

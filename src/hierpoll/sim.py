@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidAction, InvalidArgument, ModelShapeMismatch, UndefinedCTilde
+from .errors import InvalidAction, InvalidArgument, UndefinedCTilde
 from .pomdp import (
     CostSpec,
     GridValueFunction,
@@ -51,7 +51,7 @@ from .pomdp import (
     max_stage_cost,
     value_iteration,
 )
-from .stochastic import _is_integer, check_integer, check_seed, validate_belief
+from .stochastic import _is_integer, check_integer, check_seed
 
 
 # ----------------------------------------------------------------- policies
@@ -153,18 +153,13 @@ def _rollout(model: PollingModel, policy, pi0: np.ndarray, horizon: int,
     """Vectorized simulation of independent rollouts, `runs` being a run
     count or the run indices to draw. Reads no discount factor: returns the
     (runs, horizon) stage costs, with `proxy` also ctilde at the same steps.
-    pi0 must be one belief over the model's states: another shape raises
-    ModelShapeMismatch, and a vector that is not a distribution fails as a
-    row of a StochasticMatrix does. `streams`, when given, must be
+    pi0 is checked by PollingModel.check_belief. `streams`, when given, must be
     `_uniform_streams(seed, runs, horizon)`, which is then not drawn again;
     another shape raises InvalidArgument.
     """
     check_integer("horizon", horizon, 1)
     X = model.n_states
-    if np.shape(pi0) != (X,):
-        raise ModelShapeMismatch(f"initial belief of shape {np.shape(pi0)} "
-                                 f"for a {X}-state model")
-    pi0 = validate_belief(pi0)
+    pi0 = model.check_belief(pi0)
     runs = range(check_integer("runs", runs, 1)) if np.isscalar(runs) else runs
     check_integer("the number of runs", len(runs), 1)
     if streams is None:
@@ -270,6 +265,7 @@ def estimate_cost(model: PollingModel, policy, pi0, horizon: int, runs: int,
 
 # -------------------------------------------------------------- loss metrics
 def uniform_belief(X: int) -> np.ndarray:
+    check_integer("X", X, 1)
     return np.full(X, 1.0 / X)
 
 

@@ -103,9 +103,6 @@ class StochasticMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def __matmul__(self, other):
-        return StochasticMatrix(self.entries @ as_array(other))
-
     def __array__(self, dtype=None, copy=None):
         return np.array(self.entries, dtype=dtype)
 
@@ -221,9 +218,6 @@ class ConvexPolynomial:
         thresh = 1e-14 * max(1.0, float(np.abs(c).max()))
         nz = np.nonzero(np.abs(c) > thresh)[0]
         return int(nz[-1]) if nz.size else 0
-
-    def __call__(self, z):
-        return np.polyval(self.coefficients[::-1], z)
 
     def roots(self) -> np.ndarray:
         """Roots via companion-matrix eigenvalues of the trimmed polynomial."""

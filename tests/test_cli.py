@@ -337,6 +337,19 @@ class TestSolveSimulate:
                             uniform_belief(3), 12, 30, 5)
         assert mean == pytest.approx(est.mean, rel=1e-12)
 
+    def test_simulate_pi0_matches_library_call(self, model_config, capsys):
+        from hierpoll.sim import MyopicPolicy, estimate_cost, uniform_belief
+        assert main(["simulate", "--config", model_config, "--pi0", "1,0,0", "--runs", "30",
+                     "--horizon", "12", "--seed", "5"]) == 0
+        lines = [l for l in capsys.readouterr().out.splitlines()
+                 if not l.startswith("#")]
+        mean = float(lines[1].split(",")[0])
+        model = example1_model(0.5)
+        est = estimate_cost(model, MyopicPolicy(), np.array([1.0, 0.0, 0.0]), 12, 30, 5)
+        assert mean == pytest.approx(est.mean, rel=1e-12)
+        # the option is read: the default uniform start gives another mean
+        assert est.mean != estimate_cost(model, MyopicPolicy(), uniform_belief(3), 12, 30, 5).mean
+
     def test_simulate_fixed_policy(self, model_config, capsys):
         assert main(["simulate", "--config", model_config, "--policy", "fixed:2",
                      "--runs", "10", "--horizon", "5"]) == 0
@@ -405,6 +418,7 @@ class TestSolveSimulate:
         ["example2", "--states", "3", "--pairs", "1", "--seed", "-1"],
         ["simulate", "--config", "{config}", "--seed", "-1"],
         ["estimate", "{o1}", "--states", "2", "--seed", "-1"],
+        ["dominance", "{o1}"],
     ], ids=["fixed-not-int", "fixed-out-of-range", "runs-0", "horizon-0",
             "alphas-not-float", "grid-m-0", "pairs-0", "states-0", "threads-0",
             "tol-nan", "tol-negative", "cert-tol-inf", "example1-vi-tol-nan",
@@ -422,7 +436,7 @@ class TestSolveSimulate:
             "capacity-word-channel", "renyi-word-channel", "capacity-huge-int",
             "friendship-n-friends-inf", "solve-deeply-nested-json",
             "example1-seed-negative", "example2-seed-negative", "simulate-seed-negative",
-            "estimate-seed-negative"])
+            "estimate-seed-negative", "dominance-one-file"])
     def test_bad_options_exit_two(self, argv, model_config, channel_files, tmp_path,
                                   capsys):
         argv = [a.replace("{config}", model_config).replace("{o1}", channel_files[0])

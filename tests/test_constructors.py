@@ -16,8 +16,9 @@ from hierpoll.channels import (
 )
 from hierpoll.errors import HierPollError, InvalidArgument
 from hierpoll.estimate import ObservationDataset, em_fit
-from hierpoll.pomdp import CostSpec, FreudenthalGrid, PollingModel, value_iteration
+from hierpoll.pomdp import CostSpec, FreudenthalGrid, PollingModel, grid_size, value_iteration
 from hierpoll.presets import EXAMPLE1_O1, example1_costs, example1_model, example2_parts
+from hierpoll.sim import uniform_belief
 from hierpoll.stochastic import (
     ConvexPolynomial,
     check_integer,
@@ -100,6 +101,10 @@ INTEGER_ARGUMENTS = {
     "check_integer": ("n", 1, lambda v: check_integer("n", v, 1)),
     "FreudenthalGrid-M": ("M", 1, lambda v: FreudenthalGrid(v, 3)),
     "FreudenthalGrid-X": ("X", 2, lambda v: FreudenthalGrid(3, v)),
+    "grid_size-M": ("M", 1, lambda v: grid_size(v, 3)),
+    "grid_size-X": ("X", 2, lambda v: grid_size(3, v)),
+    "example2_parts": ("X", 1, lambda v: example2_parts(v)),
+    "uniform_belief": ("X", 1, lambda v: uniform_belief(v)),
     "value_iteration-M": ("M", 1, lambda v: value_iteration(example1_model(0.5), v)),
     "HierarchyModel-N": ("N", 0, lambda v: HierarchyModel(validate_stochastic(EXAMPLE1_O1), v)),
     "friendship_channel": ("n_friends", 1, lambda v: friendship_channel(EXAMPLE1_O1, v)),

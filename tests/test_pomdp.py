@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from hierpoll import pomdp
-from hierpoll.channels import certify_channel_chain, lecam_deficiency, make_channel
+from hierpoll.channels import certify_chain, lecam_deficiency, make_channel
 from hierpoll.errors import (
     BeliefOffGrid,
     GridTooLarge,
@@ -18,7 +19,6 @@ from hierpoll.errors import (
     NonFiniteEntry,
     RowSumMismatch,
     UncertifiedChain,
-    UncertifiedDominance,
     ZeroLikelihood,
 )
 from hierpoll.pomdp import (
@@ -61,6 +61,11 @@ class TestCostSpec:
             CostSpec.expectation([0.25, 0.5], [0.5, 1.0])  # S increasing
         with pytest.raises(InvalidCostSpec):
             CostSpec.expectation([0.5, 0.25], [1.0, 0.5])  # w decreasing
+
+    def test_intent_costs_need_the_intent_constructor(self):
+        # without level_costs and betas the spec would skip the level-cost checks
+        with pytest.raises(InvalidCostSpec, match="CostSpec.intent"):
+            CostSpec("intent", [1.0, 0.5], [2.0, 1.0], [1.0, 2.0])
 
     @pytest.mark.parametrize("variant", ["expectation", "friendship"])
     def test_negative_error_weights_rejected(self, variant):
@@ -260,6 +265,11 @@ class TestFilterUpdate:
     ], ids=["negative", "row-sum"])
     def test_prior_must_be_a_distribution(self, model, pi, error):
         with pytest.raises(error):
+            filter_update(pi, 0, 1, model)
+
+    @pytest.mark.parametrize("pi", [[0.5, 0.5], [[1 / 3, 1 / 3, 1 / 3]]], ids=["short", "2-d"])
+    def test_prior_of_another_shape_is_a_model_mismatch(self, model, pi):
+        with pytest.raises(ModelShapeMismatch, match="for a 3-state model"):
             filter_update(pi, 0, 1, model)
 
     def test_bayes_update_batches_and_zero_rows(self):
@@ -503,11 +513,15 @@ class TestFreudenthalGrid:
         assert gvf.interpolate(gvf.points[g]) == pytest.approx(
             float(gvf.values[g]), abs=1e-12)
 
-    def test_neighbor_pairs_are_one_move_apart(self):
-        grid = FreudenthalGrid(4, 3)
-        pairs = grid.neighbor_pairs()
-        for a, b in pairs:
-            assert np.abs(grid.lattice[a] - grid.lattice[b]).sum() == 2
+    @pytest.mark.parametrize("M, X", [(1, 2), (4, 3), (3, 5)])
+    def test_allowance_is_the_largest_change_across_one_move(self, rng, M, X):
+        # oracle: every pair of lattice points at L1 distance 2, i.e. one move apart
+        grid = FreudenthalGrid(M, X)
+        values = rng.normal(size=(3, grid.size))
+        L = grid.lattice
+        apart = np.abs(L[:, None, :] - L[None, :, :]).sum(axis=2) == 2
+        want = sum(np.abs(v[:, None] - v[None, :])[apart].max() for v in values)
+        assert pomdp._interpolation_allowance(grid, *values) == want
 
 
 def one_row_among(rng, row, n=1999):
@@ -691,7 +705,7 @@ class TestMyopicBound:
         # action is not a dominance chain
         model = PollingModel(P3, (O2, O1), example1_costs(), rho=0.5)
         with pytest.raises(UncertifiedChain):
-            certify_channel_chain(model.channels)
+            certify_chain([lecam_deficiency(O1, O2).delta])
         with pytest.raises(UncertifiedChain):
             verify_myopic_bound(model, M=6)
         assert lecam_deficiency(model.observation(2), model.observation(1)).delta > 1e-3
@@ -781,5 +795,9 @@ class TestOrdinalSensitivity:
         theta1 = example1_model(rho=0.5)
         theta2 = PollingModel(P3, (make_channel(np.eye(3)), make_channel(O2)),
                               example1_costs(), rho=0.5)
-        with pytest.raises(UncertifiedDominance):
+        # the message lists delta(O2(u), O1(u)) of every action, in order
+        defs = tuple(lecam_deficiency(O2u, O1u).delta
+                     for O1u, O2u in zip(theta1.channels, theta2.channels))
+        assert defs[0] > 1e-3 and defs[1] <= 1e-7
+        with pytest.raises(UncertifiedChain, match=re.escape(f"deficiencies {defs} exceed")):
             verify_ordinal_sensitivity(theta1, theta2, M=12)
