@@ -29,6 +29,7 @@ from .errors import (
     AlphabetMismatch,
     EmptyData,
     InvalidArgument,
+    ModelShapeMismatch,
     NotSquare,
     ParseError,
     ProjectionStalled,
@@ -267,9 +268,10 @@ def em_fit(data: ObservationDataset, X: int, init=None, max_iter: int = 100,
     forward-backward scan per sequence (`_forward_backward`). The
     log-likelihood trace is nondecreasing by construction of the guarded
     emission step. Raises ZeroLikelihood when some sequence cannot occur
-    under the current (P, B), for instance under a degenerate `init`, and
+    under the current (P, B), for instance under a degenerate `init`,
+    ModelShapeMismatch for an `init` matrix that is not X x X, and
     InvalidArgument for a max_iter that is not an integer >= 1 or a tol that
-    is NaN or negative.
+    is NaN or negative. `init` is checked by `validate_stochastic`.
     """
     check_integer("max_iter", max_iter, 1)
     if not tol >= 0:
@@ -280,7 +282,10 @@ def em_fit(data: ObservationDataset, X: int, init=None, max_iter: int = 100,
     if init is None:
         P, B = default_initialization(X, seed)
     else:
-        P, B = (np.array(as_array(m), dtype=float) for m in init)
+        P, B = (validate_stochastic(m).entries for m in init)
+        for name, m in (("P", P), ("B", B)):
+            if m.shape != (X, X):
+                raise ModelShapeMismatch(f"init {name} must be {X} x {X}, got shape {m.shape}")
         if not is_ultrametric(B):
             B = project_ultrametric(B).entries
     pi0 = np.full(X, 1.0 / X)

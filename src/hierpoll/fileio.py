@@ -139,31 +139,26 @@ def chain_to_dict(chain) -> dict:
 
 # ------------------------------------------------------------- cost / model
 def cost_spec_to_dict(costs: CostSpec) -> dict:
-    out = {"variant": costs.variant}
-    if costs.variant == "intent":
-        out["level_costs"] = costs.level_costs.tolist()
-        out["betas"] = [b.coefficients.tolist() for b in costs.betas]
-        out["gamma1"] = costs.weights.tolist()
+    intent = costs.variant == "intent"
+    out = {"variant": costs.variant, "measurement": costs.measurement.tolist(),
+           ("gamma1" if intent else "error_weights"): costs.weights.tolist()}
+    if intent:
         out["gamma2"] = costs.offsets.tolist()
-    else:
-        out["measurement"] = costs.measurement.tolist()
-        out["error_weights"] = costs.weights.tolist()
     if costs.ctilde_weight is not None:
         out["ctilde_weight"] = costs.ctilde_weight
     return out
 
 
 def cost_spec_from_dict(payload: dict) -> CostSpec:
-    variant = payload["variant"]
-    cw = payload.get("ctilde_weight")
-    if variant == "intent":
-        return CostSpec.intent(
-            level_costs=payload["level_costs"],
-            betas=tuple(ConvexPolynomial(b) for b in payload["betas"]),
-            entropy_weights=payload["gamma1"],
-            offsets=payload["gamma2"],
-            ctilde_weight=cw)
-    return CostSpec(variant, payload["measurement"], payload["error_weights"], ctilde_weight=cw)
+    """Costs as `cost_spec_to_dict` writes them, or an intent spec without
+    `measurement` as the recipe `CostSpec.intent` takes."""
+    variant, cw = payload["variant"], payload.get("ctilde_weight")
+    if variant != "intent":
+        return CostSpec(variant, payload["measurement"], payload["error_weights"], ctilde_weight=cw)
+    if "measurement" in payload:
+        return CostSpec(variant, payload["measurement"], payload["gamma1"], payload["gamma2"], cw)
+    return CostSpec.intent(payload["level_costs"], [ConvexPolynomial(b) for b in payload["betas"]],
+                           payload["gamma1"], payload["gamma2"], cw)
 
 
 def model_to_dict(model: PollingModel) -> dict:

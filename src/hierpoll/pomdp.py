@@ -52,8 +52,8 @@ from .errors import (
     NonConvergence,
     ZeroLikelihood,
 )
-from .stochastic import (ConvexPolynomial, StochasticMatrix, _readonly, check_integer,
-                         validate_belief, validate_stochastic)
+from .stochastic import (StochasticMatrix, _readonly, check_integer, validate_belief,
+                         validate_stochastic)
 
 MAX_SWEEPS = 10 ** 5       # Bellman sweeps before NonConvergence
 _VI_TOL = 1e-8             # sup-norm change at which sweeps stop
@@ -86,8 +86,6 @@ class CostSpec:
     measurement: np.ndarray
     weights: np.ndarray | None = None
     offsets: np.ndarray | None = None             # intent; zeros otherwise
-    level_costs: np.ndarray | None = None         # intent bookkeeping
-    betas: tuple[ConvexPolynomial, ...] | None = None
     ctilde_weight: float | None = None
 
     def __post_init__(self):
@@ -115,9 +113,6 @@ class CostSpec:
                 raise InvalidCostSpec(f"{self.variant} costs take no offsets, got {self.offsets}")
             g2 = np.zeros(U)
         elif self.variant == "intent":
-            if self.level_costs is None or self.betas is None:
-                raise InvalidCostSpec("intent costs need level_costs and betas: "
-                                      "build them with CostSpec.intent")
             if self.weights is None or self.offsets is None:
                 raise InvalidCostSpec("intent costs need entropy weights and offsets")
             w = np.asarray(self.weights, dtype=float)
@@ -133,14 +128,12 @@ class CostSpec:
         else:
             raise InvalidCostSpec(f"unknown variant {self.variant!r}")
         # NaN fails every ordering test above, so it is caught here
-        for name, v in (("measurement", self.measurement), ("weights", w),
-                        ("offsets", g2), ("level_costs", self.level_costs)):
-            if v is not None and not np.isfinite(v).all():
+        for name, v in (("measurement", self.measurement), ("weights", w), ("offsets", g2)):
+            if not np.isfinite(v).all():
                 raise InvalidCostSpec(f"{name} must be finite, got {v}")
         # every stage cost is then >= 0, as value iteration's start at V = 0 needs
-        for name, v in (("measurement", self.measurement), ("level_costs", self.level_costs)):
-            if v is not None and np.any(np.asarray(v) < 0):
-                raise InvalidCostSpec(f"{name} must be >= 0, got {v}")
+        if np.any(self.measurement < 0):
+            raise InvalidCostSpec(f"measurement must be >= 0, got {self.measurement}")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "offsets", g2)
 
@@ -154,19 +147,20 @@ class CostSpec:
 
     @classmethod
     def intent(cls, level_costs, betas, entropy_weights, offsets, ctilde_weight=None):
+        """Intent costs from level costs s, finite, >= 0 and nonincreasing in
+        the level, and each action's level-sampling polynomial: measurement_u = beta_u . s."""
         s = np.asarray(level_costs, dtype=float)
         if np.any(_steps(s) > 1e-12):
             raise InvalidCostSpec("level costs must be nonincreasing in the level")
+        if not np.isfinite(s).all():
+            raise InvalidCostSpec(f"level_costs must be finite, got {s}")
+        if np.any(s < 0):
+            raise InvalidCostSpec(f"level_costs must be >= 0, got {s}")
         betas = tuple(betas)
-        for b in betas:
-            if b.coefficients.size > s.size:
-                raise InvalidCostSpec("polling distribution longer than level costs")
-        measurement = np.array([
-            float(np.dot(b.coefficients, s[: b.coefficients.size]))
-            for b in betas
-        ])
-        return cls("intent", measurement, entropy_weights, offsets, level_costs=s,
-                   betas=betas, ctilde_weight=ctilde_weight)
+        if any(b.coefficients.size > s.size for b in betas):
+            raise InvalidCostSpec("polling distribution longer than level costs")
+        measurement = [np.dot(b.coefficients, s[: b.coefficients.size]) for b in betas]
+        return cls("intent", measurement, entropy_weights, offsets, ctilde_weight=ctilde_weight)
 
     @property
     def num_actions(self) -> int:
@@ -216,7 +210,7 @@ def max_stage_cost(costs: CostSpec, X: int) -> float:
     """Upper bound of the stage cost over the belief simplex, where h peaks
     at the uniform belief: log2 X for the entropy, 1 - 1/X otherwise."""
     peak = math.log2(X) if costs.variant == "intent" else 1.0 - 1.0 / X
-    return float((costs.measurement + costs.weights * peak + costs.offsets).max())
+    return float(costs.stage_costs(np.array([peak])).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -533,8 +527,12 @@ def value_iteration(model: PollingModel, M: int) -> GridValueFunction:
 def evaluate_policy_on_grid(model: PollingModel, policy: np.ndarray, M: int) -> np.ndarray:
     """Fixed-policy discounted value on the grid (same backup, u pinned)."""
     grid = _checked_grid(M, model.n_states)
+    policy = np.asarray(policy)
     if policy.shape != (grid.size,):
         raise ModelShapeMismatch("policy must assign an action to every grid point")
+    bad = (policy != np.floor(policy)) | (policy < 1) | (policy > model.n_actions)
+    if bad.any():
+        raise InvalidAction(f"policy action {policy[bad][0]} is not in 1..{model.n_actions}")
     return _sweep(Lookahead(model, grid, grid.points), policy)[0]
 
 

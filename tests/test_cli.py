@@ -18,6 +18,8 @@ from hierpoll.errors import InvalidCostSpec, LPSolverFailure, ParseError
 from hierpoll.fileio import (
     channel_from_dict,
     channel_to_dict,
+    cost_spec_from_dict,
+    cost_spec_to_dict,
     load_matrix,
     load_model,
     model_from_dict,
@@ -25,7 +27,17 @@ from hierpoll.fileio import (
     render_table,
     save_matrix,
 )
-from hierpoll.presets import EXAMPLE1_O1, EXAMPLE1_O2, example1_model, example2_model
+from hierpoll.pomdp import CostSpec
+from hierpoll.presets import (
+    EXAMPLE1_O1,
+    EXAMPLE1_O2,
+    EXAMPLE2_GAMMA1,
+    EXAMPLE2_GAMMA2,
+    example1_model,
+    example2_model,
+    example2_polynomials,
+)
+from hierpoll.stochastic import ConvexPolynomial
 
 from conftest import hmm_sample
 
@@ -107,6 +119,11 @@ class TestFileFormats:
         save_matrix(p, EXAMPLE1_O1)
         assert np.array_equal(load_matrix(p), EXAMPLE1_O1)
 
+    def test_matrix_json_round_trip(self, tmp_path):
+        p = tmp_path / "m.json"
+        save_matrix(p, EXAMPLE1_O1)
+        assert np.array_equal(load_matrix(p), EXAMPLE1_O1)
+
     def test_matrix_csv_with_header(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("# comment\na,b\n0.5,0.5\n0.25,0.75\n")
@@ -147,6 +164,38 @@ class TestFileFormats:
         assert back.costs.equivalent(intent.costs)
         friendship = _edited_model_config(("costs", "variant"), "friendship")
         assert model_from_dict(friendship).costs.variant == "friendship"
+
+    @pytest.mark.parametrize("spec", [
+        CostSpec.expectation([0.5, 0.25], [0.5, 1.0]),
+        CostSpec.friendship([0.5, 0.3, 0.25], [0.2, 0.6, 1.5], ctilde_weight=0.25),
+        # level costs as a list, which cost_spec_to_dict could not write when
+        # the spec kept its recipe
+        CostSpec.intent([0.3, 0.1], [ConvexPolynomial([1.0]), ConvexPolynomial([1 / 3, 2 / 3])],
+                        entropy_weights=[2.0, 1.0], offsets=[1.0, 2.0], ctilde_weight=1.0),
+    ], ids=["expectation", "friendship", "intent"])
+    def test_cost_spec_round_trips_bit_for_bit(self, spec):
+        def fields(s):
+            return [np.asarray(getattr(s, f.name)).tobytes() if f.name != "variant"
+                    else s.variant for f in dataclasses.fields(s)]
+
+        assert [f.name for f in dataclasses.fields(CostSpec)] == [
+            "variant", "measurement", "weights", "offsets", "ctilde_weight"]
+        for payload in (cost_spec_to_dict(spec), json.loads(json.dumps(cost_spec_to_dict(spec)))):
+            assert fields(cost_spec_from_dict(payload)) == fields(spec)
+
+    def test_intent_recipe_and_values_configs_load_alike(self):
+        model = example2_model(0.7, X=4, seed=3)
+        values = model_to_dict(model)
+        assert "level_costs" not in values["costs"]
+        recipe = {**values, "costs": {
+            "variant": "intent", "level_costs": [0.0] * 11,
+            "betas": [f.coefficients.tolist() for f in example2_polynomials()],
+            "gamma1": list(EXAMPLE2_GAMMA1), "gamma2": list(EXAMPLE2_GAMMA2),
+            "ctilde_weight": 1.0}}
+        loaded = [model_from_dict(json.loads(json.dumps(c))).costs for c in (values, recipe)]
+        for f in dataclasses.fields(CostSpec):
+            assert all(np.array_equal(getattr(c, f.name), getattr(model.costs, f.name))
+                       for c in loaded), f.name
 
     def test_unknown_cost_variant_is_rejected_naming_the_file(self, tmp_path):
         p = tmp_path / "model.json"
@@ -458,6 +507,20 @@ class TestSolveSimulate:
         assert captured.out == ""
         assert "error:" in captured.err and "Traceback" not in captured.err
         assert all(path in captured.err for path in bad_paths)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["example1", "--rho-list", "0.5,1.0"], "rho 1.0 outside [0, 1)"),
+        (["simulate", "--config", "{config}", "--policy", "bogus"], "unknown policy 'bogus'"),
+    ], ids=["rho-list-one", "policy-unknown"])
+    def test_rejected_value_is_named(self, argv, message, model_config, capsys):
+        try:
+            rc = main([a.replace("{config}", model_config) for a in argv])
+        except SystemExit as exc:      # argparse rejects an option's value
+            rc = exc.code
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
     @pytest.mark.parametrize("argv", [
         ["example1", "--runs", "x"],

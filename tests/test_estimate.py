@@ -10,6 +10,9 @@ from hierpoll.errors import (
     AlphabetMismatch,
     EmptyData,
     InvalidArgument,
+    ModelShapeMismatch,
+    NegativeEntry,
+    NonFiniteEntry,
     ParseError,
     ProjectionStalled,
     UnknownSymbol,
@@ -264,6 +267,28 @@ class TestEmFit:
         est = em_fit(ds, X=3, init=(EXAMPLE1_P, EXAMPLE1_O1), max_iter=10, tol=0.0, seed=0)
         assert np.all(np.diff(est.log_likelihoods) >= -1e-8)
         assert row_tv(est.emission.entries, EXAMPLE1_O1).max() <= 0.01
+
+    @pytest.mark.parametrize("init, error, match", [
+        # each used to fail late or untyped: ZeroLikelihood, numpy's ValueError
+        # and ProjectionStalled after every projection cycle
+        ((np.array([[1.2, -0.2, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), EXAMPLE1_O1),
+         NegativeEntry, "is negative"),
+        ((np.eye(2), EXAMPLE1_O1), ModelShapeMismatch, r"init P must be 3 x 3, got shape \(2, 2\)"),
+        ((EXAMPLE1_P, np.full((3, 3), np.nan)), NonFiniteEntry, "not finite"),
+    ], ids=["negative-P", "small-P", "nan-B"])
+    def test_init_is_checked(self, init, error, match):
+        ds = ObservationDataset((np.array([0, 1, 2, 1]),), ("a", "b", "c"))
+        with pytest.raises(error, match=match):
+            em_fit(ds, X=3, init=init, max_iter=5)
+
+    def test_non_ultrametric_init_is_projected(self):
+        B0 = np.array([[0.6, 0.3, 0.1], [0.2, 0.7, 0.1], [0.1, 0.2, 0.7]])  # asymmetric
+        assert not is_ultrametric(B0)
+        y = hmm_sample(EXAMPLE1_P, EXAMPLE1_O1, 2_000, seed=4)
+        ds = ObservationDataset((y,), ("a", "b", "c"))
+        est = em_fit(ds, X=3, init=(EXAMPLE1_P, B0), max_iter=10, tol=0.0)
+        assert is_ultrametric(est.emission.entries)
+        assert est.ascends
 
     def test_more_data_tightens_estimate(self):
         small = hmm_sample(EXAMPLE1_P, EXAMPLE1_O1, 1_000, seed=11)

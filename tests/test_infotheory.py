@@ -499,6 +499,9 @@ class TestKLDivergence:
         with pytest.raises(DimensionMismatch):
             kl_divergence([0.5, 0.5], [0.2, 0.3, 0.5])
 
+    def test_mass_where_q_has_none_is_infinite(self):
+        assert kl_divergence([0.5, 0.5], [1.0, 0.0]) == float("inf")
+
 
 class TestVerifyOrderings:
     def test_power_chain_capacities_strictly_decrease(self, O1):

@@ -49,6 +49,13 @@ def test_unbounded():
         solve_lp(c=[0.0, -1.0], A_eq=[[1.0, -1.0]], b_eq=[1.0], basis=[0])
 
 
+def test_pivot_cap_raises(monkeypatch):
+    # the optimum (40, 40) has both variables basic, so it needs two pivots
+    monkeypatch.setattr(lp, "_MAX_PIVOTS", 1)
+    with pytest.raises(LPSolverFailure, match="did not terminate within 1 pivots"):
+        solve_from_slacks([-2.0, -3.0], [[1, 1], [6, 3], [1, 2]], [100, 360, 120])
+
+
 def test_stopped_before_optimum(monkeypatch):
     # mutant: no pivot is made, so the slack basis at the origin is feasible
     # but its reduced costs (-2, -3) are negative

@@ -21,6 +21,7 @@ from hierpoll.errors import (
     UncertifiedChain,
     ZeroLikelihood,
 )
+from hierpoll.fileio import cost_spec_from_dict, cost_spec_to_dict
 from hierpoll.pomdp import (
     CostSpec,
     FreudenthalGrid,
@@ -62,10 +63,10 @@ class TestCostSpec:
         with pytest.raises(InvalidCostSpec):
             CostSpec.expectation([0.5, 0.25], [1.0, 0.5])  # w decreasing
 
-    def test_intent_costs_need_the_intent_constructor(self):
-        # without level_costs and betas the spec would skip the level-cost checks
-        with pytest.raises(InvalidCostSpec, match="CostSpec.intent"):
-            CostSpec("intent", [1.0, 0.5], [2.0, 1.0], [1.0, 2.0])
+    def test_intent_costs_build_from_their_values_and_round_trip(self):
+        spec = CostSpec("intent", [1.0, 0.5], [2.0, 1.0], [1.0, 2.0])
+        back = cost_spec_from_dict(cost_spec_to_dict(spec))
+        assert back.equivalent(spec) and back.ctilde_weight is None
 
     @pytest.mark.parametrize("variant", ["expectation", "friendship"])
     def test_negative_error_weights_rejected(self, variant):
@@ -670,6 +671,16 @@ class TestValueIteration:
         gvf = value_iteration(model, M=12)
         evald = evaluate_policy_on_grid(model, gvf.policy, M=12)
         assert np.abs(evald - gvf.values).max() < 1e-6
+
+    @pytest.mark.parametrize("action", [0, 1.7, 3, np.nan])
+    def test_policy_evaluation_rejects_actions_outside_one_to_U(self, model, action):
+        # 0 used to wrap to the last action and 1.7 to truncate to action 1
+        with pytest.raises(InvalidAction, match="is not in 1..2"):
+            evaluate_policy_on_grid(model, np.full(grid_size(4, 3), action), M=4)
+
+    def test_policy_evaluation_needs_one_action_per_grid_point(self, model):
+        with pytest.raises(ModelShapeMismatch, match="every grid point"):
+            evaluate_policy_on_grid(model, [1] * (grid_size(4, 3) - 1), M=4)
 
 
 class TestMyopicBound:
