@@ -39,6 +39,7 @@ from .errors import (
 from .fileio import _from_payload, _is_json, _read
 from .stochastic import (
     StochasticMatrix,
+    _is_real,
     _max_min_closure,
     _ultrametric_gaps,
     as_array,
@@ -271,11 +272,11 @@ def em_fit(data: ObservationDataset, X: int, init=None, max_iter: int = 100,
     under the current (P, B), for instance under a degenerate `init`,
     ModelShapeMismatch for an `init` matrix that is not X x X, and
     InvalidArgument for a max_iter that is not an integer >= 1 or a tol that
-    is NaN or negative. `init` is checked by `validate_stochastic`.
+    is not a number >= 0. `init` is checked by `validate_stochastic`.
     """
     check_integer("max_iter", max_iter, 1)
-    if not tol >= 0:
-        raise InvalidArgument(f"tol must be >= 0, got {tol}")
+    if not (_is_real(tol) and tol >= 0):
+        raise InvalidArgument(f"tol must be >= 0, got {tol!r}")
     if len(data.alphabet) != X:
         raise AlphabetMismatch(
             f"alphabet size {len(data.alphabet)} != state count {X}")

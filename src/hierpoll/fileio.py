@@ -101,7 +101,10 @@ def channel_to_dict(ch: Channel) -> dict:
             "matrix": ch.matrix.entries.tolist()}
 
 
-def channel_from_dict(payload: dict) -> Channel:
+def channel_from_dict(payload) -> Channel:
+    """A channel from any form a channel file takes: a matrix, bare or labelled, or a recipe."""
+    if not isinstance(payload, dict):
+        payload = {"matrix": payload}
     kind = payload.get("type", "matrix")
     if kind == "matrix":
         return make_channel(np.asarray(payload["matrix"], dtype=float),
@@ -121,11 +124,7 @@ def channel_from_dict(payload: dict) -> Channel:
 
 
 def load_channel(path) -> Channel:
-    if not _is_json(path):
-        return _from_payload(make_channel, load_matrix(path), path)
-    payload = _read(path, as_json=True)
-    if not isinstance(payload, dict):
-        payload = {"matrix": payload}
+    payload = _read(path, as_json=True) if _is_json(path) else load_matrix(path)
     return _from_payload(channel_from_dict, payload, path)
 
 
@@ -175,7 +174,7 @@ def model_from_dict(payload: dict) -> PollingModel:
         P=validate_stochastic(payload["P"]),
         channels=tuple(channel_from_dict(c) for c in payload["channels"]),
         costs=cost_spec_from_dict(payload["costs"]),
-        rho=float(payload["rho"]),
+        rho=payload["rho"],
     )
 
 

@@ -32,7 +32,7 @@ from .errors import (
     InvalidArgument,
     MaxIterationsExceeded,
 )
-from .stochastic import validate_belief, validate_stochastic
+from .stochastic import _is_real, validate_belief, validate_stochastic
 
 _LOG2 = np.log(2.0)
 _MAX_ITERATIONS = 10 ** 5  # Blahut-Arimoto updates before MaxIterationsExceeded
@@ -91,11 +91,11 @@ def shannon_capacities(channels, tol: float = 1e-10) -> list[Capacity]:
     nondecreasing and converge to the capacity. Each channel stops when its
     estimate changes by less than tol. The channels run together as the
     diagonal blocks of one matrix, so an iteration costs a fixed number of
-    numpy calls whatever the number of channels. A tol that is not > 0
-    raises InvalidArgument, since no change could fall below it.
+    numpy calls whatever the number of channels. A tol that is not a number
+    > 0 raises InvalidArgument, since no change could fall below it.
     """
-    if not tol > 0:
-        raise InvalidArgument(f"tol must be > 0, got {tol}")
+    if not (_is_real(tol) and tol > 0):
+        raise InvalidArgument(f"tol must be > 0, got {tol!r}")
     blocks = [O[:, O.any(axis=0)] for O in (validate_stochastic(ch).entries for ch in channels)]
     results = []
     start = 0
@@ -188,10 +188,8 @@ def _blahut_arimoto(blocks, first: int, tol: float) -> list[Capacity]:
         s = int(hits[0])
         done += s + 1
         r, q, d, estimate, stop = R[s], Q[s], D[s], estimates[s], stops[s]
-        # max_x D(O_x || q) bounds C for any q; a row reaching a symbol of q
-        # below the floor has no finite bound from this q
-        bound = np.where(((B > 0) & (q < _Q_FLOOR)).any(axis=1), np.inf, d)
-        upper = np.maximum.reduceat(bound, starts) / _LOG2
+        # max_x D(O_x || q) bounds C for any q
+        upper = np.maximum.reduceat(_gallager_rows(B, r, q, d), starts) / _LOG2
         ends = np.append(starts[1:], r.size)
         for k in np.flatnonzero(stop):
             bits = max(0.0, float(estimate[k]))    # C >= 0; round-off can dip below
@@ -207,6 +205,23 @@ def _blahut_arimoto(blocks, first: int, tol: float) -> list[Capacity]:
     raise MaxIterationsExceeded(
         f"Blahut-Arimoto did not converge on the channel at index {index} within "
         f"{_MAX_ITERATIONS} iterations", index=index)
+
+
+def _gallager_rows(B: np.ndarray, r: np.ndarray, q: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """D(O_x || q) in nats of every row x of B, given d from the pass that
+    formed q = rB. A row that reaches a symbol of q below the floor, where d
+    took the floored ratio, gets an upper bound instead: its terms there are
+    formed in log space, with log q(y) >= log r_x + log O_x(y) since q(y) >=
+    r_x O_x(y); it is inf only if r_x = 0 and q(y) underflowed to 0."""
+    low = q < _Q_FLOOR
+    if not low.any():
+        return d
+    O = B[:, low]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_O = np.log(O)
+        log_q = np.maximum(np.log(q[low]), np.log(r)[:, None] + log_O)
+        floored = np.where(O > 0, O * (log_O - log_q), 0.0).sum(axis=1)
+    return np.where((O > 0).any(axis=1), _kl_rows(B[:, ~low], q[~low]) + floored, d)
 
 
 def shannon_capacity(ch, tol: float = 1e-10):
@@ -240,7 +255,10 @@ def _renyi_table(P: np.ndarray, Q: np.ndarray, alphas) -> np.ndarray:
     alpha, shape (len(P), len(Q), len(alphas)). Only symbols where both rows
     are positive count, so alpha = 0 sums q over p's support (p^0 = 1); a
     zero total gives inf."""
-    a = np.asarray(alphas, dtype=float).reshape(-1, 1)
+    try:
+        a = np.asarray(alphas, dtype=float).reshape(-1, 1)
+    except (TypeError, ValueError, OverflowError):
+        raise AlphaOutOfRange(f"alpha must be numbers in [0, 1), got {alphas!r}") from None
     if not a.size or not np.all((0.0 <= a) & (a < 1.0)):
         raise AlphaOutOfRange(f"alpha must lie in [0, 1), got {a.ravel().tolist()}")
     P = np.where(P > 0, P, 0.0)[:, None, None, :]

@@ -52,7 +52,7 @@ from .errors import (
     NonConvergence,
     ZeroLikelihood,
 )
-from .stochastic import (StochasticMatrix, _readonly, check_integer, validate_belief,
+from .stochastic import (StochasticMatrix, _is_real, _readonly, check_integer, validate_belief,
                          validate_stochastic)
 
 MAX_SWEEPS = 10 ** 5       # Bellman sweeps before NonConvergence
@@ -63,11 +63,23 @@ OFF_GRID = -(1 << 40)      # rank-table sentinel; exceeds any grid size
 
 
 def _steps(v) -> np.ndarray:
-    """Successive differences of v, without floating-point warnings: a step
-    that overflows keeps its sign as +-inf, and a non-finite entry is left to
-    the finiteness check that follows the ordering checks."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    """np.diff(v) without an overflow warning: a step that overflows is +-inf."""
+    with np.errstate(over="ignore"):
         return np.diff(v)
+
+
+def _cost_vector(name: str, v, size: int | None = None) -> np.ndarray:
+    """`v` as a 1-d vector of finite floats, of `size` entries when given;
+    otherwise InvalidCostSpec naming the field."""
+    try:
+        a = np.asarray(v, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        a = None
+    if a is None or a.ndim != 1 or size not in (None, a.size):
+        raise InvalidCostSpec(f"{name} must be a vector of {size or 'finite'} numbers, got {v!r}")
+    if not np.isfinite(a).all():
+        raise InvalidCostSpec(f"{name} must be finite, got {a}")
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,9 +89,11 @@ class CostSpec:
     The variant only chooses the uncertainty h of the state estimate: the
     belief entropy in bits for intent polling, the quadratic estimation
     error 1 - pi'pi for expectation and friendship polling. Offsets are
-    zero except for intent polling. Finite costs with nonnegative weights
-    and measurement costs, monotone across actions (cheaper but noisier as
-    u grows), are enforced at construction.
+    zero except for intent polling. Enforced at construction: each cost
+    vector is 1-d and finite with one entry per action, and for every
+    variant the measurement costs are >= 0 and nonincreasing in u (cheaper
+    but noisier as u grows); the weights are >= 0 and monotone across
+    actions, and ctilde_weight, when given, is a finite number.
     """
 
     variant: str
@@ -89,36 +103,24 @@ class CostSpec:
     ctilde_weight: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "measurement",
-                           np.asarray(self.measurement, dtype=float))
-        U = self.measurement.size
-        if U < 1:
+        intent = self.variant == "intent"
+        if not intent and self.variant not in ("expectation", "friendship"):
+            raise InvalidCostSpec(f"unknown variant {self.variant!r}")
+        m = _cost_vector("measurement", self.measurement)
+        if not m.size:
             raise InvalidCostSpec("need at least one action")
-        if self.ctilde_weight is not None and not math.isfinite(self.ctilde_weight):
-            raise InvalidCostSpec(f"ctilde_weight must be finite, got {self.ctilde_weight}")
-        if self.variant in ("expectation", "friendship"):
-            if np.any(_steps(self.measurement) > 1e-12):
-                raise InvalidCostSpec("measurement costs must be nonincreasing in u")
-            if self.weights is None:
-                raise InvalidCostSpec(f"{self.variant} costs need error weights")
-            w = np.asarray(self.weights, dtype=float)
-            if w.size != U:
-                raise InvalidCostSpec("one error weight per action required")
-            if np.any(_steps(w) <= 0):
-                raise InvalidCostSpec("error weights must be strictly increasing in u")
-            # the stage costs are concave in pi, as the myopic bound needs, only if w >= 0
-            if w.min() < 0:
-                raise InvalidCostSpec(f"error weights must be >= 0, got {w.min()}")
-            if self.offsets is not None and np.any(np.asarray(self.offsets, dtype=float) != 0):
-                raise InvalidCostSpec(f"{self.variant} costs take no offsets, got {self.offsets}")
-            g2 = np.zeros(U)
-        elif self.variant == "intent":
-            if self.weights is None or self.offsets is None:
-                raise InvalidCostSpec("intent costs need entropy weights and offsets")
-            w = np.asarray(self.weights, dtype=float)
-            g2 = np.asarray(self.offsets, dtype=float)
-            if w.size != U or g2.size != U:
-                raise InvalidCostSpec("per-action weight vectors must match U")
+        w = _cost_vector("weights", self.weights, m.size)
+        g2 = _cost_vector("offsets", np.zeros(m.size) if self.offsets is None and not intent
+                          else self.offsets, m.size)
+        cw = self.ctilde_weight
+        if cw is not None and not (_is_real(cw) and math.isfinite(cw)):
+            raise InvalidCostSpec(f"ctilde_weight must be a finite number, got {cw!r}")
+        # every stage cost is then >= 0, as value iteration's start at V = 0 needs
+        if np.any(m < 0):
+            raise InvalidCostSpec(f"measurement must be >= 0, got {m}")
+        if np.any(_steps(m) > 1e-12):
+            raise InvalidCostSpec("measurement costs must be nonincreasing in u")
+        if intent:
             if np.any(w <= 0) or np.any(g2 <= 0):
                 raise InvalidCostSpec("intent weights must be positive")
             if np.any(_steps(w) >= 0):
@@ -126,14 +128,14 @@ class CostSpec:
             if np.any(_steps(g2) <= 0):
                 raise InvalidCostSpec("offsets must be strictly increasing in u")
         else:
-            raise InvalidCostSpec(f"unknown variant {self.variant!r}")
-        # NaN fails every ordering test above, so it is caught here
-        for name, v in (("measurement", self.measurement), ("weights", w), ("offsets", g2)):
-            if not np.isfinite(v).all():
-                raise InvalidCostSpec(f"{name} must be finite, got {v}")
-        # every stage cost is then >= 0, as value iteration's start at V = 0 needs
-        if np.any(self.measurement < 0):
-            raise InvalidCostSpec(f"measurement must be >= 0, got {self.measurement}")
+            if np.any(_steps(w) <= 0):
+                raise InvalidCostSpec("error weights must be strictly increasing in u")
+            # the stage costs are concave in pi, as the myopic bound needs, only if w >= 0
+            if w.min() < 0:
+                raise InvalidCostSpec(f"error weights must be >= 0, got {w.min()}")
+            if np.any(g2 != 0):
+                raise InvalidCostSpec(f"{self.variant} costs take no offsets, got {self.offsets}")
+        object.__setattr__(self, "measurement", m)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "offsets", g2)
 
@@ -149,11 +151,9 @@ class CostSpec:
     def intent(cls, level_costs, betas, entropy_weights, offsets, ctilde_weight=None):
         """Intent costs from level costs s, finite, >= 0 and nonincreasing in
         the level, and each action's level-sampling polynomial: measurement_u = beta_u . s."""
-        s = np.asarray(level_costs, dtype=float)
+        s = _cost_vector("level_costs", level_costs)
         if np.any(_steps(s) > 1e-12):
             raise InvalidCostSpec("level costs must be nonincreasing in the level")
-        if not np.isfinite(s).all():
-            raise InvalidCostSpec(f"level_costs must be finite, got {s}")
         if np.any(s < 0):
             raise InvalidCostSpec(f"level_costs must be >= 0, got {s}")
         betas = tuple(betas)
@@ -237,8 +237,9 @@ class PollingModel:
             raise ModelShapeMismatch("every channel must have one row per state")
         if len(chans) != self.costs.num_actions:
             raise ModelShapeMismatch("one cost entry per channel required")
-        if not 0.0 <= self.rho < 1.0:
-            raise InvalidArgument("discount factor must lie in [0, 1)")
+        if not (_is_real(self.rho) and 0.0 <= self.rho < 1.0):
+            raise InvalidArgument(f"discount factor rho must be a number in [0, 1), "
+                                  f"got {self.rho!r}")
         L = np.zeros((len(chans), X, max(c.n_outputs for c in chans)))
         for u, c in enumerate(chans):
             L[u, :, :c.n_outputs] = c.matrix.entries

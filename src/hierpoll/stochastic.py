@@ -10,6 +10,7 @@ smallest roots.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,11 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 def _is_integer(n, low: int) -> bool:
     """Whether n is a Python or numpy integer >= low; a bool is not."""
     return not isinstance(n, bool) and isinstance(n, (int, np.integer)) and n >= low
+
+
+def _is_real(x) -> bool:
+    """Whether x is a Python or numpy real number; a bool is not."""
+    return not isinstance(x, bool) and isinstance(x, numbers.Real)
 
 
 def check_integer(name: str, n, low: int):

@@ -539,6 +539,39 @@ class TestSolveSimulate:
         assert not re.search(r"(?<!\w)_\w", err)
 
 
+class TestModelConfigInputs:
+    """A model config's costs are checked where CostSpec is built, and its
+    channels are read as channel files are."""
+
+    def _solve(self, tmp_path, name, config, capsys):
+        p = tmp_path / name
+        p.write_text(json.dumps(config))
+        rc = main(["solve", "--config", str(p), "--grid-m", "3"])
+        return rc, capsys.readouterr(), str(p)
+
+    @pytest.mark.parametrize("costs, message", [
+        ({"variant": "intent", "measurement": [0.1, 5.0], "gamma1": [2.0, 1.0],
+          "gamma2": [1.0, 2.0]}, "measurement costs must be nonincreasing in u"),
+        ({"variant": "expectation", "measurement": [[0.5, 0.25]], "error_weights": [0.5, 1.0]},
+         "measurement must be a vector of finite numbers"),
+    ], ids=["intent-measurement-increasing", "measurement-2d"])
+    def test_malformed_costs_exit_two_naming_the_file(self, costs, message, tmp_path, capsys):
+        config = _edited_model_config(("costs",), costs)
+        rc, captured, path = self._solve(tmp_path, "model.json", config, capsys)
+        assert rc == 2 and captured.out == ""
+        assert f"error: {path}: {message}" in captured.err
+
+    def test_bare_matrix_channels_load_as_their_labelled_twins(self, tmp_path, capsys):
+        labelled = model_to_dict(example1_model(0.5))
+        bare = {**labelled, "channels": [c["matrix"] for c in labelled["channels"]]}
+        bodies = []
+        for name, config in (("labelled.json", labelled), ("bare.json", bare)):
+            rc, captured, _ = self._solve(tmp_path, name, config, capsys)
+            assert rc == 0
+            bodies.append([l for l in captured.out.splitlines() if not l.startswith("#")])
+        assert bodies[0] == bodies[1] and len(bodies[0]) == 11
+
+
 class TestInfoCommands:
     def test_capacity_identity(self, channel_files, capsys):
         *_, ident = channel_files

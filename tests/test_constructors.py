@@ -1,6 +1,8 @@
-"""Property tests of the constructors: given non-finite, empty or degenerate
-values, PollingModel, CostSpec and the channel builders either build an
-object or raise a HierPollError, never a bare numpy or Python error."""
+"""Property tests of the constructors and the solvers' numeric arguments:
+given non-finite, empty, degenerate or wrong-typed values, PollingModel,
+CostSpec, the channel builders, the capacity and EM tolerances and the
+Renyi orders either build an object or raise a HierPollError, never a bare
+numpy or Python error."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,8 +16,9 @@ from hierpoll.channels import (
     intent_channel,
     make_channel,
 )
-from hierpoll.errors import HierPollError, InvalidArgument
+from hierpoll.errors import AlphaOutOfRange, HierPollError, InvalidArgument, InvalidCostSpec
 from hierpoll.estimate import ObservationDataset, em_fit
+from hierpoll.infotheory import channel_divergences, renyi_divergence, shannon_capacities
 from hierpoll.pomdp import CostSpec, FreudenthalGrid, PollingModel, grid_size, value_iteration
 from hierpoll.presets import EXAMPLE1_O1, example1_costs, example1_model, example2_parts
 from hierpoll.sim import uniform_belief
@@ -39,6 +42,10 @@ arrays = hnp.arrays(float, hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, 
 matrices = st.sampled_from(DEGENERATE) | arrays
 vectors = st.lists(values, max_size=4)
 small_ints = st.integers(-2, 5)
+# values of the wrong type or form: strings, None, and nested (possibly ragged) lists
+wrong = st.none() | st.text(max_size=3) | st.lists(vectors, min_size=1, max_size=3)
+numbers_or_wrong = values | wrong
+vectors_or_wrong = vectors | wrong
 
 
 def _builds_or_raises_typed(build) -> None:
@@ -62,8 +69,8 @@ def test_channel_builders(B, N, beta, polled, target, n_friends):
 
 @settings(max_examples=60, deadline=None)
 @given(variant=st.sampled_from(["expectation", "friendship", "intent", ""]),
-       measurement=vectors, weights=vectors, offsets=vectors,
-       ctilde_weight=st.none() | values)
+       measurement=vectors_or_wrong, weights=vectors_or_wrong, offsets=vectors_or_wrong,
+       ctilde_weight=numbers_or_wrong)
 def test_cost_spec(variant, measurement, weights, offsets, ctilde_weight):
     _builds_or_raises_typed(lambda: CostSpec(variant, measurement, weights, offsets,
                                              ctilde_weight=ctilde_weight))
@@ -72,7 +79,7 @@ def test_cost_spec(variant, measurement, weights, offsets, ctilde_weight):
 
 
 @settings(max_examples=40, deadline=None)
-@given(P=matrices, channels=st.lists(matrices, max_size=3), rho=values)
+@given(P=matrices, channels=st.lists(matrices, max_size=3), rho=numbers_or_wrong)
 def test_polling_model(P, channels, rho):
     _builds_or_raises_typed(lambda: PollingModel(P, tuple(channels), example1_costs(), rho))
 
@@ -139,3 +146,48 @@ def test_integer_arguments_take_their_least_value_as_a_numpy_integer(entry):
 def test_a_target_below_the_polled_depth_is_rejected():
     with pytest.raises(InvalidArgument, match="polled_depth must be an integer >= 3, got 2"):
         expectation_channel(_HIERARCHY, 2, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tol=numbers_or_wrong, alphas=vectors_or_wrong | values, alpha=numbers_or_wrong)
+def test_solver_arguments(tol, alphas, alpha):
+    _builds_or_raises_typed(lambda: shannon_capacities([EXAMPLE1_O1], tol=tol))
+    _builds_or_raises_typed(lambda: em_fit(_DATA, X=3, max_iter=2, tol=tol))
+    _builds_or_raises_typed(lambda: channel_divergences(EXAMPLE1_O1, alphas))
+    _builds_or_raises_typed(lambda: renyi_divergence([0.5, 0.5], [0.25, 0.75], alpha))
+
+
+# inputs that escaped as numpy or Python errors, or built a broken object
+_INTENT_WEIGHTS = ([2.0, 1.0], [1.0, 2.0])
+MALFORMED = {
+    "intent-measurement-increasing": (
+        InvalidCostSpec, lambda: CostSpec("intent", [0.1, 5.0], *_INTENT_WEIGHTS)),
+    "intent-recipe-measurement-increasing": (InvalidCostSpec, lambda: CostSpec.intent(
+        [1.0, 0.0], (ConvexPolynomial([0.0, 1.0]), ConvexPolynomial([1.0])), *_INTENT_WEIGHTS)),
+    "measurement-2d": (InvalidCostSpec, lambda: CostSpec.expectation([[0.5, 0.25]], [0.5, 1.0])),
+    "measurement-none": (InvalidCostSpec, lambda: CostSpec.expectation(None, [0.5, 1.0])),
+    "weights-string": (InvalidCostSpec, lambda: CostSpec.expectation([0.5, 0.25], "ab")),
+    "level-costs-string": (InvalidCostSpec, lambda: CostSpec.intent(
+        "ab", (ConvexPolynomial([1.0]),), [1.0], [1.0])),
+    "ctilde-weight-string": (InvalidCostSpec, lambda: CostSpec.expectation(
+        [0.5, 0.25], [0.5, 1.0], ctilde_weight="a")),
+    "rho-none": (InvalidArgument, lambda: PollingModel(
+        EXAMPLE1_O1, example1_model(0.5).channels, example1_costs(), None)),
+    "rho-string": (InvalidArgument, lambda: PollingModel(
+        EXAMPLE1_O1, example1_model(0.5).channels, example1_costs(), "0.5")),
+    "rho-bool": (InvalidArgument, lambda: PollingModel(
+        EXAMPLE1_O1, example1_model(0.5).channels, example1_costs(), False)),
+    "capacity-tol-string": (InvalidArgument, lambda: shannon_capacities([EXAMPLE1_O1], tol="a")),
+    "capacity-tol-none": (InvalidArgument, lambda: shannon_capacities([EXAMPLE1_O1], tol=None)),
+    "em-tol-string": (InvalidArgument, lambda: em_fit(_DATA, X=3, tol="a")),
+    "alphas-string": (AlphaOutOfRange, lambda: channel_divergences(EXAMPLE1_O1, ["a"])),
+    "renyi-alpha-string": (AlphaOutOfRange,
+                           lambda: renyi_divergence([0.5, 0.5], [0.25, 0.75], "a")),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_input_raises_its_typed_error(case):
+    error, call = MALFORMED[case]
+    with pytest.raises(error):
+        call()
