@@ -6,7 +6,7 @@ likelihood matrix. Three constructors cover the polling mechanisms
 fraction-reporting channels). Dominance between channels is decided through
 the Le Cam deficiency delta, always reported as the residual of a returned
 garbling. For a square invertible stronger channel H, the closed-form
-garbling H^-1 W certifies dominance when its residual is within tolerance;
+garbling H^-1 W certifies dominance when `certifies` accepts its residual;
 every other pair is settled by a garbling linear program, whose optimum is
 the deficiency. Every verdict on a deficiency asks `certifies`, the one
 comparison with CERT_TOL, which it reads at each call.
@@ -44,7 +44,6 @@ from .stochastic import (
 )
 
 CERT_TOL = 1e-7        # deficiency at or below which dominance counts as certified
-_CERT_RESIDUAL = 1e-9  # residual at or below which H^-1 W is accepted without an LP
 _MAX_OUTCOMES = 10 ** 6  # output-alphabet cap of friendship_channel
 
 
@@ -276,8 +275,8 @@ def lecam_deficiency(W, H) -> LeCamResult:
 
     - Certificate: when H is square and invertible, H^-1 W is the only
       matrix with HR = W. Clipped at 0 and renormalised, it is returned
-      when its residual is <= _CERT_RESIDUAL; delta is then an upper bound,
-      below _CERT_RESIDUAL.
+      when `certifies` accepts its residual; delta is then that residual, an
+      upper bound that certifies dominance with no LP.
     - Otherwise the garbling LP is solved (`_garbling_lp`) and delta is the
       LP optimum, up to pivot precision.
     W and H must be row-stochastic: validate_stochastic raises on any other
@@ -290,7 +289,7 @@ def lecam_deficiency(W, H) -> LeCamResult:
             f"channels must share the input alphabet: {Wm.shape} vs {Hm.shape}")
     Wm, Hm = validate_stochastic(W).entries, validate_stochastic(H).entries
     R = _inverse_garbling(Wm, Hm)
-    if R is None or garbling_residual(Wm, Hm, R) > _CERT_RESIDUAL:
+    if R is None or not certifies(garbling_residual(Wm, Hm, R)):
         R = _garbling_lp(Wm, Hm)
     return LeCamResult(delta=garbling_residual(Wm, Hm, R), garbling=validate_stochastic(R))
 

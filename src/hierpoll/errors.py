@@ -26,6 +26,10 @@ class NonFiniteEntry(StochasticMatrixError):
     pass
 
 
+class NonNumericEntry(StochasticMatrixError):
+    pass
+
+
 class RowSumMismatch(StochasticMatrixError):
     pass
 

@@ -39,7 +39,7 @@ from .errors import (
 from .fileio import _from_payload, _is_json, _read
 from .stochastic import (
     StochasticMatrix,
-    _is_real,
+    _is_number,
     _max_min_closure,
     _ultrametric_gaps,
     as_array,
@@ -275,7 +275,7 @@ def em_fit(data: ObservationDataset, X: int, init=None, max_iter: int = 100,
     is not a number >= 0. `init` is checked by `validate_stochastic`.
     """
     check_integer("max_iter", max_iter, 1)
-    if not (_is_real(tol) and tol >= 0):
+    if not (_is_number(tol) and tol >= 0):
         raise InvalidArgument(f"tol must be >= 0, got {tol!r}")
     if len(data.alphabet) != X:
         raise AlphabetMismatch(

@@ -26,7 +26,7 @@ from .channels import (
 )
 from .errors import HierPollError, ParseError
 from .pomdp import CostSpec, PollingModel
-from .stochastic import ConvexPolynomial, validate_stochastic
+from .stochastic import ConvexPolynomial, as_array, validate_stochastic
 
 
 # ------------------------------------------------------------------- reading
@@ -75,7 +75,7 @@ def _matrix_from_rows(rows) -> np.ndarray:
 def _matrix_from_json(data) -> np.ndarray:
     if isinstance(data, dict) and "matrix" in data:
         data = data["matrix"]
-    return np.asarray(data, dtype=float)
+    return as_array(data)
 
 
 def load_matrix(path) -> np.ndarray:
@@ -107,8 +107,7 @@ def channel_from_dict(payload) -> Channel:
         payload = {"matrix": payload}
     kind = payload.get("type", "matrix")
     if kind == "matrix":
-        return make_channel(np.asarray(payload["matrix"], dtype=float),
-                            payload.get("inputs"), payload.get("outputs"))
+        return make_channel(payload["matrix"], payload.get("inputs"), payload.get("outputs"))
     if kind == "intent":
         h = HierarchyModel(validate_stochastic(payload["B"]),
                            payload.get("N", len(payload["beta"]) - 1))
@@ -118,8 +117,7 @@ def channel_from_dict(payload) -> Channel:
                            payload.get("N", payload["polled_depth"]))
         return expectation_channel(h, payload["polled_depth"], payload["target_depth"])
     if kind == "friendship":
-        return friendship_channel(np.asarray(payload["B_level"], dtype=float),
-                                  payload["n_friends"])
+        return friendship_channel(payload["B_level"], payload["n_friends"])
     raise ParseError(f"unknown channel recipe type {kind!r}")
 
 

@@ -31,8 +31,9 @@ from .errors import (
     DimensionMismatch,
     InvalidArgument,
     MaxIterationsExceeded,
+    NonNumericEntry,
 )
-from .stochastic import _is_real, validate_belief, validate_stochastic
+from .stochastic import _float_array, _is_number, validate_belief, validate_stochastic
 
 _LOG2 = np.log(2.0)
 _MAX_ITERATIONS = 10 ** 5  # Blahut-Arimoto updates before MaxIterationsExceeded
@@ -94,7 +95,7 @@ def shannon_capacities(channels, tol: float = 1e-10) -> list[Capacity]:
     numpy calls whatever the number of channels. A tol that is not a number
     > 0 raises InvalidArgument, since no change could fall below it.
     """
-    if not (_is_real(tol) and tol > 0):
+    if not (_is_number(tol) and tol > 0):
         raise InvalidArgument(f"tol must be > 0, got {tol!r}")
     blocks = [O[:, O.any(axis=0)] for O in (validate_stochastic(ch).entries for ch in channels)]
     results = []
@@ -254,10 +255,11 @@ def _renyi_table(P: np.ndarray, Q: np.ndarray, alphas) -> np.ndarray:
     """Renyi divergences in bits of every row of P to every row of Q at every
     alpha, shape (len(P), len(Q), len(alphas)). Only symbols where both rows
     are positive count, so alpha = 0 sums q over p's support (p^0 = 1); a
-    zero total gives inf."""
+    zero total gives inf. Every value is >= +0.0: the total is at most 1, and
+    a round-off above it would give a value just below 0, or -0.0."""
     try:
-        a = np.asarray(alphas, dtype=float).reshape(-1, 1)
-    except (TypeError, ValueError, OverflowError):
+        a = _float_array(alphas).reshape(-1, 1)
+    except NonNumericEntry:
         raise AlphaOutOfRange(f"alpha must be numbers in [0, 1), got {alphas!r}") from None
     if not a.size or not np.all((0.0 <= a) & (a < 1.0)):
         raise AlphaOutOfRange(f"alpha must lie in [0, 1), got {a.ravel().tolist()}")
@@ -265,8 +267,8 @@ def _renyi_table(P: np.ndarray, Q: np.ndarray, alphas) -> np.ndarray:
     Q = np.where(Q > 0, Q, 0.0)[None, :, None, :]
     terms = np.where((P > 0) & (Q > 0), P ** a * Q ** (1.0 - a), 0.0)
     total = terms.sum(axis=-1)                    # (len(P), len(Q), n_alphas)
-    return np.where(total > 0, np.log2(np.where(total > 0, total, 1.0)) / (a[:, 0] - 1.0),
-                    np.inf)
+    D = np.where(total > 0, np.log2(np.where(total > 0, total, 1.0)) / (a[:, 0] - 1.0), np.inf)
+    return np.where(D > 0, D, 0.0)
 
 
 @dataclass(frozen=True)

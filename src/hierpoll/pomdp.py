@@ -50,10 +50,11 @@ from .errors import (
     InvalidCostSpec,
     ModelShapeMismatch,
     NonConvergence,
+    NonNumericEntry,
     ZeroLikelihood,
 )
-from .stochastic import (StochasticMatrix, _is_real, _readonly, check_integer, validate_belief,
-                         validate_stochastic)
+from .stochastic import (StochasticMatrix, _float_array, _is_number, _readonly, check_integer,
+                         validate_belief, validate_stochastic)
 
 MAX_SWEEPS = 10 ** 5       # Bellman sweeps before NonConvergence
 _VI_TOL = 1e-8             # sup-norm change at which sweeps stop
@@ -72,8 +73,8 @@ def _cost_vector(name: str, v, size: int | None = None) -> np.ndarray:
     """`v` as a 1-d vector of finite floats, of `size` entries when given;
     otherwise InvalidCostSpec naming the field."""
     try:
-        a = np.asarray(v, dtype=float)
-    except (TypeError, ValueError, OverflowError):
+        a = _float_array(v)
+    except NonNumericEntry:
         a = None
     if a is None or a.ndim != 1 or size not in (None, a.size):
         raise InvalidCostSpec(f"{name} must be a vector of {size or 'finite'} numbers, got {v!r}")
@@ -113,7 +114,7 @@ class CostSpec:
         g2 = _cost_vector("offsets", np.zeros(m.size) if self.offsets is None and not intent
                           else self.offsets, m.size)
         cw = self.ctilde_weight
-        if cw is not None and not (_is_real(cw) and math.isfinite(cw)):
+        if cw is not None and not (_is_number(cw) and math.isfinite(cw)):
             raise InvalidCostSpec(f"ctilde_weight must be a finite number, got {cw!r}")
         # every stage cost is then >= 0, as value iteration's start at V = 0 needs
         if np.any(m < 0):
@@ -237,7 +238,7 @@ class PollingModel:
             raise ModelShapeMismatch("every channel must have one row per state")
         if len(chans) != self.costs.num_actions:
             raise ModelShapeMismatch("one cost entry per channel required")
-        if not (_is_real(self.rho) and 0.0 <= self.rho < 1.0):
+        if not (_is_number(self.rho) and 0.0 <= self.rho < 1.0):
             raise InvalidArgument(f"discount factor rho must be a number in [0, 1), "
                                   f"got {self.rho!r}")
         L = np.zeros((len(chans), X, max(c.n_outputs for c in chans)))

@@ -5,20 +5,14 @@ A rollout reads no discount factor: it records the stage cost C(pi_k, u_k),
 with u_k = policy(pi_k) charged before the transition, and on request the
 piecewise proxy ctilde(pi_k) of the same step. rho enters only in the summary,
 which weights step k by rho^k from k = 0, so one rollout serves every rho.
-Every run draws its uniforms from a stream keyed by (seed, run index), so
-runs are individually reproducible and independent of batch size or
-execution order: run r's stream is `np.random.default_rng([seed, r])`. A
-rollout builds its runs x (1 + 2 horizon) uniforms up front unless its
-caller passes them: `l1_components` draws them once for all of its rollouts
-and frees them when the sweep returns. On `example1` that runs in 0.486 s
-against 0.553 s for one array per rollout, with 15.6k against 13.8k minor
-page faults and 41.95 against 41.77 MB peak RSS (medians of 8 alternating
-pairs in the benchmark's child process, 2-vCPU x86-64 host). A shared array
-once made `example1` 10-40% slower, with 364k faults, as glibc served the
-~150 KB per-step temporaries from fresh mappings. Pinning glibc's mmap
-threshold at 128 KB (MALLOC_MMAP_THRESHOLD_) still brings that back for
-either variant, so it is the arrays the sweep frees before its grid
-rollouts that now raise the threshold.
+Policies are compared on common random numbers: run r draws its 1 + 2
+horizon uniforms from `np.random.default_rng([seed, r])`, so runs are
+individually reproducible and independent of batch size or execution order.
+Each entry point draws them once, with `_uniform_streams`, and hands the
+(runs, 1 + 2 horizon) array to `_rollout`, which reads the run count and
+horizon from its shape. `l1_components` passes one array to all of its
+rollouts, the grid ones through `estimate_cost(..., streams=...)`, and the
+array is freed when the sweep returns.
 Symbols are drawn from, and filtered with, the model's
 (U, X, Y_max) likelihood tensor. Draws count the cumulative law below each
 uniform, with the laws held categories first (one column per state, or per
@@ -122,7 +116,11 @@ class Trajectory:
 
 def _uniform_streams(seed: int, run_ids, horizon: int) -> np.ndarray:
     """Row i holds `default_rng([seed, run_ids[i]]).random(1 + 2 horizon)`,
-    each run's generator drawing straight into its row."""
+    each run's generator drawing straight into its row. The one check of a
+    rollout's seed and run indices (integers >= 0, at least one run) and
+    horizon (an integer >= 1): InvalidArgument otherwise."""
+    check_integer("horizon", horizon, 1)
+    check_integer("the number of runs", len(run_ids), 1)
     check_seed([seed, *run_ids])
     draws = np.empty((len(run_ids), 1 + 2 * horizon))
     for row, r in zip(draws, run_ids):
@@ -147,29 +145,16 @@ def _sample_categorical(cum_columns: np.ndarray, uniforms: np.ndarray) -> np.nda
     return (cum_columns < uniforms).sum(axis=0)
 
 
-def _rollout(model: PollingModel, policy, pi0: np.ndarray, horizon: int,
-             seed: int, runs, proxy: bool = False, record: bool = False,
-             streams: np.ndarray | None = None):
-    """Vectorized simulation of independent rollouts, `runs` being a run
-    count or the run indices to draw. Reads no discount factor: returns the
-    (runs, horizon) stage costs, with `proxy` also ctilde at the same steps.
-    pi0 is checked by PollingModel.check_belief. `streams`, when given, must be
-    `_uniform_streams(seed, runs, horizon)`, which is then not drawn again;
-    another shape raises InvalidArgument.
+def _rollout(model: PollingModel, policy, pi0: np.ndarray, draws: np.ndarray,
+             proxy: bool = False, record: bool = False):
+    """Vectorized simulation of independent rollouts on the (runs, 1 + 2
+    horizon) uniforms `draws` of `_uniform_streams`. Reads no discount
+    factor: returns the (runs, horizon) stage costs, with `proxy` also
+    ctilde at the same steps. pi0 is checked by PollingModel.check_belief.
     """
-    check_integer("horizon", horizon, 1)
     X = model.n_states
     pi0 = model.check_belief(pi0)
-    runs = range(check_integer("runs", runs, 1)) if np.isscalar(runs) else runs
-    check_integer("the number of runs", len(runs), 1)
-    if streams is None:
-        draws = _uniform_streams(seed, runs, horizon)
-    elif np.shape(streams) != (len(runs), 1 + 2 * horizon):
-        raise InvalidArgument(f"streams of shape {np.shape(streams)} for {len(runs)} "
-                              f"runs of horizon {horizon}")
-    else:
-        draws = streams
-    runs = draws.shape[0]
+    runs, horizon = draws.shape[0], draws.shape[1] // 2
     U, _, Y = model.likelihoods.shape
     # categories first: column i of cumP is state i's law, column (u-1) X + i
     # of cumO that of action u's symbols from state i
@@ -217,7 +202,8 @@ def _rollout(model: PollingModel, policy, pi0: np.ndarray, horizon: int,
 def simulate(model: PollingModel, policy, pi0, horizon: int, seed: int,
              run_index: int = 0) -> Trajectory:
     """Single reproducible rollout; identical to run `run_index` of a batch."""
-    data = _rollout(model, policy, pi0, horizon, seed, runs=[run_index], record=True)
+    data = _rollout(model, policy, pi0, _uniform_streams(seed, [run_index], horizon),
+                    record=True)
     return Trajectory(**{name: rows[0] for name, rows in data.items()})
 
 
@@ -258,8 +244,15 @@ def estimate_cost(model: PollingModel, policy, pi0, horizon: int, runs: int,
                   seed: int, *, streams: np.ndarray | None = None) -> CostEstimate:
     """Mean discounted cost over seeded independent rollouts. A caller that
     rolls out several policies on the same runs may pass their uniforms,
-    `_uniform_streams(seed, range(runs), horizon)`, as `streams`, drawn once."""
-    costs = _rollout(model, policy, pi0, horizon, seed, runs, streams=streams)["costs"]
+    `_uniform_streams(seed, range(runs), horizon)`, as `streams`, drawn once;
+    another shape raises InvalidArgument."""
+    run_ids = range(check_integer("runs", runs, 1))
+    if streams is None:
+        streams = _uniform_streams(seed, run_ids, horizon)
+    elif np.shape(streams) != (runs, 1 + 2 * horizon):
+        raise InvalidArgument(f"streams of shape {np.shape(streams)} for {runs} "
+                              f"runs of horizon {horizon}")
+    costs = _rollout(model, policy, pi0, streams)["costs"]
     return _summary(model, costs, model.rho, seed)
 
 
@@ -290,11 +283,9 @@ def l1_components(model: PollingModel, rhos, M: int, runs: int, horizon: int,
     but rho = 0. There its lookahead adds 0 * (...) to the stage cost, so it
     takes the myopic actions, and the summary reads step 0 alone: its
     estimate is the myopic one, bit for bit."""
-    pi0 = uniform_belief(model.n_states) if pi0 is None else np.asarray(pi0, float)
-    streams = _uniform_streams(seed, range(check_integer("runs", runs, 1)),
-                               check_integer("horizon", horizon, 1))
-    costs = _rollout(model, MyopicPolicy(), pi0, horizon, seed, runs,
-                     streams=streams)["costs"]
+    pi0 = uniform_belief(model.n_states) if pi0 is None else pi0
+    streams = _uniform_streams(seed, range(check_integer("runs", runs, 1)), horizon)
+    costs = _rollout(model, MyopicPolicy(), pi0, streams)["costs"]
     j_myopic = [_summary(model, costs, rho, seed) for rho in rhos]
     del costs  # freed before value iteration runs
     out = []
@@ -340,8 +331,10 @@ def l2_components(model: PollingModel, rhos, runs: int, horizon: int, seed: int,
     accumulated along the same trajectories, behind the proxy-bound ratio.
     One rho-free myopic rollout records both; rho enters only in the
     discounting."""
-    pi0 = uniform_belief(model.n_states) if pi0 is None else np.asarray(pi0, float)
-    data = _rollout(model, MyopicPolicy(), pi0, horizon, seed, runs, proxy=True)
+    pi0 = uniform_belief(model.n_states) if pi0 is None else pi0
+    data = _rollout(model, MyopicPolicy(), pi0,
+                    _uniform_streams(seed, range(check_integer("runs", runs, 1)), horizon),
+                    proxy=True)
     return [(_summary(model, data["costs"], rho, seed),
              _summary(model, data["ctilde"], rho, seed)) for rho in rhos]
 

@@ -2,7 +2,7 @@
 
 Provides the validated containers used everywhere else (transition matrices,
 level-confusion matrices, observation matrices, polling distributions), the
-one check of each kind of argument (check_integer, check_seed,
+one check of each kind of argument (_is_number, check_integer, check_seed,
 validate_belief, validate_stochastic), and the operations on them:
 ultrametric tests, integer and fractional matrix powers, matrix
 polynomials, stability (Hurwitz) tests, and polynomial deflation by
@@ -10,7 +10,6 @@ smallest roots.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +21,7 @@ from .errors import (
     NegativeEntry,
     NegativeQuotientCoefficient,
     NonFiniteEntry,
+    NonNumericEntry,
     NonzeroRemainder,
     NotSquare,
     NotUltrametric,
@@ -48,9 +48,33 @@ def _is_integer(n, low: int) -> bool:
     return not isinstance(n, bool) and isinstance(n, (int, np.integer)) and n >= low
 
 
-def _is_real(x) -> bool:
-    """Whether x is a Python or numpy real number; a bool is not."""
-    return not isinstance(x, bool) and isinstance(x, numbers.Real)
+def _is_number(x) -> bool:
+    """The one rule for an outside value read as a float: a Python or numpy
+    int or float is a number; a bool, a string, None or an int past float
+    range is not."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+        return False
+    try:
+        float(x)
+    except OverflowError:
+        return False
+    return True
+
+
+def _float_array(v) -> np.ndarray:
+    """`v` as a float array when each of its entries is a number by
+    `_is_number`; otherwise NonNumericEntry naming the first that is not,
+    which for lists nested unevenly is a list."""
+    if isinstance(v, np.ndarray) and v.dtype.kind in "fiu":
+        return v.astype(float, copy=False)
+    try:
+        a = np.array(v, dtype=object)
+    except ValueError:  # arrays nested unevenly, which numpy cannot place
+        raise NonNumericEntry(f"entries must form an array of numbers, got {v!r}") from None
+    if not all(map(_is_number, a.flat)):
+        index, x = next((i, x) for i, x in np.ndenumerate(a) if not _is_number(x))
+        raise NonNumericEntry(f"entry {index} = {x!r} is not a number")
+    return a.astype(float)
 
 
 def check_integer(name: str, n, low: int):
@@ -79,7 +103,7 @@ class StochasticMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        entries = _readonly(self.entries)
+        entries = _readonly(_float_array(self.entries))
         object.__setattr__(self, "entries", entries)
         if entries.ndim != 2 or entries.size == 0:
             raise RowSumMismatch("matrix must be a non-empty 2-d array")
@@ -120,9 +144,10 @@ def _held_matrix(m) -> StochasticMatrix | None:
 
 
 def as_array(m) -> np.ndarray:
-    """Coerce a StochasticMatrix / Channel / array-like to a float ndarray."""
+    """Coerce a StochasticMatrix / Channel / array-like of numbers to a float
+    ndarray; an entry that is not a number raises NonNumericEntry."""
     held = _held_matrix(m)
-    return np.asarray(m, dtype=float) if held is None else held.entries
+    return _float_array(m) if held is None else held.entries
 
 
 def validate_stochastic(entries) -> StochasticMatrix:
@@ -139,7 +164,7 @@ def validate_stochastic(entries) -> StochasticMatrix:
 def validate_belief(pi) -> np.ndarray:
     """`pi` as a read-only float array, checked as the one row of a
     StochasticMatrix: every probability vector is checked here."""
-    return StochasticMatrix(np.asarray(pi, dtype=float)[None]).entries[0]
+    return StochasticMatrix(_float_array(pi)[None]).entries[0]
 
 
 def _square(m) -> np.ndarray:

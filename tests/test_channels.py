@@ -395,6 +395,22 @@ class TestDeficiencyPaths:
         assert res.delta == pytest.approx(inequality_form_deficiency(W, O1), abs=1e-12)
         assert not blackwell_dominates(O1, W)
 
+    def test_inverse_garbling_whose_residual_certifies_needs_no_lp(self, O1, monkeypatch):
+        # as above with an entry of -5e-9: the clipped H^-1 W has a residual
+        # of about 6e-9, above 1e-9 but within CERT_TOL, so no LP is solved
+        R = np.array([[0.6, 0.4, 0.0], [0.1, 0.5, 0.4], [0.3, 0.3, 0.4]])
+        E = np.zeros((3, 3))
+        E[0, 1], E[0, 2] = 5e-9, -5e-9
+        W = O1 @ (R + E)
+
+        def refuse(*args):
+            raise AssertionError("the garbling LP was solved")
+
+        monkeypatch.setattr(lp, "solve_lp", refuse)
+        res = lecam_deficiency(W, O1)
+        assert 1e-9 < res.delta < 1e-7
+        assert certifies(res.delta) and blackwell_dominates(O1, W)
+
     def test_dominance_on_ordered_chain_runs_one_lp_per_reverse_pair(
             self, intent_chain_10, lp_calls, tmp_path, capsys):
         files = []

@@ -80,6 +80,9 @@ BAD_FILES = {
     "undecodable.csv": b"a,b\n0.5,\xff\n",
     "ragged.json": [[0.5, 0.5], [0.5]],
     "words.json": [["a", "b"], ["c", "d"]],
+    # numbers written as strings, which the number rule rejects
+    "string-entries.json": [["0.9", "0.1"], ["0.2", "0.8"]],
+    "measurement-strings.json": _edited_model_config(("costs", "measurement"), ["0.5", "0.25"]),
     # values beyond float or int range: an integer literal of 400 digits, and
     # an infinite count
     "huge-int.json": b"[[1" + b"0" * 400 + b", 0.5], [0.5, 0.5]]",
@@ -460,6 +463,8 @@ class TestSolveSimulate:
         ["renyi", "{bad:ragged.json}"],
         ["capacity", "{bad:words.json}"],
         ["renyi", "{bad:words.json}"],
+        ["dominance", "{bad:string-entries.json}", "{o1}"],
+        ["solve", "--config", "{bad:measurement-strings.json}"],
         ["capacity", "{bad:huge-int.json}"],
         ["capacity", "{bad:friendship-n-inf.json}"],
         ["solve", "--config", "{bad:deep.json}"],
@@ -482,7 +487,8 @@ class TestSolveSimulate:
             "dominance-undecodable-csv", "capacity-undecodable-json",
             "solve-undecodable-json", "estimate-undecodable-json",
             "estimate-undecodable-csv", "capacity-ragged-channel", "renyi-ragged-channel",
-            "capacity-word-channel", "renyi-word-channel", "capacity-huge-int",
+            "capacity-word-channel", "renyi-word-channel", "dominance-string-entries",
+            "config-measurement-strings", "capacity-huge-int",
             "friendship-n-friends-inf", "solve-deeply-nested-json",
             "example1-seed-negative", "example2-seed-negative", "simulate-seed-negative",
             "estimate-seed-negative", "dominance-one-file"])

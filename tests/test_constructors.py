@@ -16,7 +16,13 @@ from hierpoll.channels import (
     intent_channel,
     make_channel,
 )
-from hierpoll.errors import AlphaOutOfRange, HierPollError, InvalidArgument, InvalidCostSpec
+from hierpoll.errors import (
+    AlphaOutOfRange,
+    HierPollError,
+    InvalidArgument,
+    InvalidCostSpec,
+    NonNumericEntry,
+)
 from hierpoll.estimate import ObservationDataset, em_fit
 from hierpoll.infotheory import channel_divergences, renyi_divergence, shannon_capacities
 from hierpoll.pomdp import CostSpec, FreudenthalGrid, PollingModel, grid_size, value_iteration
@@ -28,6 +34,7 @@ from hierpoll.stochastic import (
     deflate_chain,
     fractional_power,
     matrix_power,
+    validate_belief,
     validate_stochastic,
 )
 
@@ -183,6 +190,31 @@ MALFORMED = {
     "alphas-string": (AlphaOutOfRange, lambda: channel_divergences(EXAMPLE1_O1, ["a"])),
     "renyi-alpha-string": (AlphaOutOfRange,
                            lambda: renyi_divergence([0.5, 0.5], [0.25, 0.75], "a")),
+    # numbers written as strings or bools, and ints past float range
+    "measurement-numeric-strings": (InvalidCostSpec, lambda: CostSpec.expectation(
+        ["0.5", "0.25"], [0.5, 1.0])),
+    "weights-bool-and-int": (InvalidCostSpec, lambda: CostSpec.expectation(
+        [0.5, 0.25], [True, 2])),
+    "ctilde-weight-huge-int": (InvalidCostSpec, lambda: CostSpec.expectation(
+        [0.5, 0.25], [0.5, 1.0], ctilde_weight=10**400)),
+    "stochastic-numeric-strings": (NonNumericEntry,
+                                   lambda: validate_stochastic([["0.9", "0.1"], ["0.2", "0.8"]])),
+    "stochastic-huge-int": (NonNumericEntry, lambda: validate_stochastic([[10**400, 0.0]])),
+    "stochastic-ragged": (NonNumericEntry, lambda: validate_stochastic([[0.5, 0.5], [1.0]])),
+    "stochastic-uneven-arrays": (NonNumericEntry, lambda: validate_stochastic(
+        [np.eye(2), np.array([0.5, 0.5])])),
+    "belief-numeric-strings": (NonNumericEntry, lambda: validate_belief(["0.5", "0.5"])),
+    "channel-bools": (NonNumericEntry, lambda: make_channel([[True, False], [False, True]])),
+    "rho-huge-int": (InvalidArgument, lambda: PollingModel(
+        EXAMPLE1_O1, example1_model(0.5).channels, example1_costs(), 10**400)),
+    "capacity-tol-huge-int": (InvalidArgument,
+                              lambda: shannon_capacities([np.eye(2)], tol=10**400)),
+    "em-tol-huge-int": (InvalidArgument, lambda: em_fit(_DATA, X=3, tol=10**400)),
+    "renyi-alpha-numeric-string": (AlphaOutOfRange,
+                                   lambda: renyi_divergence([0.5, 0.5], [0.4, 0.6], "0.5")),
+    "renyi-alpha-false": (AlphaOutOfRange,
+                          lambda: renyi_divergence([0.5, 0.5], [0.4, 0.6], False)),
+    "alphas-with-a-bool": (AlphaOutOfRange, lambda: channel_divergences(EXAMPLE1_O1, [0.5, True])),
 }
 
 

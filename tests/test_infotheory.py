@@ -432,6 +432,19 @@ class TestRenyiDivergence:
         for alpha in (0.0, 0.1, 0.5, 0.9):
             assert renyi_divergence(p, p, alpha) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("rows", [[[0.5, 0.5], [0.5, 0.5]],
+                                      [[0.2, 0.3, 0.5], [0.2, 0.3, 0.5]]],
+                             ids=["halves", "three-symbols"])
+    def test_equal_rows_read_plus_zero(self, rows):
+        # round-off once put these at -6.4e-16 bits, or at -0.0
+        alphas = [0.0, 0.1, 0.5, 0.9]
+        table = channel_divergences(rows, alphas)
+        assert np.array_equal(table, np.zeros_like(table))
+        assert not np.signbit(table).any()
+        for alpha in alphas:
+            d = renyi_divergence(rows[0], rows[1], alpha)
+            assert d == 0.0 and not np.signbit(d)
+
     def test_alpha_range(self):
         with pytest.raises(AlphaOutOfRange):
             renyi_divergence([1.0], [1.0], 1.0)
@@ -458,7 +471,7 @@ class TestRenyiDivergence:
         p = np.array(pw[:k]) / np.sum(pw[:k])
         q = np.array(qw[:k]) / np.sum(qw[:k])
         d = renyi_divergence(p, q, alpha)
-        assert d >= -1e-10
+        assert d >= 0.0
         if np.abs(p - q).max() < 1e-12:
             assert d < 1e-10
 

@@ -101,19 +101,17 @@ def short_rows_model():
 
 class TestSampling:
     @pytest.mark.parametrize("policy", [FixedPolicy(1), FixedPolicy(2), "grid"])
-    def test_uniform_above_a_short_row_lands_on_its_last_category(self, policy,
-                                                                  monkeypatch):
+    def test_uniform_above_a_short_row_lands_on_its_last_category(self, policy):
         # a uniform of 1 - 1e-11 used to be counted past the last category
         model = short_rows_model()
         if policy == "grid":
             policy = GridPolicy(value_iteration(model, M=6))
-        monkeypatch.setattr(sim, "_uniform_streams", lambda seed, run_ids, horizon:
-                            np.full((len(run_ids), 1 + 2 * horizon), 1 - 1e-11))
+        draws = np.full((4, 1 + 2 * 6), 1 - 1e-11)
         pi0 = np.array([0.5, 0.4 + SHORT, 0.0])
-        data = _rollout(model, policy, pi0, 6, seed=0, runs=4, record=True)
+        data = _rollout(model, policy, pi0, draws, record=True)
         assert (data["states"] == 1).all()
         assert (data["observations"] == 1).all()
-        assert np.isfinite(estimate_cost(model, policy, pi0, 6, 4, seed=0).mean)
+        assert np.isfinite(estimate_cost(model, policy, pi0, 6, 4, seed=0, streams=draws).mean)
 
     def test_draws_below_the_mass_are_unchanged(self, rng):
         # against the plain count of cumulative sums below the uniform
@@ -151,8 +149,8 @@ class TestSimulate:
         assert np.array_equal(t1.beliefs, t2.beliefs)
 
     def test_run_index_matches_batch(self, model):
-        batch = _rollout(model, MyopicPolicy(), uniform_belief(3), 30,
-                         seed=5, runs=4, record=True)
+        batch = _rollout(model, MyopicPolicy(), uniform_belief(3),
+                         _uniform_streams(5, range(4), 30), record=True)
         solo = simulate(model, MyopicPolicy(), uniform_belief(3), 30,
                         seed=5, run_index=2)
         assert np.array_equal(solo.states, batch["states"][2])
@@ -202,8 +200,8 @@ class TestSimulate:
                 return Step(rng.integers(1, 3, size=PI.shape[0]),
                             model.costs.stage_costs(h), h)
 
-        data = _rollout(model, RandomPolicy(), uniform_belief(3), 40, seed=9,
-                        runs=25, record=True)
+        data = _rollout(model, RandomPolicy(), uniform_belief(3),
+                        _uniform_streams(9, range(25), 40), record=True)
         assert set(np.unique(data["actions"])) == {1, 2}
         # the fourth symbol exists only in channel 2, and channel 2 emits it
         assert (data["observations"][data["actions"] == 2] == 3).any()
@@ -214,6 +212,30 @@ class TestSimulate:
                 post, _ = filter_update(data["beliefs"][r, k], y, u, model)
                 np.testing.assert_allclose(data["beliefs"][r, k + 1], post,
                                            rtol=0, atol=1e-14)
+
+
+# every entry that rolls out, its counts and seed given as keywords
+ROLLOUT_ENTRIES = {
+    "estimate_cost": lambda model, horizon=5, runs=10, seed=0: estimate_cost(
+        model, MyopicPolicy(), uniform_belief(3), horizon, runs, seed),
+    "simulate": lambda model, horizon=5, seed=0: simulate(
+        model, MyopicPolicy(), uniform_belief(3), horizon, seed),
+    "l1_components": lambda model, horizon=5, runs=10, seed=0: l1_components(
+        model, [0.5], 2, runs, horizon, seed),
+    "l2_components": lambda model, horizon=5, runs=10, seed=0: l2_components(
+        model, [0.5], runs, horizon, seed),
+}
+BAD_COUNTS = {
+    "runs-2.5": ("runs", 2.5), "runs-True": ("runs", True),
+    "runs-float64": ("runs", np.float64(3.0)), "runs-str": ("runs", "3"), "runs-0": ("runs", 0),
+    "horizon-2.5": ("horizon", 2.5), "horizon-True": ("horizon", True),
+    "horizon-bool_": ("horizon", np.bool_(True)), "horizon-0": ("horizon", 0),
+    "horizon--1": ("horizon", -1),
+}
+COUNT_CASES = [pytest.param(entry, name, value, id=f"{entry}-{case}")
+               for entry, call in ROLLOUT_ENTRIES.items()
+               for case, (name, value) in BAD_COUNTS.items()
+               if name in inspect.signature(call).parameters]
 
 
 class TestEstimateCost:
@@ -233,29 +255,20 @@ class TestEstimateCost:
         assert est.mean == pytest.approx(c * (1 - rho ** H) / (1 - rho), abs=1e-12)
         assert est.stderr == pytest.approx(0.0, abs=1e-15)
 
-    @pytest.mark.parametrize("horizon", [0, -1])
-    def test_rejects_empty_horizon(self, model, horizon):
-        with pytest.raises(ValueError, match="horizon"):
-            estimate_cost(model, MyopicPolicy(), uniform_belief(3), horizon, 10, 0)
+    @pytest.mark.parametrize("entry, name, value", COUNT_CASES)
+    def test_rejects_counts_that_are_not_positive_integers(self, model, entry, name, value):
+        with pytest.raises(InvalidArgument, match=rf"^{name} must be an integer >= 1, got "):
+            ROLLOUT_ENTRIES[entry](model, **{name: value})
 
-    @pytest.mark.parametrize("name, value", [
-        ("runs", 2.5), ("runs", True), ("runs", np.float64(3.0)), ("runs", "3"),
-        ("runs", 0), ("horizon", 2.5), ("horizon", True), ("horizon", np.bool_(True)),
-    ], ids=["runs-2.5", "runs-True", "runs-float64", "runs-str", "runs-0",
-            "horizon-2.5", "horizon-True", "horizon-bool_"])
-    def test_rejects_counts_that_are_not_positive_integers(self, model, name, value):
-        counts = {"horizon": 5, "runs": 10, name: value}
-        with pytest.raises(InvalidArgument, match=name):
-            estimate_cost(model, MyopicPolicy(), uniform_belief(3), seed=0, **counts)
-
-    def test_rejects_an_empty_run_list(self, model):
+    def test_rejects_an_empty_run_list(self):
         with pytest.raises(InvalidArgument, match="runs"):
-            _rollout(model, MyopicPolicy(), uniform_belief(3), 5, 0, runs=[])
+            _uniform_streams(0, [], 5)
 
+    @pytest.mark.parametrize("entry", ROLLOUT_ENTRIES)
     @pytest.mark.parametrize("seed", [True, np.bool_(True)], ids=["True", "bool_"])
-    def test_rejects_a_bool_seed(self, model, seed):
+    def test_rejects_a_bool_seed(self, model, entry, seed):
         with pytest.raises(InvalidArgument, match="integers >= 0"):
-            estimate_cost(model, MyopicPolicy(), uniform_belief(3), 5, 10, seed)
+            ROLLOUT_ENTRIES[entry](model, seed=seed)
 
     def test_accepts_numpy_integer_counts(self, model):
         want = estimate_cost(model, MyopicPolicy(), uniform_belief(3), 5, 10, 0)
@@ -414,7 +427,8 @@ class TestGridPolicy:
         model = PollingModel(P3, channels, CostSpec.expectation([0.5, 0.1], [0.2, 1.0]),
                              rho=0.9)
         policy = GridPolicy(value_iteration(model, M=12))
-        data = _rollout(model, policy, uniform_belief(3), 30, seed=4, runs=20, record=True)
+        data = _rollout(model, policy, uniform_belief(3), _uniform_streams(4, range(20), 30),
+                        record=True)
         assert set(np.unique(data["actions"])) == {1, 2}
         for r in range(20):
             for k in range(30):
@@ -441,7 +455,8 @@ class TestStatelessPolicies:
         for policy, args in ((MyopicPolicy(), {}), (FixedPolicy(2), {"u": 2}),
                              (GridPolicy(gvf), {"gvf": gvf})):
             assert vars(policy) == args
-            _rollout(model, policy, uniform_belief(3), 5, seed=1, runs=4, proxy=True)
+            _rollout(model, policy, uniform_belief(3), _uniform_streams(1, range(4), 5),
+                     proxy=True)
             assert vars(policy) == args
 
     @pytest.mark.parametrize("u", [2.7, 2.0, np.float64(2.0), True, np.bool_(True), "2", None],
@@ -478,9 +493,10 @@ class TestStatelessPolicies:
                 super().actions(other, model)
                 return step
 
-        want = _rollout(model, GridPolicy(gvf), uniform_belief(3), 20, seed=2, runs=15,
+        draws = _uniform_streams(2, range(15), 20)
+        want = _rollout(model, GridPolicy(gvf), uniform_belief(3), draws,
                         proxy=True, record=True)
-        got = _rollout(model, Distracted(gvf), uniform_belief(3), 20, seed=2, runs=15,
+        got = _rollout(model, Distracted(gvf), uniform_belief(3), draws,
                        proxy=True, record=True)
         assert got.keys() == want.keys()
         for name in want:
@@ -575,7 +591,8 @@ class TestSharedRollouts:
         model, runs, horizon, seed = make(), 40, 25, 11
         X = model.n_states
         pi0 = uniform_belief(X)
-        traj = _rollout(model, MyopicPolicy(), pi0, horizon, seed, runs, record=True)
+        traj = _rollout(model, MyopicPolicy(), pi0, _uniform_streams(seed, range(runs), horizon),
+                        record=True)
         ctilde = ctilde_values(traj["beliefs"][:, :-1].reshape(-1, X),
                                model.costs).reshape(runs, horizon)
         components = l2_components(model, RHOS, runs, horizon, seed)
@@ -640,6 +657,6 @@ class TestMyopicStageCosts:
         uncertainty = CostSpec.uncertainty
         monkeypatch.setattr(CostSpec, "uncertainty",
                             lambda self, PI: calls.append(1) or uncertainty(self, PI))
-        _rollout(model, MyopicPolicy(), uniform_belief(model.n_states), horizon, 0, 30,
-                 proxy=True)
+        _rollout(model, MyopicPolicy(), uniform_belief(model.n_states),
+                 _uniform_streams(0, range(30), horizon), proxy=True)
         assert len(calls) == horizon
